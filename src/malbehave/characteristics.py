@@ -10,8 +10,8 @@ group from its nearest relatives.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .phylo import Grouping, PhyloTree
 from .profile import ElementSet
@@ -172,18 +172,35 @@ def characteristics_report(
     return rows
 
 
+def _token_set(row: Mapping, field: str) -> frozenset:
+    tokens = row[field]
+    if not isinstance(tokens, (list, tuple)) or not all(isinstance(token, str) for token in tokens):
+        raise ValueError(f"characteristics report field {field!r} must be a list of strings")
+    return frozenset(tokens)
+
+
 def characteristics_from_report(rows: Sequence[Mapping]) -> dict[int, GroupCharacteristics]:
-    """Rebuild group characteristics from a report written with include_sets."""
+    """Rebuild group characteristics from a report written with include_sets.
+
+    The report is untrusted input: rows must be objects whose common and
+    distinct fields are lists of strings; anything else is a ValueError.
+    """
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError("characteristics report must be a list of group rows")
     result: dict[int, GroupCharacteristics] = {}
     for row in rows:
+        if not isinstance(row, Mapping):
+            raise ValueError(f"characteristics report row must be an object, got {type(row).__name__}")
         try:
             chars = GroupCharacteristics(
                 int(row["id"]),
-                frozenset(row["common"]),
-                frozenset(row["distinct"]),
+                _token_set(row, "common"),
+                _token_set(row, "distinct"),
                 int(row["size"]),
             )
         except KeyError as exc:
             raise ValueError(f"characteristics report row missing field {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"invalid characteristics report row: {exc}") from None
         result[chars.group_id] = chars
     return result

@@ -126,11 +126,12 @@ def _load_labeled_profiles(path: str):
     return [(source.stem, parse_profile(source.read_text(encoding="utf-8")))]
 
 
-def _corpus_matrix(path: str, config: RunConfig) -> DistanceMatrix:
+def _corpus_matrix(path: str, config: RunConfig) -> tuple[list, DistanceMatrix]:
+    """The corpus's (label, profile) pairs and their distance matrix."""
     labeled = read_corpus(path)
     labels = [label for label, _ in labeled]
     profiles = [profile for _, profile in labeled]
-    return distance_matrix(profiles, config.feature(), labels)
+    return labeled, distance_matrix(profiles, config.feature(), labels)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -148,7 +149,8 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 def _cmd_distmat(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    _emit(_corpus_matrix(args.corpus, config).to_csv(), args.out)
+    _, matrix = _corpus_matrix(args.corpus, config)
+    _emit(matrix.to_csv(), args.out)
     return 0
 
 
@@ -156,7 +158,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     source = Path(args.input)
     if source.is_dir():
-        matrix = _corpus_matrix(args.input, config)
+        _, matrix = _corpus_matrix(args.input, config)
     elif source.suffix.lower() == ".csv":
         matrix = DistanceMatrix.from_csv(source.read_text(encoding="utf-8"))
     else:
@@ -166,25 +168,19 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grouping_for_corpus(args: argparse.Namespace, config: RunConfig):
-    labeled = read_corpus(args.corpus)
-    labels = [label for label, _ in labeled]
-    profiles = [profile for _, profile in labeled]
-    matrix = distance_matrix(profiles, config.feature(), labels)
-    tree = upgma(matrix, size_weighted=config.size_weighted)
-    return labeled, tree, cut_tree(tree, config.threshold)
-
-
 def _cmd_groups(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    _, _, grouping = _grouping_for_corpus(args, config)
-    _emit(grouping.to_json(), args.out)
+    _, matrix = _corpus_matrix(args.corpus, config)
+    tree = upgma(matrix, size_weighted=config.size_weighted)
+    _emit(cut_tree(tree, config.threshold).to_json(), args.out)
     return 0
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    labeled, tree, grouping = _grouping_for_corpus(args, config)
+    labeled, matrix = _corpus_matrix(args.corpus, config)
+    tree = upgma(matrix, size_weighted=config.size_weighted)
+    grouping = cut_tree(tree, config.threshold)
     members = {label: extract_elements(profile, config.feature()) for label, profile in labeled}
     chars = distinct_characteristics(tree, grouping, members, config.endurance())
     document = {
@@ -237,6 +233,8 @@ def _cmd_pcs(args: argparse.Namespace) -> int:
         table = table.normalized()
     if args.inject_grouping:
         grouping = Grouping.from_json(Path(args.inject_grouping).read_text(encoding="utf-8"))
+        if grouping.labels.isdisjoint(table.malware_ids):
+            raise ValueError(f"{args.inject_grouping}: no grouping label is a malware id of the label table")
         table = table.with_engine(args.inject_name, grouping_to_labels(grouping))
     extras = []
     if args.text_mining:

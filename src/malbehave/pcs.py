@@ -20,7 +20,8 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import combinations, starmap
+from typing import Callable, Mapping, Sequence
 
 from .phylo import Grouping
 
@@ -187,24 +188,22 @@ def engine_weight(table: EngineLabelTable, engine: str) -> float:
     return sum(1 for cell in column if cell is not None) / len(column)
 
 
-def _pair_vector(column: Sequence[str | None]) -> list[int]:
-    n = len(column)
-    return [_pair_value(column[i], column[j]) for i in range(n) for j in range(i + 1, n)]
+def _pair_masks(verdict: Callable[..., int], items: Sequence) -> tuple[int, int]:
+    """One engine's pair verdicts as two bitmasks, (same, diff), over the
+    (i<j) row-major pairs of items: a bit is set where verdict is +1 / -1."""
+    verdicts = list(starmap(verdict, combinations(items, 2)))
+    same = int("".join("1" if v == 1 else "0" for v in verdicts), 2)
+    diff = int("".join("1" if v == -1 else "0" for v in verdicts), 2)
+    return same, diff
 
 
-def _approval_from_vectors(vx: Sequence[int], vy: Sequence[int]) -> float:
-    plus_num = plus_den = minus_num = minus_den = 0
-    for a, b in zip(vx, vy):
-        if a == 1:
-            plus_den += 1
-            if b == 1:
-                plus_num += 1
-        elif a == -1:
-            minus_den += 1
-            if b == -1:
-                minus_num += 1
-    value = plus_num / plus_den if plus_den else 0.0
-    value += minus_num / minus_den if minus_den else 0.0
+def _approval_from_masks(x: tuple[int, int], y: tuple[int, int]) -> float:
+    """Sum over (same, diff) of |x & y| / |x|; a term with |x| = 0 is 0."""
+    value = 0.0
+    for mask_x, mask_y in zip(x, y):
+        den = mask_x.bit_count()
+        if den:
+            value += (mask_x & mask_y).bit_count() / den
     return value
 
 
@@ -222,19 +221,16 @@ def approval(table: EngineLabelTable, engine_x: str, engine_y: str) -> float:
     whose condition never occurs contributes 0.
     """
     _require_pairs(table)
-    return _approval_from_vectors(
-        _pair_vector(table.column(engine_x)), _pair_vector(table.column(engine_y))
+    return _approval_from_masks(
+        _pair_masks(_pair_value, table.column(engine_x)),
+        _pair_masks(_pair_value, table.column(engine_y)),
     )
 
 
 def pcs_score(table: EngineLabelTable, engine: str) -> float:
     """Detection weight times the mean approval rate over all engines."""
-    _require_pairs(table)
-    vx = _pair_vector(table.column(engine))
-    total = 0.0
-    for other in table.engines:
-        total += _approval_from_vectors(vx, _pair_vector(table.column(other)))
-    return engine_weight(table, engine) * total / len(table.engines)
+    table.engine_index(engine)
+    return next(row["pcs"] for row in pcs_report(table) if row["engine"] == engine)
 
 
 class PairwiseIndicator:
@@ -314,23 +310,22 @@ def pcs_report(
         raise ValueError("duplicate engine name in report")
     n = table.sample_count
     ids = table.malware_ids
-    pair_index = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    vectors: list[list[int]] = [_pair_vector(table.column(engine)) for engine in table.engines]
+    masks = [_pair_masks(_pair_value, table.column(engine)) for engine in table.engines]
     detected: list[int] = [
         sum(1 for cell in table.column(engine) if cell is not None) for engine in table.engines
     ]
     for _, indicator_fn in extra_indicators:
-        vectors.append([indicator_fn(ids[i], ids[j]) for i, j in pair_index])
+        masks.append(_pair_masks(indicator_fn, ids))
         detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))
 
-    m = len(vectors)
+    m = len(masks)
     rows = []
     for x in range(m):
         weight = detected[x] / n
         total = 0.0
         for y in range(m):
-            total += _approval_from_vectors(vectors[x], vectors[y])
+            total += _approval_from_masks(masks[x], masks[y])
         rows.append(
             {
                 "engine": names[x],

@@ -111,9 +111,15 @@ class Grouping:
     def from_json(cls, text: str) -> "Grouping":
         data = json.loads(text)
         try:
-            return cls(float(data["threshold"]), tuple(tuple(group) for group in data["groups"]))
+            threshold = float(data["threshold"])
+            groups = data["groups"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid grouping JSON: {exc}") from None
+        if not isinstance(groups, list) or not all(
+            isinstance(group, list) and all(isinstance(label, str) for label in group) for group in groups
+        ):
+            raise ValueError("invalid grouping JSON: groups must be a list of lists of strings")
+        return cls(threshold, groups)
 
 
 def _pair_key(a: int, b: int) -> tuple[int, int]:

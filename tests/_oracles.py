@@ -66,22 +66,31 @@ def tree_merges(tree):
     return out
 
 
-def brute_force_pcs(ids, engines, rows, engine):
+def brute_force_pcs(ids, engines, rows, engine, indicators=()):
     """Literal conditional-probability evaluation of one engine's score.
 
     rows[i][e] is the family name engine e gave sample i, or None.
+    indicators lists extra (name, callable) engines that take part as
+    peers after the label engines, as in pcs_report: callable(id_i, id_j)
+    gives the pair verdict, and its ``detected`` set the detected ids.
     """
     n = len(ids)
-    m = len(engines)
-    x = engines.index(engine)
+    names = list(engines) + [name for name, _ in indicators]
+    m = len(names)
+    x = names.index(engine)
 
     def same_family(e, i, j):
+        if e >= len(engines):
+            return indicators[e - len(engines)][1](ids[i], ids[j])
         a, b = rows[i][e], rows[j][e]
         if a is None or b is None:
             return 0
         return 1 if a == b else -1
 
-    detected = sum(1 for i in range(n) if rows[i][x] is not None)
+    if x < len(engines):
+        detected = sum(1 for i in range(n) if rows[i][x] is not None)
+    else:
+        detected = sum(1 for i in range(n) if ids[i] in indicators[x - len(engines)][1].detected)
     weight = detected / n
 
     total = 0.0

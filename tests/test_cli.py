@@ -361,6 +361,101 @@ class TestErrors:
         assert err.value.code == 2
 
 
+def _single_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error:")
+    return lines[0]
+
+
+class TestUntrustedInput:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["groups"][0].update(common=5),
+            lambda doc: doc["groups"][0].update(common="abc", distinct=[]),
+            lambda doc: doc["groups"][0].update(common=[1, 2], distinct=[]),
+            lambda doc: doc["groups"][0].update(id=None),
+            lambda doc: doc.update(groups=[5]),
+            lambda doc: doc.update(groups=5),
+        ],
+        ids=["common-int", "common-str", "common-ints", "id-null", "row-int", "groups-int"],
+    )
+    def test_malformed_characteristics(self, capsys, two_family_corpus, tmp_path, mutate):
+        chars_path = tmp_path / "chars.json"
+        argv = ["characterize", str(two_family_corpus), "--threshold", "0.5", "--out", str(chars_path)]
+        assert main(argv) == 0
+        document = json.loads(chars_path.read_text())
+        mutate(document)
+        chars_path.write_text(json.dumps(document))
+        capsys.readouterr()
+        code, out, err = _run(capsys, ["classify", str(chars_path), str(two_family_corpus / "b2-0.xml")])
+        assert code == 1
+        assert out == ""
+        _single_error_line(err)
+
+    def _pcs_with_grouping(self, capsys, tmp_path, groups):
+        table = tmp_path / "table.json"
+        table.write_text(
+            json.dumps({"malwares": ["m1", "m2", "m3"], "engines": ["x"], "labels": [["f"], ["f"], ["g"]]})
+        )
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"threshold": 0.5, "groups": groups}))
+        return grouping, _run(capsys, ["pcs", str(table), "--inject-grouping", str(grouping)])
+
+    def test_grouping_groups_must_be_lists_of_strings(self, capsys, tmp_path):
+        for groups in ("ab", ["ab"], [[1, 2]], [["m1", None]]):
+            _, (code, out, err) = self._pcs_with_grouping(capsys, tmp_path, groups)
+            assert code == 1
+            assert out == ""
+            assert "list of lists of strings" in _single_error_line(err)
+
+    def test_grouping_without_table_ids_rejected(self, capsys, tmp_path):
+        grouping, (code, out, err) = self._pcs_with_grouping(capsys, tmp_path, [["a1-0", "a2-0"], ["b1-0"]])
+        assert code == 1
+        assert out == ""
+        assert str(grouping) in _single_error_line(err)
+
+    def test_grouping_partial_overlap_accepted(self, capsys, tmp_path):
+        _, (code, out, err) = self._pcs_with_grouping(capsys, tmp_path, [["m1", "m2", "zz"], ["yy"]])
+        assert code == 0
+        assert err == ""
+        assert {row["engine"] for row in json.loads(out)} == {"x", "grouping"}
+
+    def test_entity_expansion_rejected(self, tmp_path):
+        # "Billion laughs": nine levels of tenfold entity references expand
+        # to 3 GB. The parser must refuse it; the address-space cap keeps a
+        # parser without that guard from exhausting memory, and a memory
+        # error under the cap fails the test.
+        entities = ['<!ENTITY lol0 "lol">'] + [
+            f'<!ENTITY lol{k} "{("&lol%d;" % (k - 1)) * 10}">' for k in range(1, 10)
+        ]
+        bomb = tmp_path / "bomb.xml"
+        bomb.write_text(
+            '<?xml version="1.0"?>\n<!DOCTYPE Profile [\n'
+            + "\n".join(entities)
+            + "\n]>\n<Profile><Meta><Hash>&lol9;</Hash><Process_id>1</Process_id>"
+            "<Duration>300</Duration></Meta><Execution /></Profile>\n"
+        )
+        import resource  # POSIX only, like preexec_fn
+
+        cap = 512 * 1024 * 1024
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "malbehave", "parse", str(bomb)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=limit_address_space,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "memory" not in _single_error_line(result.stderr).lower()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, small_corpus):
         result = subprocess.run(

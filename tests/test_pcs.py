@@ -295,6 +295,30 @@ class TestReport:
         )
         assert report == pcs_report(manual)
 
+    def test_every_row_equals_brute_force(self):
+        # Random tables with tied labels, undetected cells and (mostly) a
+        # text-mining peer; every row, the text-mining one included, must
+        # equal the literal evaluation exactly.
+        rng = random.Random(31337)
+        words = ["adware", "installer", "worm", "dropper", "bundle", "win32"]
+        for _ in range(150):
+            null_rate = rng.choice([0.0, 0.2, 0.5, 1.0])
+            table = _random_table(rng, rng.randint(2, 9), rng.randint(1, 5), null_rate)
+            extras = []
+            if rng.random() < 0.8:
+                descriptions = {
+                    mid: " ".join(rng.choices(words, k=rng.randint(0, 4))) for mid in table.malware_ids
+                }
+                threshold = rng.choice([0.0, 0.5, 0.7, 1.0])
+                extras.append(("Text_Mining", text_mining_grouping(descriptions, threshold=threshold)))
+            ids = list(table.malware_ids)
+            rows = [list(row) for row in table.labels]
+            report = pcs_report(table, extras)
+            assert len(report) == len(table.engines) + len(extras)
+            for row in report:
+                expected = brute_force_pcs(ids, list(table.engines), rows, row["engine"], extras)
+                assert row["pcs"] == expected
+
 
 def _random_table(rng: random.Random, n: int, m: int, null_rate: float) -> EngineLabelTable:
     ids = tuple(f"m{i}" for i in range(n))
