@@ -37,6 +37,11 @@ from .similarity import DistanceMatrix, distance_matrix
 from .synth import CorpusSpec, generate_corpus, write_corpus
 
 
+# RunConfig annotation -> accepted value types (bool is an int, so it is
+# accepted only where the annotation says bool).
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "int | None": (int, type(None))}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one invocation.
@@ -58,7 +63,14 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        # Delegate validation to the owning modules before any work starts.
+        # Config files are untrusted: check types before any comparison.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, _FIELD_TYPES[field.type]) or (
+                isinstance(value, bool) and field.type != "bool"
+            ):
+                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+        # Delegate range validation to the owning modules before any work starts.
         self.feature()
         self.endurance()
         if not 0.0 <= self.threshold <= 1.0:

@@ -136,13 +136,15 @@ class EngineLabelTable:
     def from_json(cls, text: str) -> "EngineLabelTable":
         data = json.loads(text)
         try:
-            return cls(
-                tuple(data["malwares"]),
-                tuple(data["engines"]),
-                tuple(tuple(row) for row in data["labels"]),
-            )
+            ids, engines, labels = data["malwares"], data["engines"], data["labels"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid label table JSON: {exc}") from None
+        for key, names in (("malwares", ids), ("engines", engines)):
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise ValueError(f"invalid label table JSON: {key} must be a list of strings")
+        if not isinstance(labels, list) or not all(isinstance(row, list) for row in labels):
+            raise ValueError("invalid label table JSON: labels must be a list of lists")
+        return cls(tuple(ids), tuple(engines), tuple(tuple(row) for row in labels))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -282,6 +284,8 @@ def text_mining_grouping(
     nz = normalizer or FamilyNormalizer()
     vectors: dict[str, Counter | None] = {}
     for malware_id, text in descriptions.items():
+        if not isinstance(text, str):
+            raise ValueError(f"description of {malware_id!r} must be a string, got {text!r}")
         tokens = [token for token in nz.tokenize(text) if token not in nz.stop_words]
         vectors[malware_id] = Counter(tokens) if tokens else None
     return PairwiseIndicator(vectors, threshold)

@@ -5,9 +5,11 @@ the two clusters at minimal distance, place the merge node at that distance
 (not half of it), and set the new cluster's distance to every other cluster
 x to (d[x][i] + d[x][j]) / 2. A size-weighted update is available behind
 the ``size_weighted`` switch for the textbook variant. Ties on the minimal
-distance are broken by the lexicographically smallest pair of cluster
-representatives (a cluster is represented by its smallest leaf label), so
-results are reproducible across runs and platforms.
+distance go to the lexicographically smallest pair of cluster
+representatives (a cluster is represented by its smallest leaf label):
+the working matrix keeps its rows in label order, and each merge takes
+its first minimum in row-major order. Results are therefore reproducible
+across runs and platforms.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable
 
 from .similarity import DistanceMatrix
@@ -122,10 +125,6 @@ class Grouping:
         return cls(threshold, groups)
 
 
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     """Build the merge tree for a distance matrix.
 
@@ -134,51 +133,36 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     """
     n = matrix.size
     nodes = [PhyloNode(i, 0.0, None, frozenset({matrix.labels[i]})) for i in range(n)]
-    if n == 1:
-        return PhyloTree(tuple(nodes), 0)
-
-    rep = {i: matrix.labels[i] for i in range(n)}
-    sizes = {i: 1 for i in range(n)}
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = matrix.entries[i][j]
-    active = set(range(n))
+    # Row s of the working matrix d holds the cluster whose smallest label
+    # has rank s: a merge keeps the lower row, so row order is tie order.
+    # Retired rows and the diagonal hold inf, which every update keeps.
+    order = sorted(range(n), key=matrix.labels.__getitem__)
+    d = [[matrix.entries[a][b] if a != b else inf for b in order] for a in order]
+    node_of = list(order)
+    sizes = [1] * n
 
     last_height = 0.0
-    while len(active) > 1:
-        best_key = None
-        best_pair = None
-        for (a, b), value in dist.items():
-            ra, rb = rep[a], rep[b]
-            key = (value, (ra, rb) if ra < rb else (rb, ra))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (a, b)
-        a, b = best_pair
-        height = best_key[0]
+    for _ in range(n - 1):
+        row_mins = list(map(min, d))
+        height = min(row_mins)
+        i = row_mins.index(height)
+        j = d[i].index(height)
         assert height >= last_height - 1e-12, "merge heights must be non-decreasing"
         last_height = height
 
-        new_id = len(nodes)
-        first, second = (a, b) if rep[a] < rep[b] else (b, a)
-        nodes.append(
-            PhyloNode(new_id, height, (first, second), nodes[a].members | nodes[b].members)
-        )
-        active.discard(a)
-        active.discard(b)
-        del dist[_pair_key(a, b)]
-        for x in active:
-            da = dist.pop(_pair_key(x, a))
-            db = dist.pop(_pair_key(x, b))
+        a, b = node_of[i], node_of[j]
+        nodes.append(PhyloNode(len(nodes), height, (a, b), nodes[a].members | nodes[b].members))
+        wi, wj = sizes[i], sizes[j]
+        for x, row in enumerate(d):
             if size_weighted:
-                merged = (sizes[a] * da + sizes[b] * db) / (sizes[a] + sizes[b])
+                merged = (wi * row[i] + wj * row[j]) / (wi + wj)
             else:
-                merged = (da + db) / 2
-            dist[_pair_key(x, new_id)] = merged
-        active.add(new_id)
-        rep[new_id] = min(rep[a], rep[b])
-        sizes[new_id] = sizes[a] + sizes[b]
+                merged = (row[i] + row[j]) / 2
+            row[i] = d[i][x] = merged
+            row[j] = inf
+        d[j] = [inf] * n
+        node_of[i] = len(nodes) - 1
+        sizes[i] = wi + wj
 
     return PhyloTree(tuple(nodes), len(nodes) - 1)
 

@@ -422,6 +422,66 @@ class TestUntrustedInput:
         assert err == ""
         assert {row["engine"] for row in json.loads(out)} == {"x", "grouping"}
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"threshold": "0.5"}, "threshold"),
+            ({"alpha": None}, "alpha"),
+            ({"tm_threshold": [1]}, "tm_threshold"),
+            ({"with_params": "no"}, "with_params"),
+            ({"size_weighted": 1}, "size_weighted"),
+            ({"threshold": True}, "threshold"),
+            ({"seed": "7"}, "seed"),
+            ({"seed": False}, "seed"),
+        ],
+        ids=[
+            "threshold-str",
+            "alpha-null",
+            "tm-threshold-list",
+            "with-params-str",
+            "size-weighted-int",
+            "threshold-bool",
+            "seed-str",
+            "seed-bool",
+        ],
+    )
+    def test_malformed_config(self, capsys, two_family_corpus, tmp_path, config, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["groups", str(two_family_corpus), "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert key in _single_error_line(err)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"malwares": "ab", "engines": ["x"], "labels": [["f"], ["g"]]}, "malwares must be a list of strings"),
+            ({"malwares": [1, 2], "engines": ["x"], "labels": [["f"], ["g"]]}, "malwares must be a list of strings"),
+            ({"malwares": ["m1", "m2"], "engines": "x", "labels": [["f"], ["g"]]}, "engines must be a list of strings"),
+            ({"malwares": ["m1", "m2"], "engines": ["x"], "labels": ["f", "g"]}, "labels must be a list of lists"),
+            ({"malwares": ["m1", "m2"], "engines": ["x"], "labels": "fg"}, "labels must be a list of lists"),
+        ],
+        ids=["ids-str", "ids-int", "engines-str", "rows-str", "labels-str"],
+    )
+    def test_malformed_label_table(self, capsys, tmp_path, document, message):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(document))
+        code, out, err = _run(capsys, ["pcs", str(table)])
+        assert code == 1
+        assert out == ""
+        assert message in _single_error_line(err)
+
+    def test_non_string_description(self, capsys, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["f"]]}))
+        descriptions = tmp_path / "d.json"
+        descriptions.write_text(json.dumps({"m1": 5, "m2": "trojan downloader"}))
+        code, out, err = _run(capsys, ["pcs", str(table), "--text-mining", str(descriptions)])
+        assert code == 1
+        assert out == ""
+        assert "'m1'" in _single_error_line(err)
+
     def test_entity_expansion_rejected(self, tmp_path):
         # "Billion laughs": nine levels of tenfold entity references expand
         # to 3 GB. The parser must refuse it; the address-space cap keeps a

@@ -18,21 +18,43 @@ def _matrix(labels, pairs):
     return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
 
 
-def _random_matrix(rng: random.Random, n: int, *, tie_grid: bool) -> DistanceMatrix:
-    labels = tuple(f"L{i}" for i in range(n))
+TIE_GRID = (0.1, 0.2, 0.2, 0.4, 0.4, 0.4, 0.8, 1.0)
+ZERO_TIE_GRID = (0.0, 0.0, 0.3, 0.3, 0.3, 0.6, 1.0)
+
+
+def _random_matrix(rng: random.Random, n: int, grid=None, *, shuffled: bool = False) -> DistanceMatrix:
+    """Values drawn from grid (forced ties), or continuous when grid is None.
+
+    shuffled labels make label rank differ from matrix order (L10 sorts
+    before L2), so the tie rule cannot lean on row order.
+    """
+    labels = [f"L{i}" for i in range(n)]
+    if shuffled:
+        rng.shuffle(labels)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if tie_grid:
-                value = rng.choice([0.1, 0.2, 0.2, 0.4, 0.4, 0.4, 0.8, 1.0])
+            if grid:
+                value = rng.choice(grid)
             else:
                 value = round(rng.random(), 6)
             rows[i][j] = value
             rows[j][i] = value
-    return DistanceMatrix(labels, tuple(tuple(row) for row in rows))
+    return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
 
 
 WORKED = _matrix(["A", "B", "C"], {("A", "B"): 0.2, ("A", "C"): 0.6, ("B", "C"): 0.4})
+
+# Newick of the test_golden_newick matrix, computed with the earlier
+# pair-dict tree builder.
+PLAIN_GOLDEN = (
+    "((((((L0:0,L1:0):0,L4:0):0.20625,((L12:0,L7:0):0,L9:0):0.20625):0.05625,L8:0.2625):0.1,"
+    "L13:0.3625):0.130859375,(((L10:0,L11:0):0,L2:0):0.1875,((L3:0,L5:0):0,L6:0):0.1875):0.305859375);"
+)
+WEIGHTED_GOLDEN = (
+    "((((((L0:0,L1:0):0,L4:0):0.2,((L12:0,L7:0):0,L9:0):0.2):0.05,L8:0.25):0.15,"
+    "L13:0.4):0.0604166667,(((L10:0,L11:0):0,L2:0):0.1666666667,((L3:0,L5:0):0,L6:0):0.1666666667):0.29375);"
+)
 
 
 class TestUpgma:
@@ -62,20 +84,30 @@ class TestUpgma:
 
     def test_matches_naive_oracle(self):
         rng = random.Random(2024)
-        for trial in range(60):
-            n = rng.randint(1, 7)
-            matrix = _random_matrix(rng, n, tie_grid=trial % 2 == 0)
-            merges = tree_merges(upgma(matrix))
-            expected = naive_upgma_merges(matrix.labels, matrix.entries)
-            assert len(merges) == len(expected)
-            for (height, a, b), (exp_height, exp_a, exp_b) in zip(merges, expected):
-                assert abs(height - exp_height) <= 1e-12
-                assert {a, b} == {exp_a, exp_b}
+        grids = (TIE_GRID, ZERO_TIE_GRID, None)
+        for trial in range(150):
+            n = rng.randint(1, 30)
+            matrix = _random_matrix(rng, n, grids[trial % 3], shuffled=trial % 5 != 0)
+            for size_weighted in (False, True):
+                merges = tree_merges(upgma(matrix, size_weighted=size_weighted))
+                expected = naive_upgma_merges(matrix.labels, matrix.entries, size_weighted=size_weighted)
+                assert len(merges) == len(expected)
+                for (height, a, b), (exp_height, exp_a, exp_b) in zip(merges, expected):
+                    assert height == exp_height
+                    assert {a, b} == {exp_a, exp_b}
+
+    def test_golden_newick(self):
+        # Tie-heavy, with 0.0 distances and shuffled labels; the Newick text
+        # also pins child order (smaller representative first), which the
+        # oracle comparison above, on member sets, does not see.
+        matrix = _random_matrix(random.Random(31), 14, ZERO_TIE_GRID, shuffled=True)
+        assert to_newick(upgma(matrix)) == PLAIN_GOLDEN
+        assert to_newick(upgma(matrix, size_weighted=True)) == WEIGHTED_GOLDEN
 
     def test_heights_non_decreasing(self):
         rng = random.Random(5)
         for _ in range(30):
-            matrix = _random_matrix(rng, rng.randint(2, 7), tie_grid=True)
+            matrix = _random_matrix(rng, rng.randint(2, 7), TIE_GRID)
             tree = upgma(matrix)
             heights = [node.height for node in tree.nodes if not node.is_leaf]
             assert heights == sorted(heights)
@@ -123,7 +155,7 @@ class TestCutTree:
     def test_threshold_zero_all_singletons(self):
         rng = random.Random(11)
         for _ in range(10):
-            matrix = _random_matrix(rng, rng.randint(2, 6), tie_grid=False)
+            matrix = _random_matrix(rng, rng.randint(2, 6), None)
             if any(
                 matrix.entries[i][j] == 0.0
                 for i in range(matrix.size)
@@ -136,7 +168,7 @@ class TestCutTree:
     def test_group_count_non_increasing(self):
         rng = random.Random(23)
         for _ in range(20):
-            tree = upgma(_random_matrix(rng, rng.randint(2, 7), tie_grid=True))
+            tree = upgma(_random_matrix(rng, rng.randint(2, 7), TIE_GRID))
             counts = [len(cut_tree(tree, t).groups) for t in (0.2, 0.3, 0.4, 0.5)]
             assert counts == sorted(counts, reverse=True)
 
