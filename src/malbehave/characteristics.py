@@ -63,19 +63,19 @@ def common_set(member_sets: Sequence[ElementSet], alpha: float) -> frozenset:
     return frozenset(element for element, count in counts.items() if count >= needed)
 
 
-def _subtree_root(tree: PhyloTree, members: frozenset) -> int:
-    """Lowest tree node whose leaf set contains all of the given members."""
-    node_id = tree.root
-    while True:
-        node = tree.nodes[node_id]
-        if node.children is None:
-            return node_id
-        for child in node.children:
-            if members <= tree.nodes[child].members:
-                node_id = child
-                break
-        else:
-            return node_id
+def _subtree_root(parents: Mapping[int, int], leaves: Sequence[int]) -> int:
+    """Lowest common ancestor of the given leaf nodes.
+
+    A parent's id exceeds its children's, so while two or more nodes are
+    left the smallest lies strictly below the ancestor: lift it to its
+    parent until one node is left.
+    """
+    frontier = set(leaves)
+    while len(frontier) > 1:
+        node = min(frontier)
+        frontier.remove(node)
+        frontier.add(parents[node])
+    return frontier.pop()
 
 
 def distinct_characteristics(
@@ -90,23 +90,23 @@ def distinct_characteristics(
     (the lowest node strictly containing the group's subtree). A group
     covering the whole tree keeps its common set unchanged.
     """
+    leaf_of = {node.label: node.id for node in tree.nodes if node.is_leaf}
     for group in grouping.groups:
         for label in group:
             if label not in members:
                 raise ValueError(f"no element set for label {label!r}")
+            if label not in leaf_of:
+                raise ValueError(f"label {label!r} is not a leaf of the tree")
     parents = tree.parents()
     result: dict[int, GroupCharacteristics] = {}
     for group_id, group in enumerate(grouping.groups):
-        group_labels = frozenset(group)
         common = common_set([members[label] for label in group], config.alpha)
-        root_id = _subtree_root(tree, group_labels)
+        root_id = _subtree_root(parents, [leaf_of[label] for label in group])
         if root_id == tree.root:
             distinct = common
         else:
-            parent = tree.nodes[parents[root_id]]
-            parent_common = common_set(
-                [members[label] for label in sorted(parent.members)], config.alpha
-            )
+            parent_labels = sorted(tree.leaf_labels(parents[root_id]))
+            parent_common = common_set([members[label] for label in parent_labels], config.alpha)
             distinct = common - parent_common
         result[group_id] = GroupCharacteristics(group_id, common, distinct, len(group))
     return result

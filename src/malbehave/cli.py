@@ -41,6 +41,9 @@ from .synth import CorpusSpec, generate_corpus, write_corpus
 # accepted only where the annotation says bool).
 _FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "int | None": (int, type(None))}
 
+# The RunConfig keys that make up a FeatureConfig.
+_FEATURE_KEYS = {field.name for field in dataclasses.fields(FeatureConfig)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -79,12 +82,7 @@ class RunConfig:
             raise ValueError(f"tm_threshold must be in [0, 1], got {self.tm_threshold!r}")
 
     def feature(self) -> FeatureConfig:
-        return FeatureConfig(
-            with_params=self.with_params,
-            ngram_n=self.ngram_n,
-            normalize_paths=self.normalize_paths,
-            include_return=self.include_return,
-        )
+        return FeatureConfig(**{key: getattr(self, key) for key in _FEATURE_KEYS})
 
     def endurance(self) -> EnduranceConfig:
         return EnduranceConfig(alpha=self.alpha, min_score=self.min_score)
@@ -199,19 +197,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         "threshold": config.threshold,
         "alpha": config.alpha,
         "min_score": config.min_score,
-        "feature": {
-            "with_params": config.with_params,
-            "ngram_n": config.ngram_n,
-            "normalize_paths": config.normalize_paths,
-            "include_return": config.include_return,
-        },
+        "feature": dataclasses.asdict(config.feature()),
         "groups": characteristics_report(chars, grouping, include_sets=True),
     }
     _emit(json.dumps(document, indent=2) + "\n", args.out)
     return 0
-
-
-_FEATURE_KEYS = {"with_params", "ngram_n", "normalize_paths", "include_return"}
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -270,9 +260,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, out_required: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file with RunConfig keys")
-    parser.add_argument("--out", required=out_required, help="output path (default: stdout)")
+    parser.add_argument("--out", help="output path (default: stdout)")
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:

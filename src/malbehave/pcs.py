@@ -248,10 +248,6 @@ class PairwiseIndicator:
         self.threshold = float(threshold)
         self.detected = frozenset(key for key, vec in self._vectors.items() if vec)
 
-    @property
-    def ids(self) -> frozenset:
-        return frozenset(self._vectors)
-
     def __call__(self, i: str, j: str) -> int:
         if i == j:
             raise ValueError("indicator requires two distinct malware ids")

@@ -25,12 +25,13 @@ from .similarity import DistanceMatrix
 
 @dataclass(frozen=True)
 class PhyloNode:
-    """Tree node: a leaf (height 0, no children) or a merge of two nodes."""
+    """Tree node: a leaf (height 0, no children, its label) or a merge of
+    two nodes (label None); tree.leaf_labels gives a subtree's leaves."""
 
     id: int
     height: float
     children: tuple[int, int] | None
-    members: frozenset[str]
+    label: str | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -47,9 +48,6 @@ class PhyloTree:
 
     nodes: tuple[PhyloNode, ...]
     root: int
-
-    def node(self, node_id: int) -> PhyloNode:
-        return self.nodes[node_id]
 
     @property
     def leaf_count(self) -> int:
@@ -72,7 +70,7 @@ class PhyloTree:
         while stack:
             node = self.nodes[stack.pop()]
             if node.children is None:
-                labels.append(next(iter(node.members)))
+                labels.append(node.label)
             else:
                 stack.extend(reversed(node.children))
         return tuple(labels)
@@ -132,7 +130,7 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     with the average update rule this holds by construction.
     """
     n = matrix.size
-    nodes = [PhyloNode(i, 0.0, None, frozenset({matrix.labels[i]})) for i in range(n)]
+    nodes = [PhyloNode(i, 0.0, None, label) for i, label in enumerate(matrix.labels)]
     # Row s of the working matrix d holds the cluster whose smallest label
     # has rank s: a merge keeps the lower row, so row order is tie order.
     # Retired rows and the diagonal hold inf, which every update keeps.
@@ -151,7 +149,7 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
         last_height = height
 
         a, b = node_of[i], node_of[j]
-        nodes.append(PhyloNode(len(nodes), height, (a, b), nodes[a].members | nodes[b].members))
+        nodes.append(PhyloNode(len(nodes), height, (a, b)))
         wi, wj = sizes[i], sizes[j]
         for x, row in enumerate(d):
             if size_weighted:
@@ -200,11 +198,11 @@ def to_newick(tree: PhyloTree) -> str:
     """Newick text with branch lengths parent.height - child.height."""
     root = tree.nodes[tree.root]
     if root.is_leaf:
-        return f"{_quote_label(next(iter(root.members)))}:0;"
+        return f"{_quote_label(root.label)}:0;"
     rendered: dict[int, str] = {}
     for node in tree.nodes:  # children always precede their parent
         if node.is_leaf:
-            rendered[node.id] = _quote_label(next(iter(node.members)))
+            rendered[node.id] = _quote_label(node.label)
         else:
             inner = ",".join(
                 f"{rendered[child]}:{_format_length(node.height - tree.nodes[child].height)}"

@@ -95,8 +95,8 @@ class FamilyTemplate:
             "param_pools",
             {key: tuple(values) for key, values in dict(self.param_pools).items()},
         )
-        if not self.name:
-            raise ValueError("family template needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"family template needs a name string, got {self.name!r}")
         if not self.base_events:
             raise ValueError(f"family {self.name!r}: base_events must be non-empty")
         for event in self.base_events:
@@ -132,29 +132,44 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
-        data = json.loads(text)
+        data = _typed(json.loads(text), "JSON", dict)
         try:
+            entries = [_typed(entry, "family", dict) for entry in _typed(data["families"], "families", list)]
             families = tuple(
-                (_template_from_dict(entry), int(entry["variants"])) for entry in data["families"]
+                (_template_from_dict(entry), _typed(entry["variants"], "variants", int)) for entry in entries
             )
-            return cls(families, float(data["mutation_rate"]), int(data["seed"]))
+            rate = float(_typed(data["mutation_rate"], "mutation_rate", int, float))
+            return cls(families, rate, _typed(data["seed"], "seed", int))
         except KeyError as exc:
             raise ValueError(f"corpus spec missing field {exc.args[0]!r}") from None
 
 
+def _typed(value, what: str, *kinds: type):
+    """value, checked to be an instance of one of kinds (a bool is never
+    taken for a number): specs are untrusted input."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"corpus spec {what} must be {names}, got {value!r}")
+    return value
+
+
+def _strings(values, what: str) -> tuple[str, ...]:
+    return tuple(_typed(value, f"{what} item", str) for value in _typed(values, what, list))
+
+
 def _template_from_dict(entry: Mapping) -> FamilyTemplate:
     events = []
-    for item in entry["base_events"]:
-        attributes = item.get("attributes", {})
-        pairs = tuple(attributes.items()) if isinstance(attributes, Mapping) else tuple(
-            tuple(pair) for pair in attributes
-        )
+    for item in _typed(entry["base_events"], "base_events", list):
+        attributes = _typed(_typed(item, "base event", dict).get("attributes", {}), "attributes", dict, list)
+        pairs = attributes.items() if isinstance(attributes, dict) else attributes
+        pairs = tuple(_typed(pair, "attribute pair", tuple, list) for pair in pairs)
         events.append(ApiEvent(item["api"], pairs, item.get("return"), 0))
+    pools = _typed(entry.get("param_pools", {}), "param_pools", dict)
     return FamilyTemplate(
         entry["name"],
         tuple(events),
-        frozenset(entry.get("mutation_ops", MUTATION_OPS)),
-        {key: tuple(values) for key, values in entry.get("param_pools", {}).items()},
+        frozenset(_strings(entry.get("mutation_ops", list(MUTATION_OPS)), "mutation_ops")),
+        {key: _strings(values, f"param_pools {key!r}") for key, values in pools.items()},
     )
 
 

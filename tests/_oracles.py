@@ -62,7 +62,41 @@ def tree_merges(tree):
     for node in tree.nodes:
         if node.children is not None:
             a, b = node.children
-            out.append((node.height, tree.nodes[a].members, tree.nodes[b].members))
+            out.append((node.height, frozenset(tree.leaf_labels(a)), frozenset(tree.leaf_labels(b))))
+    return out
+
+
+def brute_force_characteristics(tree, groups, sets, alpha):
+    """{group index: (common, distinct)} straight from the definitions.
+
+    Leaf sets are rebuilt bottom-up from the children. A group's subtree
+    root is the node with the smallest leaf set holding the whole group,
+    found by scanning every node; its parent is the node with the smallest
+    leaf set strictly containing the root's. A common set keeps each
+    element held by at least (1 - alpha) times the member count.
+    """
+    leaf_sets = []
+    for node in tree.nodes:  # children precede their parent
+        if node.children is None:
+            leaf_sets.append(frozenset({node.label}))
+        else:
+            leaf_sets.append(leaf_sets[node.children[0]] | leaf_sets[node.children[1]])
+
+    def common(labels):
+        member_sets = [sets[label] for label in labels]
+        needed = (1.0 - alpha) * len(member_sets)
+        union = frozenset().union(*member_sets)
+        return frozenset(e for e in union if sum(e in member for member in member_sets) >= needed)
+
+    out = {}
+    for index, group in enumerate(groups):
+        root = min((leaves for leaves in leaf_sets if frozenset(group) <= leaves), key=len)
+        group_common = common(group)
+        if root == leaf_sets[tree.root]:
+            out[index] = (group_common, group_common)
+        else:
+            parent = min((leaves for leaves in leaf_sets if root < leaves), key=len)
+            out[index] = (group_common, group_common - common(parent))
     return out
 
 

@@ -106,6 +106,31 @@ def matrix_from_sets(labels, sets_by_label) -> DistanceMatrix:
     return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
 
 
+TIE_GRID = (0.1, 0.2, 0.2, 0.4, 0.4, 0.4, 0.8, 1.0)
+ZERO_TIE_GRID = (0.0, 0.0, 0.3, 0.3, 0.3, 0.6, 1.0)
+
+
+def random_matrix(rng: random.Random, n: int, grid=None, *, shuffled: bool = False) -> DistanceMatrix:
+    """Values drawn from grid (forced ties), or continuous when grid is None.
+
+    shuffled labels make label rank differ from matrix order (L10 sorts
+    before L2), so the tie rule cannot lean on row order.
+    """
+    labels = [f"L{i}" for i in range(n)]
+    if shuffled:
+        rng.shuffle(labels)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if grid:
+                value = rng.choice(grid)
+            else:
+                value = round(rng.random(), 6)
+            rows[i][j] = value
+            rows[j][i] = value
+    return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
+
+
 def mean_distance(labels_a, labels_b, sets_by_label) -> float:
     """Mean pairwise distance between two label sets (within one set when
     both arguments are the same sequence)."""

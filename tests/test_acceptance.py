@@ -127,7 +127,7 @@ def test_criterion_3_characteristic_set_suite():
                     if node.children is None:
                         break
                     for child in node.children:
-                        if members <= tree.nodes[child].members:
+                        if members <= frozenset(tree.leaf_labels(child)):
                             node_id = child
                             break
                     else:
@@ -135,7 +135,7 @@ def test_criterion_3_characteristic_set_suite():
                 if node_id != tree.root:
                     parent = tree.nodes[parents[node_id]]
                     parent_common = common_set(
-                        [sets[l] for l in sorted(parent.members)], 0.0
+                        [sets[l] for l in sorted(tree.leaf_labels(parent.id))], 0.0
                     )
                     assert not (item.distinct & parent_common)
 

@@ -7,6 +7,7 @@ import pytest
 from malbehave import (
     EnduranceConfig,
     GroupCharacteristics,
+    Grouping,
     characteristics_from_report,
     characteristics_report,
     classification_scores,
@@ -16,7 +17,8 @@ from malbehave import (
     distinct_characteristics,
     upgma,
 )
-from _pipeline import matrix_from_sets
+from _oracles import brute_force_characteristics
+from _pipeline import TIE_GRID, ZERO_TIE_GRID, matrix_from_sets, random_matrix
 
 
 def _setup(sets_by_label, threshold, alpha=0.0, min_score=0.5):
@@ -88,6 +90,36 @@ class TestDistinct:
         with pytest.raises(ValueError, match="y"):
             distinct_characteristics(tree, grouping, sets, config)
 
+    def test_group_label_outside_tree_rejected(self):
+        sets = {"a": frozenset("xy"), "b": frozenset("x"), "c": frozenset("z"), "q": frozenset("xy")}
+        tree = upgma(matrix_from_sets(["a", "b", "c"], sets))
+        grouping = Grouping(0.5, (("a", "q"), ("b",), ("c",)))
+        with pytest.raises(ValueError, match="'q' is not a leaf"):
+            distinct_characteristics(tree, grouping, sets, EnduranceConfig())
+
+    def test_matches_brute_force_oracle(self):
+        # Tie-heavy random trees with shuffled labels, element sets drawn
+        # independently of the tree, and both tree cuts and arbitrary
+        # partitions (whose groups need not be subtrees).
+        rng = random.Random(4104)
+        universe = "abcdefghij"
+        for trial in range(120):
+            n = rng.randint(1, 30)
+            matrix = random_matrix(rng, n, (TIE_GRID, ZERO_TIE_GRID)[trial % 2], shuffled=True)
+            tree = upgma(matrix, size_weighted=trial % 3 == 0)
+            sets = {label: frozenset(rng.sample(universe, rng.randint(2, 8))) for label in matrix.labels}
+            labels = list(matrix.labels)
+            rng.shuffle(labels)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            partition = Grouping(0.5, [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])])
+            groupings = [cut_tree(tree, threshold) for threshold in (0.25, 0.5, rng.choice(TIE_GRID))]
+            for grouping in groupings + [partition]:
+                alpha = rng.choice((0.0, 0.1, 0.25, 0.5))
+                chars = distinct_characteristics(tree, grouping, sets, EnduranceConfig(alpha=alpha))
+                expected = brute_force_characteristics(tree, grouping.groups, sets, alpha)
+                assert {index: (item.common, item.distinct) for index, item in chars.items()} == expected
+                assert [chars[index].size for index in sorted(chars)] == [len(g) for g in grouping.groups]
+
     def test_alpha_zero_invariants_on_random_trees(self):
         rng = random.Random(314)
         universe = "abcdefgh"
@@ -107,7 +139,7 @@ class TestDistinct:
                 node_id = _find_subtree(tree, frozenset(group))
                 if node_id != tree.root:
                     parent = tree.nodes[parents[node_id]]
-                    parent_common = common_set([sets[l] for l in sorted(parent.members)], 0.0)
+                    parent_common = common_set([sets[l] for l in sorted(tree.leaf_labels(parent.id))], 0.0)
                     assert not (item.distinct & parent_common)
 
     def test_training_members_score_one_with_alpha_zero(self):
@@ -132,7 +164,7 @@ def _find_subtree(tree, members):
         if node.children is None:
             return node_id
         for child in node.children:
-            if members <= tree.nodes[child].members:
+            if members <= frozenset(tree.leaf_labels(child)):
                 node_id = child
                 break
         else:

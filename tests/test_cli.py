@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -481,6 +482,53 @@ class TestUntrustedInput:
         assert code == 1
         assert out == ""
         assert "'m1'" in _single_error_line(err)
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            ((), [5], "corpus spec"),
+            (("families",), 5, "families"),
+            (("families",), [5], "family"),
+            (("seed",), True, "seed"),
+            (("mutation_rate",), None, "mutation_rate"),
+            (("families", 0, "variants"), "4", "variants"),
+            (("families", 0, "name"), 3, "name"),
+            (("families", 0, "mutation_ops"), [5, "x"], "mutation_ops"),
+            (("families", 0, "param_pools"), {"hName": 5}, "hName"),
+            (("families", 0, "base_events"), [5], "base event"),
+            (("families", 0, "base_events", 0, "attributes"), 7, "attributes"),
+            (("families", 0, "base_events", 0, "attributes"), ["hName"], "attribute pair"),
+        ],
+        ids=[
+            "top-level-list",
+            "families-int",
+            "family-int",
+            "seed-bool",
+            "rate-null",
+            "variants-str",
+            "name-int",
+            "ops-mixed",
+            "pool-int",
+            "event-int",
+            "attributes-int",
+            "attribute-pair-str",
+        ],
+    )
+    def test_malformed_corpus_spec(self, capsys, tmp_path, path, value, field):
+        spec = copy.deepcopy(TestSynth.SPEC)
+        if path:
+            target = spec
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            spec = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, ["synth", str(spec_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert out == ""
+        assert field in _single_error_line(err)
 
     def test_entity_expansion_rejected(self, tmp_path):
         # "Billion laughs": nine levels of tenfold entity references expand

@@ -6,6 +6,7 @@ import pytest
 
 from malbehave import DistanceMatrix, Grouping, cut_tree, rand_index, to_newick, upgma
 from _oracles import naive_upgma_merges, tree_merges
+from _pipeline import TIE_GRID, ZERO_TIE_GRID, random_matrix
 
 
 def _matrix(labels, pairs):
@@ -15,31 +16,6 @@ def _matrix(labels, pairs):
         i, j = labels.index(a), labels.index(b)
         rows[i][j] = value
         rows[j][i] = value
-    return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
-
-
-TIE_GRID = (0.1, 0.2, 0.2, 0.4, 0.4, 0.4, 0.8, 1.0)
-ZERO_TIE_GRID = (0.0, 0.0, 0.3, 0.3, 0.3, 0.6, 1.0)
-
-
-def _random_matrix(rng: random.Random, n: int, grid=None, *, shuffled: bool = False) -> DistanceMatrix:
-    """Values drawn from grid (forced ties), or continuous when grid is None.
-
-    shuffled labels make label rank differ from matrix order (L10 sorts
-    before L2), so the tie rule cannot lean on row order.
-    """
-    labels = [f"L{i}" for i in range(n)]
-    if shuffled:
-        rng.shuffle(labels)
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if grid:
-                value = rng.choice(grid)
-            else:
-                value = round(rng.random(), 6)
-            rows[i][j] = value
-            rows[j][i] = value
     return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
 
 
@@ -69,7 +45,7 @@ class TestUpgma:
         tree = upgma(_matrix(["A", "B"], {("A", "B"): 0.3}))
         root = tree.nodes[tree.root]
         assert root.height == 0.3
-        assert {tree.nodes[c].members for c in root.children} == {
+        assert {frozenset(tree.leaf_labels(c)) for c in root.children} == {
             frozenset({"A"}),
             frozenset({"B"}),
         }
@@ -79,15 +55,15 @@ class TestUpgma:
         heights = [node.height for node in tree.nodes if not node.is_leaf]
         assert heights == [0.2, 0.5]
         first = next(n for n in tree.nodes if not n.is_leaf and n.height == 0.2)
-        assert first.members == {"A", "B"}
-        assert tree.nodes[tree.root].members == {"A", "B", "C"}
+        assert frozenset(tree.leaf_labels(first.id)) == {"A", "B"}
+        assert frozenset(tree.leaf_labels(tree.root)) == {"A", "B", "C"}
 
     def test_matches_naive_oracle(self):
         rng = random.Random(2024)
         grids = (TIE_GRID, ZERO_TIE_GRID, None)
         for trial in range(150):
             n = rng.randint(1, 30)
-            matrix = _random_matrix(rng, n, grids[trial % 3], shuffled=trial % 5 != 0)
+            matrix = random_matrix(rng, n, grids[trial % 3], shuffled=trial % 5 != 0)
             for size_weighted in (False, True):
                 merges = tree_merges(upgma(matrix, size_weighted=size_weighted))
                 expected = naive_upgma_merges(matrix.labels, matrix.entries, size_weighted=size_weighted)
@@ -100,14 +76,14 @@ class TestUpgma:
         # Tie-heavy, with 0.0 distances and shuffled labels; the Newick text
         # also pins child order (smaller representative first), which the
         # oracle comparison above, on member sets, does not see.
-        matrix = _random_matrix(random.Random(31), 14, ZERO_TIE_GRID, shuffled=True)
+        matrix = random_matrix(random.Random(31), 14, ZERO_TIE_GRID, shuffled=True)
         assert to_newick(upgma(matrix)) == PLAIN_GOLDEN
         assert to_newick(upgma(matrix, size_weighted=True)) == WEIGHTED_GOLDEN
 
     def test_heights_non_decreasing(self):
         rng = random.Random(5)
         for _ in range(30):
-            matrix = _random_matrix(rng, rng.randint(2, 7), TIE_GRID)
+            matrix = random_matrix(rng, rng.randint(2, 7), TIE_GRID)
             tree = upgma(matrix)
             heights = [node.height for node in tree.nodes if not node.is_leaf]
             assert heights == sorted(heights)
@@ -155,7 +131,7 @@ class TestCutTree:
     def test_threshold_zero_all_singletons(self):
         rng = random.Random(11)
         for _ in range(10):
-            matrix = _random_matrix(rng, rng.randint(2, 6), None)
+            matrix = random_matrix(rng, rng.randint(2, 6), None)
             if any(
                 matrix.entries[i][j] == 0.0
                 for i in range(matrix.size)
@@ -168,7 +144,7 @@ class TestCutTree:
     def test_group_count_non_increasing(self):
         rng = random.Random(23)
         for _ in range(20):
-            tree = upgma(_random_matrix(rng, rng.randint(2, 7), TIE_GRID))
+            tree = upgma(random_matrix(rng, rng.randint(2, 7), TIE_GRID))
             counts = [len(cut_tree(tree, t).groups) for t in (0.2, 0.3, 0.4, 0.5)]
             assert counts == sorted(counts, reverse=True)
 
