@@ -27,13 +27,16 @@ from .pcs import (
 )
 from .phylo import Grouping, cut_tree, to_newick, upgma
 from .profile import (
+    ElementSet,
     FeatureConfig,
     ProfileError,
+    corpus_elements,
     extract_elements,
     parse_profile,
     read_corpus,
+    read_profile_text,
 )
-from .similarity import DistanceMatrix, distance_matrix
+from .similarity import DistanceMatrix, jaccard_matrix
 from .synth import CorpusSpec, generate_corpus, write_corpus
 
 
@@ -133,15 +136,16 @@ def _load_labeled_profiles(path: str):
     source = Path(path)
     if source.is_dir():
         return read_corpus(source)
-    return [(source.stem, parse_profile(source.read_text(encoding="utf-8")))]
+    return [(source.stem, parse_profile(read_profile_text(source)))]
 
 
-def _corpus_matrix(path: str, config: RunConfig) -> tuple[list, DistanceMatrix]:
-    """The corpus's (label, profile) pairs and their distance matrix."""
+def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet], DistanceMatrix]:
+    """The corpus's element set per label and their distance matrix, from
+    one tokenization."""
     labeled = read_corpus(path)
     labels = [label for label, _ in labeled]
-    profiles = [profile for _, profile in labeled]
-    return labeled, distance_matrix(profiles, config.feature(), labels)
+    element_sets = corpus_elements([profile for _, profile in labeled], config.feature())
+    return dict(zip(labels, element_sets)), jaccard_matrix(element_sets, labels)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -188,10 +192,9 @@ def _cmd_groups(args: argparse.Namespace) -> int:
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    labeled, matrix = _corpus_matrix(args.corpus, config)
+    members, matrix = _corpus_matrix(args.corpus, config)
     tree = upgma(matrix, size_weighted=config.size_weighted)
     grouping = cut_tree(tree, config.threshold)
-    members = {label: extract_elements(profile, config.feature()) for label, profile in labeled}
     chars = distinct_characteristics(tree, grouping, members, config.endurance())
     document = {
         "threshold": config.threshold,
@@ -216,7 +219,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.characteristics}: not a characteristics file ({exc})") from None
     config = _resolve_config(args, overrides)
     chars = characteristics_from_report(rows)
-    profile = parse_profile(Path(args.profile).read_text(encoding="utf-8"))
+    profile = parse_profile(read_profile_text(args.profile))
     elements = extract_elements(profile, config.feature())
     result = classify(elements, chars, config.endurance())
     _emit(("none" if result is None else str(result)) + "\n", args.out)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_quoteattr
@@ -78,18 +79,13 @@ class ApiEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(tuple(pair) for pair in self.attributes))
-        if not isinstance(self.api_name, str) or not _NAME_RE.match(self.api_name):
-            raise ProfileSchemaError(
-                f"api_name must be a non-empty XML name, got {self.api_name!r}",
-                field_name="api_name",
-            )
+        _check_api_name(self.api_name)
         seen = set()
         for pair in self.attributes:
             if len(pair) != 2 or not all(isinstance(part, str) for part in pair):
                 raise ProfileSchemaError("attributes must be (key, value) text pairs")
             key = pair[0]
-            if not _NAME_RE.match(key):
-                raise ProfileSchemaError(f"attribute key {key!r} is not an XML name", field_name=key)
+            _check_attribute_key(key)
             if key in RESERVED_ATTRIBUTES:
                 raise ProfileSchemaError(f"attribute key {key!r} is reserved", field_name=key)
             if key in seen:
@@ -97,10 +93,35 @@ class ApiEvent:
             seen.add(key)
         if self.return_value is not None and not isinstance(self.return_value, str):
             raise ProfileSchemaError("Return must be text", field_name="Return")
-        if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool) or self.timestamp < 0:
-            raise ProfileSchemaError(
-                f"Time must be a non-negative integer, got {self.timestamp!r}", field_name="Time"
-            )
+        _check_timestamp(self.timestamp)
+
+
+def _check_api_name(name) -> None:
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise ProfileSchemaError(f"api_name must be a non-empty XML name, got {name!r}", field_name="api_name")
+
+
+def _check_attribute_key(key: str) -> None:
+    if not _NAME_RE.match(key):
+        raise ProfileSchemaError(f"attribute key {key!r} is not an XML name", field_name=key)
+
+
+def _check_timestamp(timestamp) -> None:
+    if not isinstance(timestamp, int) or isinstance(timestamp, bool) or timestamp < 0:
+        raise ProfileSchemaError(f"Time must be a non-negative integer, got {timestamp!r}", field_name="Time")
+
+
+def _checked_event(api_name: str, attributes: tuple, return_value: str | None, timestamp: int) -> ApiEvent:
+    """An ApiEvent built without running __post_init__. Only for a caller
+    that has made the same checks itself, as parse_profile does."""
+    event = object.__new__(ApiEvent)
+    # Set as the dataclass __init__ does, so the instance keeps its compact
+    # shared-key attribute storage (a __dict__.update doubles its size).
+    object.__setattr__(event, "api_name", api_name)
+    object.__setattr__(event, "attributes", attributes)
+    object.__setattr__(event, "return_value", return_value)
+    object.__setattr__(event, "timestamp", timestamp)
+    return event
 
 
 @dataclass(frozen=True)
@@ -207,30 +228,36 @@ def parse_profile(xml_text: str) -> Profile:
     parent_node = meta.find("Parent_hash")
     parent_hash = parent_node.text.strip() if parent_node is not None and parent_node.text else None
 
+    # Expat guarantees well-formed names and unique attribute keys, and
+    # Return/Time are split out here, so an event needs only the checks
+    # below, made in ApiEvent's order. Expat accepts names outside the
+    # ASCII subset (and namespaced ones, as "{uri}name"), so each distinct
+    # tag and key is checked once per document.
+    names = set()
     events = []
     for index, element in enumerate(execution):
-        attributes = []
-        return_value = None
-        time_text = None
-        for key, value in element.attrib.items():
-            if key == "Return":
-                return_value = value
-            elif key == "Time":
-                time_text = value
-            else:
-                attributes.append((key, value))
+        tag = element.tag
+        attrib = element.attrib
+        return_value = attrib.pop("Return", None)
+        time_text = attrib.pop("Time", None)
         if time_text is None:
-            raise ProfileSchemaError(
-                f"event {index} <{element.tag}>: missing Time attribute", field_name="Time"
-            )
+            raise ProfileSchemaError(f"event {index} <{tag}>: missing Time attribute", field_name="Time")
         try:
             timestamp = int(time_text)
         except ValueError:
             raise ProfileSchemaError(
-                f"event {index} <{element.tag}>: Time must be an integer, got {time_text!r}",
+                f"event {index} <{tag}>: Time must be an integer, got {time_text!r}",
                 field_name="Time",
             ) from None
-        events.append(ApiEvent(element.tag, tuple(attributes), return_value, timestamp))
+        if tag not in names:
+            _check_api_name(tag)
+            names.add(tag)
+        if not names.issuperset(attrib):
+            for key in attrib:
+                _check_attribute_key(key)
+                names.add(key)
+        _check_timestamp(timestamp)
+        events.append(_checked_event(tag, tuple(attrib.items()), return_value, timestamp))
     return Profile(sample_hash, process_id, duration, tuple(events), parent_hash)
 
 
@@ -282,34 +309,61 @@ def canonicalize_event(event: ApiEvent, config: FeatureConfig) -> BehaviorElemen
     return "|".join(parts)
 
 
-def extract_elements(profile: Profile, config: FeatureConfig) -> ElementSet:
-    """Element set of a profile: distinct tokens, or distinct n-gram tokens.
+def corpus_elements(profiles: Iterable[Profile], config: FeatureConfig) -> list[ElementSet]:
+    """Element sets of the profiles, in order: distinct tokens, or distinct
+    n-gram tokens.
 
     With ngram_n=N>1 every window of N consecutive events becomes one
-    token; a profile with fewer than N events yields the empty set.
+    token; a profile with fewer than N events yields the empty set. Each
+    distinct (api_name, attributes, return_value) is tokenized once per
+    call: events that differ only in their timestamp share a token.
     """
-    tokens = [canonicalize_event(event, config) for event in profile.events]
+    token_of = {}
     n = config.ngram_n
-    if n == 1:
-        return frozenset(tokens)
-    if len(tokens) < n:
-        return frozenset()
-    return frozenset("||".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    element_sets = []
+    for profile in profiles:
+        tokens = []
+        for event in profile.events:
+            key = (event.api_name, event.attributes, event.return_value)
+            token = token_of.get(key)
+            if token is None:
+                token = token_of[key] = canonicalize_event(event, config)
+            tokens.append(token)
+        if n == 1:
+            element_sets.append(frozenset(tokens))
+        else:
+            element_sets.append(frozenset("||".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)))
+    return element_sets
+
+
+def extract_elements(profile: Profile, config: FeatureConfig) -> ElementSet:
+    """Element set of one profile; see corpus_elements."""
+    return corpus_elements((profile,), config)[0]
+
+
+def read_profile_text(path: str | Path) -> str:
+    """Text of one profile file; a file that is not UTF-8 is a
+    ProfileParseError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProfileParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_corpus(directory: str | Path) -> list[tuple[str, Profile]]:
     """Load a corpus directory of <hash>-<ordinal>.xml files.
 
     Returns (label, profile) pairs ordered by filename; the label is the
-    file stem. Parse errors are re-raised naming the offending file.
+    file stem. Decode and parse errors name the offending file.
     """
     path = Path(directory)
     if not path.is_dir():
         raise ProfileError(f"corpus directory not found: {path}")
     items = []
     for xml_path in sorted(path.glob("*.xml")):
+        text = read_profile_text(xml_path)
         try:
-            items.append((xml_path.stem, parse_profile(xml_path.read_text(encoding="utf-8"))))
+            items.append((xml_path.stem, parse_profile(text)))
         except ProfileError as exc:
             raise type(exc)(f"{xml_path}: {exc}") from exc
     if not items:

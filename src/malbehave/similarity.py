@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .profile import ElementSet, FeatureConfig, Profile, extract_elements
+from .profile import ElementSet, FeatureConfig, Profile, corpus_elements
 
 
 def jaccard_distance(x: ElementSet, y: ElementSet) -> float:
@@ -92,23 +92,45 @@ def distance_matrix(
     sample contributes several process profiles.
     """
     profiles = list(profiles)
-    if not profiles:
-        raise ValueError("at least one profile is required")
     labels = [p.hash for p in profiles] if labels is None else list(labels)
-    if len(labels) != len(profiles):
-        raise ValueError(f"got {len(labels)} labels for {len(profiles)} profiles")
+    return jaccard_matrix(corpus_elements(profiles, config), labels)
+
+
+def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) -> DistanceMatrix:
+    """Pairwise Jaccard distance matrix over element sets, one per label.
+
+    Tokens are numbered once, so each set becomes a Python-int bitmask and
+    a cell needs one AND and one popcount: |x & y| = popcount(a & b) and
+    |x | y| = |x| + |y| - |x & y|, the same integers jaccard_distance
+    divides, so the same floats.
+    """
+    labels = list(labels)
+    if not element_sets:
+        raise ValueError("at least one profile is required")
+    if len(labels) != len(element_sets):
+        raise ValueError(f"got {len(labels)} labels for {len(element_sets)} profiles")
     seen = set()
     for label in labels:
         if label in seen:
             raise ValueError(f"duplicate profile identifier {label!r}")
         seen.add(label)
 
-    element_sets = [extract_elements(p, config) for p in profiles]
-    n = len(profiles)
+    token_ids = {}
+    masks = []
+    for elements in element_sets:
+        mask = 0
+        for token in elements:
+            mask |= 1 << token_ids.setdefault(token, len(token_ids))
+        masks.append(mask)
+    sizes = [len(elements) for elements in element_sets]
+    n = len(masks)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
+        a, size_a, row = masks[i], sizes[i], rows[i]
         for j in range(i + 1, n):
-            d = jaccard_distance(element_sets[i], element_sets[j])
-            rows[i][j] = d
+            inter = (a & masks[j]).bit_count()
+            union = size_a + sizes[j] - inter
+            d = 1.0 - inter / union if union else 0.0
+            row[j] = d
             rows[j][i] = d
     return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))

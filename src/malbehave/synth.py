@@ -48,6 +48,11 @@ _APIS_SORTED = tuple(sorted(HOOKED_APIS))
 
 MUTATION_OPS = ("drop_event", "duplicate_event", "perturb_param", "insert_noise_event", "spawn_child")
 
+# Upper bound on a spec's total variant count. generate_corpus holds the
+# whole corpus in memory before anything is written, so an unbounded spec
+# would run until the host runs out of memory.
+MAX_CORPUS_VARIANTS = 100_000
+
 
 class Xorshift64Star:
     """64-bit xorshift* generator; fixed algorithm, stable across platforms."""
@@ -129,6 +134,11 @@ class CorpusSpec:
         for template, count in self.families:
             if count < 1:
                 raise ValueError(f"family {template.name!r}: variant count must be >= 1")
+        total = sum(count for _, count in self.families)
+        if total > MAX_CORPUS_VARIANTS:
+            raise ValueError(
+                f"corpus spec asks for {total} variants, more than MAX_CORPUS_VARIANTS = {MAX_CORPUS_VARIANTS}"
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import copy
 import json
+import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -529,6 +531,41 @@ class TestUntrustedInput:
         assert code == 1
         assert out == ""
         assert field in _single_error_line(err)
+
+    @pytest.mark.parametrize("command", ["characterize", "distmat", "parse", "classify"])
+    def test_non_utf8_profile_named(self, capsys, two_family_corpus, tmp_path, command):
+        chars_path = tmp_path / "chars.json"
+        assert main(["characterize", str(two_family_corpus), "--out", str(chars_path)]) == 0
+        corpus = tmp_path / "with-bad"
+        shutil.copytree(two_family_corpus, corpus)
+        bad = corpus / "zz-0.xml"
+        bad.write_bytes(b"\xff\xfe<Profile/>")
+        argv = {
+            "characterize": ["characterize", str(corpus)],
+            "distmat": ["distmat", str(corpus)],
+            "parse": ["parse", str(bad)],
+            "classify": ["classify", str(chars_path), str(bad)],
+        }[command]
+        capsys.readouterr()
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "zz-0.xml" in _single_error_line(err)
+
+    @pytest.mark.parametrize("variants", [[100_000_000], [60_000, 60_000]], ids=["one-huge", "sum-over"])
+    def test_oversized_corpus_spec(self, capsys, tmp_path, variants):
+        spec = copy.deepcopy(TestSynth.SPEC)
+        family = spec["families"][0]
+        spec["families"] = [dict(family, name=f"fam{k}", variants=count) for k, count in enumerate(variants)]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        started = time.perf_counter()
+        code, out, err = _run(capsys, ["synth", str(spec_path), "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert "MAX_CORPUS_VARIANTS" in _single_error_line(err)
+        assert not (tmp_path / "out").exists()
 
     def test_entity_expansion_rejected(self, tmp_path):
         # "Billion laughs": nine levels of tenfold entity references expand

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,12 +10,15 @@ from malbehave import (
     DistanceMatrix,
     FeatureConfig,
     Profile,
+    canonicalize_event,
+    corpus_elements,
     distance_matrix,
     extract_elements,
     generate_corpus,
     jaccard_distance,
 )
 from _pipeline import family_template, four_family_spec, mean_distance
+from conftest import make_random_event
 
 
 def _profile_with_apis(sample_hash, names):
@@ -107,6 +111,74 @@ class TestDistanceMatrix:
             DistanceMatrix(("a", "b"), ((0.0, 1.3), (1.3, 0.0)))
         with pytest.raises(ValueError, match="unique"):
             DistanceMatrix(("a", "a"), ((0.0, 0.3), (0.3, 0.0)))
+
+
+def _oracle_elements(profile, config):
+    """Element set straight from per-event tokens, no memo."""
+    tokens = [canonicalize_event(event, config) for event in profile.events]
+    n = config.ngram_n
+    return frozenset("||".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _event_pool(rng, size):
+    """Random events, each with near-twins that differ only in the return
+    value, in attribute order, or in the case of every value."""
+    pool = []
+    for _ in range(size):
+        event = make_random_event(rng, 0)
+        pool.append(event)
+        pool.append(ApiEvent(event.api_name, event.attributes, rng.choice(("SUCCESS", "FAILURE", None)), 0))
+        pool.append(ApiEvent(event.api_name, event.attributes[::-1], event.return_value, 0))
+        pool.append(ApiEvent(event.api_name, tuple((k, v.upper()) for k, v in event.attributes), event.return_value, 0))
+    return pool
+
+
+def _repetitive_corpus(rng):
+    """Profiles drawn from one event pool, so events repeat within and
+    across profiles with fresh timestamps; plus empty profiles and an
+    identical copy. Vocabularies reach 50-170 tokens, so the bitmasks
+    span several 64-bit words."""
+    pool = _event_pool(rng, rng.randint(2, 40))
+    profiles = []
+    for k in range(10):
+        ticks = 0
+        events = []
+        for _ in range(rng.randint(0, 30)):
+            ticks += rng.randint(0, 3)
+            event = rng.choice(pool)
+            events.append(ApiEvent(event.api_name, event.attributes, event.return_value, ticks))
+        profiles.append(Profile(f"h{k}", 1, 10, tuple(events)))
+    profiles.append(Profile("empty-a", 1, 10))
+    profiles.append(Profile("empty-b", 1, 10))
+    profiles.append(Profile("copy", 1, 10, profiles[0].events))
+    return profiles
+
+
+FEATURE_CONFIGS = [
+    FeatureConfig(with_params=params, ngram_n=n, normalize_paths=paths, include_return=returns)
+    for params, paths, returns in itertools.product((True, False), repeat=3)
+    for n in (1, 2, 3)
+]
+
+
+class TestCorpusTokenizationOracle:
+    @pytest.mark.parametrize("config", FEATURE_CONFIGS, ids=repr)
+    def test_sets_and_cells_match_per_event_oracle(self, config):
+        rng = random.Random(repr(config))
+        for _ in range(6):
+            profiles = _repetitive_corpus(rng)
+            rng.shuffle(profiles)
+            expected = [_oracle_elements(p, config) for p in profiles]
+            assert corpus_elements(profiles, config) == expected
+            assert [extract_elements(p, config) for p in profiles] == expected
+            matrix = distance_matrix(profiles, config)
+            for i, x in enumerate(expected):
+                for j, y in enumerate(expected):
+                    assert matrix.entries[i][j] == jaccard_distance(x, y)
+
+    def test_two_empty_profiles_are_identical(self):
+        matrix = distance_matrix([Profile("a", 1, 10), Profile("b", 1, 10)], FeatureConfig())
+        assert matrix.entries == ((0.0, 0.0), (0.0, 0.0))
 
 
 class TestCsv:

@@ -6,6 +6,7 @@ import pytest
 
 from malbehave import (
     ApiEvent,
+    MAX_CORPUS_VARIANTS,
     CorpusSpec,
     FamilyTemplate,
     FeatureConfig,
@@ -124,6 +125,15 @@ class TestGenerateFamily:
             generate_family(template, 0, 0.1, 1)
         with pytest.raises(ValueError):
             generate_family(template, 1, 1.5, 1)
+
+
+class TestCorpusSpecBound:
+    def test_total_variants_bounded(self):
+        template = family_template("fam", motif_count=1)
+        other = family_template("other", motif_count=1)
+        CorpusSpec(((template, MAX_CORPUS_VARIANTS - 1), (other, 1)), 0.1, 1)
+        with pytest.raises(ValueError, match="MAX_CORPUS_VARIANTS"):
+            CorpusSpec(((template, MAX_CORPUS_VARIANTS), (other, 1)), 0.1, 1)
 
 
 class TestGenerateCorpus:
