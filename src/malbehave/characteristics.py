@@ -14,7 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .phylo import Grouping, PhyloTree
-from .profile import ElementSet
+from .profile import ElementSet, typed
 
 
 @dataclass(frozen=True)
@@ -172,35 +172,22 @@ def characteristics_report(
     return rows
 
 
-def _token_set(row: Mapping, field: str) -> frozenset:
-    tokens = row[field]
-    if not isinstance(tokens, (list, tuple)) or not all(isinstance(token, str) for token in tokens):
-        raise ValueError(f"characteristics report field {field!r} must be a list of strings")
-    return frozenset(tokens)
-
-
-def characteristics_from_report(rows: Sequence[Mapping]) -> dict[int, GroupCharacteristics]:
+def characteristics_from_report(rows: list[dict]) -> dict[int, GroupCharacteristics]:
     """Rebuild group characteristics from a report written with include_sets.
 
-    The report is untrusted input: rows must be objects whose common and
-    distinct fields are lists of strings; anything else is a ValueError.
+    The report is untrusted input: it must be a list of objects with
+    integer id and size, distinct ids, and common and distinct lists of
+    strings; anything else is a ValueError.
     """
-    if not isinstance(rows, (list, tuple)):
-        raise ValueError("characteristics report must be a list of group rows")
     result: dict[int, GroupCharacteristics] = {}
-    for row in rows:
-        if not isinstance(row, Mapping):
-            raise ValueError(f"characteristics report row must be an object, got {type(row).__name__}")
-        try:
-            chars = GroupCharacteristics(
-                int(row["id"]),
-                _token_set(row, "common"),
-                _token_set(row, "distinct"),
-                int(row["size"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"characteristics report row missing field {exc.args[0]!r}") from None
-        except TypeError as exc:
-            raise ValueError(f"invalid characteristics report row: {exc}") from None
-        result[chars.group_id] = chars
+    for row in typed(rows, "characteristics report", list):
+        group_id = typed(typed(row, "characteristics report row", dict).get("id"), "group id", int)
+        if group_id in result:
+            raise ValueError(f"characteristics report repeats group id {group_id}")
+        result[group_id] = GroupCharacteristics(
+            group_id,
+            frozenset(typed(row.get("common"), "common", [str])),
+            frozenset(typed(row.get("distinct"), "distinct", [str])),
+            typed(row.get("size"), "group size", int),
+        )
     return result

@@ -27,22 +27,22 @@ from .pcs import (
 )
 from .phylo import Grouping, cut_tree, to_newick, upgma
 from .profile import (
+    INPUT_ERRORS,
     ElementSet,
     FeatureConfig,
-    ProfileError,
     corpus_elements,
     extract_elements,
     parse_profile,
     read_corpus,
-    read_profile_text,
+    read_input,
+    typed,
 )
 from .similarity import DistanceMatrix, jaccard_matrix
 from .synth import CorpusSpec, generate_corpus, write_corpus
 
 
-# RunConfig annotation -> accepted value types (bool is an int, so it is
-# accepted only where the annotation says bool).
-_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "int | None": (int, type(None))}
+# RunConfig annotation -> accepted value types.
+_FIELD_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "int | None": (int, type(None))}
 
 # The RunConfig keys that make up a FeatureConfig.
 _FEATURE_KEYS = {field.name for field in dataclasses.fields(FeatureConfig)}
@@ -71,11 +71,7 @@ class RunConfig:
     def __post_init__(self):
         # Config files are untrusted: check types before any comparison.
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, _FIELD_TYPES[field.type]) or (
-                isinstance(value, bool) and field.type != "bool"
-            ):
-                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+            typed(getattr(self, field.name), field.name, *_FIELD_TYPES[field.type])
         # Delegate range validation to the owning modules before any work starts.
         self.feature()
         self.endurance()
@@ -94,34 +90,23 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _load_config_file(path: str) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path}: must contain a JSON object")
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
+def _settings(values, what: str, keys: set[str] = _CONFIG_FIELDS) -> dict:
+    """values, checked to be an object of valid settings under keys. Called
+    where a file is read, so that an error names the file."""
+    unknown = sorted(set(typed(values, what, dict)) - keys)
     if unknown:
-        raise ValueError(f"config file {path}: unknown keys {unknown}")
-    return data
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    RunConfig(**values)
+    return values
 
 
 def _resolve_config(args: argparse.Namespace, overrides: dict | None = None) -> RunConfig:
-    values = dataclasses.asdict(RunConfig())
+    values = {}
     if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    if overrides:
-        values.update(overrides)
-    if getattr(args, "ngram", None) is not None:
-        values["ngram_n"] = args.ngram
-    if getattr(args, "no_params", False):
-        values["with_params"] = False
-    if getattr(args, "no_return", False):
-        values["include_return"] = False
-    if getattr(args, "size_weighted", False):
-        values["size_weighted"] = True
-    for flag in ("threshold", "alpha", "min_score", "tm_threshold", "seed"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            values[flag] = value
+        values.update(read_input(args.config, lambda text: _settings(json.loads(text), "config file")))
+    values.update(overrides or {})
+    flags = vars(args)
+    values.update((key, flags[key]) for key in _CONFIG_FIELDS & flags.keys() if flags[key] is not None)
     return RunConfig(**values)
 
 
@@ -130,13 +115,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _load_labeled_profiles(path: str):
-    source = Path(path)
-    if source.is_dir():
-        return read_corpus(source)
-    return [(source.stem, parse_profile(read_profile_text(source)))]
 
 
 def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet], DistanceMatrix]:
@@ -150,8 +128,9 @@ def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet],
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     lines = []
-    for path in args.paths:
-        for label, profile in _load_labeled_profiles(path):
+    for path in map(Path, args.paths):
+        labeled = read_corpus(path) if path.is_dir() else [(path.stem, read_input(path, parse_profile))]
+        for label, profile in labeled:
             parent = f" parent={profile.parent_hash}" if profile.parent_hash else ""
             lines.append(
                 f"{label}: hash={profile.hash} pid={profile.process_id} "
@@ -174,9 +153,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     if source.is_dir():
         _, matrix = _corpus_matrix(args.input, config)
     elif source.suffix.lower() == ".csv":
-        matrix = DistanceMatrix.from_csv(source.read_text(encoding="utf-8"))
+        matrix = read_input(source, DistanceMatrix.from_csv)
     else:
-        raise ValueError(f"{args.input}: expected a corpus directory or a .csv matrix")
+        raise ValueError(f"tree input must be a corpus directory or a .csv matrix, got {args.input}")
     tree = upgma(matrix, size_weighted=config.size_weighted)
     _emit(to_newick(tree) + "\n", args.out)
     return 0
@@ -207,19 +186,18 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_characteristics(text: str) -> tuple[dict, dict]:
+    """The training settings a characteristics file echoes, and its groups."""
+    document = typed(json.loads(text), "characteristics file", dict)
+    feature = _settings(document.get("feature"), "feature block", _FEATURE_KEYS)
+    settings = {"alpha": document.get("alpha"), "min_score": document.get("min_score"), **feature}
+    return _settings(settings, "characteristics file"), characteristics_from_report(document.get("groups"))
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    document = json.loads(Path(args.characteristics).read_text(encoding="utf-8"))
-    try:
-        feature = document["feature"]
-        if not isinstance(feature, dict) or set(feature) - _FEATURE_KEYS:
-            raise ValueError(f"{args.characteristics}: invalid feature block {feature!r}")
-        overrides = {"alpha": document["alpha"], "min_score": document["min_score"], **feature}
-        rows = document["groups"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{args.characteristics}: not a characteristics file ({exc})") from None
+    overrides, chars = read_input(args.characteristics, _read_characteristics)
     config = _resolve_config(args, overrides)
-    chars = characteristics_from_report(rows)
-    profile = parse_profile(read_profile_text(args.profile))
+    profile = read_input(args.profile, parse_profile)
     elements = extract_elements(profile, config.feature())
     result = classify(elements, chars, config.endurance())
     _emit(("none" if result is None else str(result)) + "\n", args.out)
@@ -228,25 +206,24 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_pcs(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    source = Path(args.table)
-    text = source.read_text(encoding="utf-8")
-    if source.suffix.lower() == ".csv":
-        table = EngineLabelTable.from_csv(text)
-    else:
-        table = EngineLabelTable.from_json(text)
+    csv_table = Path(args.table).suffix.lower() == ".csv"
+    table = read_input(args.table, EngineLabelTable.from_csv if csv_table else EngineLabelTable.from_json)
     if args.normalize:
         table = table.normalized()
-    if args.inject_grouping:
-        grouping = Grouping.from_json(Path(args.inject_grouping).read_text(encoding="utf-8"))
+
+    def overlapping_grouping(text: str) -> Grouping:
+        grouping = Grouping.from_json(text)
         if grouping.labels.isdisjoint(table.malware_ids):
-            raise ValueError(f"{args.inject_grouping}: no grouping label is a malware id of the label table")
+            raise ValueError("no grouping label is a malware id of the label table")
+        return grouping
+
+    def text_mining(text: str):
+        return text_mining_grouping(typed(json.loads(text), "descriptions", dict), threshold=config.tm_threshold)
+
+    if args.inject_grouping:
+        grouping = read_input(args.inject_grouping, overlapping_grouping)
         table = table.with_engine(args.inject_name, grouping_to_labels(grouping))
-    extras = []
-    if args.text_mining:
-        descriptions = json.loads(Path(args.text_mining).read_text(encoding="utf-8"))
-        if not isinstance(descriptions, dict):
-            raise ValueError(f"{args.text_mining}: expected a JSON object of id -> description")
-        extras.append(("Text_Mining", text_mining_grouping(descriptions, threshold=config.tm_threshold)))
+    extras = [("Text_Mining", read_input(args.text_mining, text_mining))] if args.text_mining else []
     report = pcs_report(table, extras)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0
@@ -254,7 +231,7 @@ def _cmd_pcs(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    spec = CorpusSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+    spec = read_input(args.spec, CorpusSpec.from_json)
     if config.seed is not None:
         spec = dataclasses.replace(spec, seed=config.seed)
     labeled, truth = generate_corpus(spec)
@@ -269,15 +246,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ngram", type=int, default=None, help="n-gram window length (default 1)")
-    parser.add_argument("--no-params", action="store_true", help="tokenize API names only")
-    parser.add_argument("--no-return", action="store_true", help="drop return values from tokens")
+    # Each flag is stored under its RunConfig key, None when not given.
+    parser.add_argument(
+        "--ngram", dest="ngram_n", metavar="NGRAM", type=int, help="n-gram window length (default 1)"
+    )
+    parser.add_argument(
+        "--no-params", dest="with_params", action="store_const", const=False, help="tokenize API names only"
+    )
+    parser.add_argument(
+        "--no-return",
+        dest="include_return",
+        action="store_const",
+        const=False,
+        help="drop return values from tokens",
+    )
 
 
 def _add_tree_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--size-weighted",
-        action="store_true",
+        action="store_const",
+        const=True,
         help="use the cluster-size-weighted distance update instead of the plain average",
     )
 
@@ -357,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProfileError, ValueError, OSError) as exc:
+    except (*INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ from itertools import combinations, starmap
 from typing import Callable, Mapping, Sequence
 
 from .phylo import Grouping
+from .profile import typed
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9_]+")
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
@@ -134,17 +135,10 @@ class EngineLabelTable:
 
     @classmethod
     def from_json(cls, text: str) -> "EngineLabelTable":
-        data = json.loads(text)
-        try:
-            ids, engines, labels = data["malwares"], data["engines"], data["labels"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"invalid label table JSON: {exc}") from None
-        for key, names in (("malwares", ids), ("engines", engines)):
-            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-                raise ValueError(f"invalid label table JSON: {key} must be a list of strings")
-        if not isinstance(labels, list) or not all(isinstance(row, list) for row in labels):
-            raise ValueError("invalid label table JSON: labels must be a list of lists")
-        return cls(tuple(ids), tuple(engines), tuple(tuple(row) for row in labels))
+        data = typed(json.loads(text), "label table", dict)
+        ids = typed(data.get("malwares"), "malwares", [str])
+        engines = typed(data.get("engines"), "engines", [str])
+        return cls(ids, engines, typed(data.get("labels"), "labels", [list]))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -280,9 +274,8 @@ def text_mining_grouping(
     nz = normalizer or FamilyNormalizer()
     vectors: dict[str, Counter | None] = {}
     for malware_id, text in descriptions.items():
-        if not isinstance(text, str):
-            raise ValueError(f"description of {malware_id!r} must be a string, got {text!r}")
-        tokens = [token for token in nz.tokenize(text) if token not in nz.stop_words]
+        words = nz.tokenize(typed(text, f"description of {malware_id!r}", str))
+        tokens = [token for token in words if token not in nz.stop_words]
         vectors[malware_id] = Counter(tokens) if tokens else None
     return PairwiseIndicator(vectors, threshold)
 

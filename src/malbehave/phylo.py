@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterable
 
+from .profile import typed
 from .similarity import DistanceMatrix
 
 
@@ -110,17 +111,9 @@ class Grouping:
 
     @classmethod
     def from_json(cls, text: str) -> "Grouping":
-        data = json.loads(text)
-        try:
-            threshold = float(data["threshold"])
-            groups = data["groups"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"invalid grouping JSON: {exc}") from None
-        if not isinstance(groups, list) or not all(
-            isinstance(group, list) and all(isinstance(label, str) for label in group) for group in groups
-        ):
-            raise ValueError("invalid grouping JSON: groups must be a list of lists of strings")
-        return cls(threshold, groups)
+        data = typed(json.loads(text), "grouping", dict)
+        threshold = float(typed(data.get("threshold"), "threshold", int, float))
+        return cls(threshold, typed(data.get("groups"), "groups", [[str]]))
 
 
 def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:

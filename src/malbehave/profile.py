@@ -18,10 +18,12 @@ analysis; tokenization is controlled by :class:`FeatureConfig`.
 
 from __future__ import annotations
 
+import csv
 import re
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_quoteattr
@@ -52,7 +54,8 @@ class ProfileError(ValueError):
 
 
 class ProfileParseError(ProfileError):
-    """Input is not well-formed XML; carries the source line and column."""
+    """Input that is not UTF-8 text or not well-formed XML; carries the
+    source line and column when known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         super().__init__(message)
@@ -341,31 +344,68 @@ def extract_elements(profile: Profile, config: FeatureConfig) -> ElementSet:
     return corpus_elements((profile,), config)[0]
 
 
-def read_profile_text(path: str | Path) -> str:
-    """Text of one profile file; a file that is not UTF-8 is a
-    ProfileParseError naming the file."""
+# What parsing untrusted text may raise: a format or schema error, a CSV
+# field over the csv module's size limit, or JSON nested too deeply.
+INPUT_ERRORS = (ValueError, csv.Error, RecursionError)
+
+_T = TypeVar("_T")
+
+
+def read_input(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """parse(text) of the UTF-8 file at path. Every error names the path:
+    a file that is not UTF-8 is a ProfileParseError, and an INPUT_ERRORS
+    error from parse keeps its class and fields, the path put before its
+    message."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ProfileParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return parse(text)
+    except INPUT_ERRORS as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+# The JSON name of each kind typed checks, for its messages.
+_KIND_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a float", str: "a string",
+    list: "a list", dict: "an object", type(None): "null",
+}
+
+
+def _kind_name(kind, plural: bool = False) -> str:
+    if isinstance(kind, list):
+        return ("lists" if plural else "a list") + " of " + _kind_name(kind[0], True)
+    return _KIND_NAMES[kind].split()[-1] + "s" if plural else _KIND_NAMES[kind]
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(item, kind[0]) for item in value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def typed(value, what: str, *kinds):
+    """value, checked to have one of kinds. A kind is a type, or [kind] for
+    a JSON list of that kind (typed(v, what, [str]) checks a list of
+    strings). A bool is never taken for a number unless bool is a kind."""
+    if not any(_fits(value, kind) for kind in kinds):
+        names = " or ".join(map(_kind_name, kinds))
+        raise ValueError(f"{what} must be {names}, got {reprlib.repr(value)}")
+    return value
 
 
 def read_corpus(directory: str | Path) -> list[tuple[str, Profile]]:
     """Load a corpus directory of <hash>-<ordinal>.xml files.
 
     Returns (label, profile) pairs ordered by filename; the label is the
-    file stem. Decode and parse errors name the offending file.
+    file stem. Errors name the offending file (see read_input).
     """
     path = Path(directory)
     if not path.is_dir():
         raise ProfileError(f"corpus directory not found: {path}")
-    items = []
-    for xml_path in sorted(path.glob("*.xml")):
-        text = read_profile_text(xml_path)
-        try:
-            items.append((xml_path.stem, parse_profile(text)))
-        except ProfileError as exc:
-            raise type(exc)(f"{xml_path}: {exc}") from exc
+    items = [(xml_path.stem, read_input(xml_path, parse_profile)) for xml_path in sorted(path.glob("*.xml"))]
     if not items:
         raise ProfileError(f"no profile XML files in {path}")
     return items

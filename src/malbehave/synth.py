@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import ApiEvent, Profile, serialize_profile
+from .profile import ApiEvent, Profile, serialize_profile, typed
 
 _MASK64 = (1 << 64) - 1
 
@@ -142,44 +142,30 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
-        data = _typed(json.loads(text), "JSON", dict)
-        try:
-            entries = [_typed(entry, "family", dict) for entry in _typed(data["families"], "families", list)]
-            families = tuple(
-                (_template_from_dict(entry), _typed(entry["variants"], "variants", int)) for entry in entries
-            )
-            rate = float(_typed(data["mutation_rate"], "mutation_rate", int, float))
-            return cls(families, rate, _typed(data["seed"], "seed", int))
-        except KeyError as exc:
-            raise ValueError(f"corpus spec missing field {exc.args[0]!r}") from None
-
-
-def _typed(value, what: str, *kinds: type):
-    """value, checked to be an instance of one of kinds (a bool is never
-    taken for a number): specs are untrusted input."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"corpus spec {what} must be {names}, got {value!r}")
-    return value
-
-
-def _strings(values, what: str) -> tuple[str, ...]:
-    return tuple(_typed(value, f"{what} item", str) for value in _typed(values, what, list))
+        data = typed(json.loads(text), "corpus spec", dict)
+        entries = [typed(entry, "family", dict) for entry in typed(data.get("families"), "families", list)]
+        families = tuple(
+            (_template_from_dict(entry), typed(entry.get("variants"), "variants", int)) for entry in entries
+        )
+        rate = float(typed(data.get("mutation_rate"), "mutation_rate", int, float))
+        return cls(families, rate, typed(data.get("seed"), "seed", int))
 
 
 def _template_from_dict(entry: Mapping) -> FamilyTemplate:
     events = []
-    for item in _typed(entry["base_events"], "base_events", list):
-        attributes = _typed(_typed(item, "base event", dict).get("attributes", {}), "attributes", dict, list)
-        pairs = attributes.items() if isinstance(attributes, dict) else attributes
-        pairs = tuple(_typed(pair, "attribute pair", tuple, list) for pair in pairs)
-        events.append(ApiEvent(item["api"], pairs, item.get("return"), 0))
-    pools = _typed(entry.get("param_pools", {}), "param_pools", dict)
+    for item in typed(entry.get("base_events"), "base_events", list):
+        attributes = typed(typed(item, "base event", dict).get("attributes", {}), "attributes", dict, list)
+        if isinstance(attributes, dict):
+            pairs = attributes.items()
+        else:
+            pairs = [typed(pair, "attribute pair", list) for pair in attributes]
+        events.append(ApiEvent(item.get("api"), tuple(pairs), item.get("return"), 0))
+    pools = typed(entry.get("param_pools", {}), "param_pools", dict)
     return FamilyTemplate(
-        entry["name"],
+        entry.get("name"),
         tuple(events),
-        frozenset(_strings(entry.get("mutation_ops", list(MUTATION_OPS)), "mutation_ops")),
-        {key: _strings(values, f"param_pools {key!r}") for key, values in pools.items()},
+        frozenset(typed(entry.get("mutation_ops", list(MUTATION_OPS)), "mutation_ops", [str])),
+        {key: typed(values, f"param_pools {key!r}", [str]) for key, values in pools.items()},
     )
 
 

@@ -381,8 +381,28 @@ class TestUntrustedInput:
             lambda doc: doc["groups"][0].update(id=None),
             lambda doc: doc.update(groups=[5]),
             lambda doc: doc.update(groups=5),
+            # json.dumps writes inf as Infinity, which reads back as 1e999 does.
+            lambda doc: doc["groups"][0].update(id=float("inf")),
+            lambda doc: doc["groups"][0].update(id=True),
+            lambda doc: doc["groups"][0].update(id="3"),
+            lambda doc: doc["groups"][0].update(size=2.9),
+            lambda doc: doc["groups"][0].update(size=float("inf")),
+            lambda doc: doc["groups"][1].update(id=doc["groups"][0]["id"]),
         ],
-        ids=["common-int", "common-str", "common-ints", "id-null", "row-int", "groups-int"],
+        ids=[
+            "common-int",
+            "common-str",
+            "common-ints",
+            "id-null",
+            "row-int",
+            "groups-int",
+            "id-huge",
+            "id-bool",
+            "id-str",
+            "size-float",
+            "size-huge",
+            "id-repeated",
+        ],
     )
     def test_malformed_characteristics(self, capsys, two_family_corpus, tmp_path, mutate):
         chars_path = tmp_path / "chars.json"
@@ -412,6 +432,19 @@ class TestUntrustedInput:
             assert code == 1
             assert out == ""
             assert "list of lists of strings" in _single_error_line(err)
+
+    @pytest.mark.parametrize("threshold", ["0.5", "x", True, None])
+    def test_grouping_threshold_must_be_number(self, capsys, tmp_path, threshold):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}))
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"threshold": threshold, "groups": [["m1", "m2"]]}))
+        code, out, err = _run(capsys, ["pcs", str(table), "--inject-grouping", str(grouping)])
+        assert code == 1
+        assert out == ""
+        line = _single_error_line(err)
+        assert "threshold" in line
+        assert str(grouping) in line
 
     def test_grouping_without_table_ids_rejected(self, capsys, tmp_path):
         grouping, (code, out, err) = self._pcs_with_grouping(capsys, tmp_path, [["a1-0", "a2-0"], ["b1-0"]])
@@ -551,6 +584,53 @@ class TestUntrustedInput:
         assert code == 1
         assert out == ""
         assert "zz-0.xml" in _single_error_line(err)
+
+    # name -> (files to write, as bytes, and the arguments after the
+    # subcommand); the failing file is always the one named bad.*.
+    _TABLE = json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}).encode()
+    FAILING_FILES = {
+        "config-not-utf8": ({"bad.json": b"\xff{}"}, ["groups", "{corpus}", "--config", "bad.json"]),
+        "config-truncated": ({"bad.json": b"{"}, ["groups", "{corpus}", "--config", "bad.json"]),
+        "config-deep": ({"bad.json": b"[" * 100_000}, ["groups", "{corpus}", "--config", "bad.json"]),
+        "matrix-one-row": ({"bad.csv": b"a,b\n0,1\n"}, ["tree", "bad.csv"]),
+        "matrix-huge-field": ({"bad.csv": b"a\n" + b"0" * 200_000 + b"\n"}, ["tree", "bad.csv"]),
+        "profile-malformed": ({"bad.xml": b"<Profile><Meta>"}, ["parse", "bad.xml"]),
+        "classify-profile": ({"bad.xml": b"<Profile><Meta>"}, ["classify", "{chars}", "bad.xml"]),
+        "grouping-truncated": (
+            {"t.json": _TABLE, "bad.json": b'{"threshold": 0.5'},
+            ["pcs", "t.json", "--inject-grouping", "bad.json"],
+        ),
+        "grouping-string": (
+            {"t.json": _TABLE, "bad.json": b'{"threshold": 0.5, "groups": "ab"}'},
+            ["pcs", "t.json", "--inject-grouping", "bad.json"],
+        ),
+        "descriptions-not-utf8": (
+            {"t.json": _TABLE, "bad.json": b'{"m1": "\xff"}'},
+            ["pcs", "t.json", "--text-mining", "bad.json"],
+        ),
+        "table-truncated": ({"bad.json": _TABLE[:20]}, ["pcs", "bad.json"]),
+        "table-csv-huge-field": ({"bad.csv": b"malware_id,x\nm1," + b"f" * 200_000 + b"\n"}, ["pcs", "bad.csv"]),
+        "spec-truncated": ({"bad.json": b'{"seed": 1, "fam'}, ["synth", "bad.json", "--out", "out"]),
+        "spec-families-int": ({"bad.json": b'{"families": 5}'}, ["synth", "bad.json", "--out", "out"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING_FILES))
+    def test_failing_file_named(self, capsys, monkeypatch, two_family_corpus, tmp_path, case):
+        chars = tmp_path / "chars.json"
+        assert main(["characterize", str(two_family_corpus), "--out", str(chars)]) == 0
+        files, argv = self.FAILING_FILES[case]
+        work = tmp_path / "work"
+        work.mkdir()
+        for name, data in files.items():
+            (work / name).write_bytes(data)
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        argv = [arg.format(corpus=two_family_corpus, chars=chars) for arg in argv]
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        bad = next(name for name in files if name.startswith("bad."))
+        assert _single_error_line(err).startswith(f"error: {bad}: ")
 
     @pytest.mark.parametrize("variants", [[100_000_000], [60_000, 60_000]], ids=["one-huge", "sum-over"])
     def test_oversized_corpus_spec(self, capsys, tmp_path, variants):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from malbehave import (
     read_corpus,
     serialize_profile,
 )
+from malbehave.profile import read_input, typed
 from conftest import make_random_profile
 from _pipeline import four_family_spec
 
@@ -325,6 +327,74 @@ class TestCorpusIO:
         with pytest.raises(ProfileParseError, match="bad-0.xml"):
             read_corpus(tmp_path)
 
+    def test_read_corpus_keeps_parse_position(self, tmp_path):
+        with pytest.raises(ProfileParseError) as alone:
+            parse_profile("<Profile><Meta>")
+        (tmp_path / "bad-0.xml").write_text("<Profile><Meta>")
+        with pytest.raises(ProfileParseError) as err:
+            read_corpus(tmp_path)
+        assert (alone.value.line, alone.value.column) == (1, 15)
+        assert (err.value.line, err.value.column) == (1, 15)
+        assert str(err.value) == f"{tmp_path / 'bad-0.xml'}: {alone.value}"
+
+    def test_read_corpus_keeps_field_name(self, tmp_path, sample_xml):
+        (tmp_path / "aa-0.xml").write_text(sample_xml)
+        (tmp_path / "bad-0.xml").write_text(sample_xml.replace("<Duration>300", "<Duration>soon"))
+        with pytest.raises(ProfileSchemaError, match="bad-0.xml: <Duration> must be an integer") as err:
+            read_corpus(tmp_path)
+        assert err.value.field_name == "Duration"
+
+    def test_read_corpus_non_utf8_is_parse_error(self, tmp_path, sample_xml):
+        (tmp_path / "aa-0.xml").write_text(sample_xml)
+        (tmp_path / "bad-0.xml").write_bytes(b"\xff\xfe<Profile/>")
+        with pytest.raises(ProfileParseError, match="bad-0.xml: not UTF-8"):
+            read_corpus(tmp_path)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(Exception, match="corpus"):
             read_corpus(tmp_path / "nope")
+
+
+class TestInputBoundary:
+    def test_read_input_keeps_class_and_fields(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": 1,\n "b": }')
+        with pytest.raises(json.JSONDecodeError) as err:
+            read_input(path, json.loads)
+        assert (err.value.lineno, err.value.colno) == (2, 7)
+        assert str(err.value).startswith(f"{path}: Expecting value")
+
+    def test_read_input_returns_parse_result(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, "\u00e9"]}', encoding="utf-8")
+        assert read_input(path, json.loads) == {"a": [1, "\u00e9"]}
+
+    @pytest.mark.parametrize(
+        "value, kinds",
+        [(True, (int,)), (False, (int, float)), (1.0, (int,)), ("1", (int, float)), (None, (str,)), (1, (bool,))],
+    )
+    def test_typed_rejects(self, value, kinds):
+        with pytest.raises(ValueError, match="^field must be "):
+            typed(value, "field", *kinds)
+
+    @pytest.mark.parametrize(
+        "value, kinds",
+        [(True, (bool,)), (3, (int,)), (2.5, (int, float)), (None, (int, type(None))), ({}, (dict,))],
+    )
+    def test_typed_accepts(self, value, kinds):
+        assert typed(value, "field", *kinds) is value
+
+    def test_list_forms(self):
+        assert typed(["a", "b"], "names", [str]) == ["a", "b"]
+        assert typed([["a"], []], "groups", [[str]]) == [["a"], []]
+        for value, kinds, message in [
+            ("ab", ([str],), "names must be a list of strings, got 'ab'"),
+            ([1], ([str],), "names must be a list of strings, got [1]"),
+            ([["a", None]], ([[str]],), "names must be a list of lists of strings"),
+            (["a"], ([list],), "names must be a list of lists, got ['a']"),
+            ("7", (int, type(None)), "names must be an integer or null, got '7'"),
+            ([True], ([int],), "names must be a list of integers, got [True]"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                typed(value, "names", *kinds)
+            assert str(err.value).startswith(message)
