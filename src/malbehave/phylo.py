@@ -10,6 +10,15 @@ representatives (a cluster is represented by its smallest leaf label):
 the working matrix keeps its rows in label order, and each merge takes
 its first minimum in row-major order. Results are therefore reproducible
 across runs and platforms.
+
+Each row caches its nearest neighbour (Müllner's generic algorithm,
+arXiv:1109.2378): the smallest distance right of the diagonal and the
+first column that holds it. A merge takes the first row whose cached
+distance is smallest and that row's cached column. The matrix is
+symmetric, so that is the first minimum in row-major order, and the tie
+rule above holds. Only rows whose cache a merge may have changed are
+rescanned, which makes a tree cost about O(n^2) on typical matrices
+instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -131,13 +140,24 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     d = [[matrix.entries[a][b] if a != b else inf for b in order] for a in order]
     node_of = list(order)
     sizes = [1] * n
+    # near[s] is the minimum of d[s][s+1:] and col[s] the first column
+    # holding it (the last row has no such cells).
+    near = [inf] * n
+    col = [n] * n
+
+    def rescan(s: int) -> None:
+        row = d[s]
+        near[s] = value = min(row[s + 1 :])
+        col[s] = row.index(value, s + 1)
+
+    for s in range(n - 1):
+        rescan(s)
 
     last_height = 0.0
     for _ in range(n - 1):
-        row_mins = list(map(min, d))
-        height = min(row_mins)
-        i = row_mins.index(height)
-        j = d[i].index(height)
+        height = min(near)
+        i = near.index(height)
+        j = col[i]
         assert height >= last_height - 1e-12, "merge heights must be non-decreasing"
         last_height = height
 
@@ -152,8 +172,28 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
             row[i] = d[i][x] = merged
             row[j] = inf
         d[j] = [inf] * n
+        near[j] = inf
         node_of[i] = len(nodes) - 1
         sizes[i] = wi + wj
+
+        # Row i changed right of the diagonal and column j is gone. A row
+        # above i whose minimum sat in column i or j rescans; any other
+        # row above i keeps its minimum unless the new d[x][i] beats it
+        # or ties it further left. A row between i and j loses only
+        # column j; rows below j see no change right of their diagonal.
+        rescan(i)
+        for x in range(i):
+            c = col[x]
+            if c == i or c == j:
+                rescan(x)
+            else:
+                value = d[x][i]
+                if value < near[x] or (value == near[x] and i < c):
+                    near[x] = value
+                    col[x] = i
+        for x in range(i + 1, j):
+            if col[x] == j:
+                rescan(x)
 
     return PhyloTree(tuple(nodes), len(nodes) - 1)
 

@@ -17,6 +17,20 @@ def jaccard_distance(x: ElementSet, y: ElementSet) -> float:
     return 1.0 - len(x & y) / len(x | y)
 
 
+def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError("distance matrix needs at least one label")
+    seen = set()
+    for label in labels:
+        if not label:
+            raise ValueError("matrix labels must be non-empty")
+        if label in seen:
+            raise ValueError(f"duplicate label {label!r}: matrix labels must be unique")
+        seen.add(label)
+    return labels
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric pairwise distance matrix with zero diagonal, values in [0, 1]."""
@@ -25,13 +39,9 @@ class DistanceMatrix:
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", _checked_labels(self.labels))
         object.__setattr__(self, "entries", tuple(tuple(float(v) for v in row) for row in self.entries))
         n = len(self.labels)
-        if n == 0:
-            raise ValueError("distance matrix needs at least one label")
-        if len(set(self.labels)) != n:
-            raise ValueError("matrix labels must be unique")
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise ValueError(f"matrix must be {n}x{n} to match its labels")
         for i in range(n):
@@ -109,11 +119,7 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
         raise ValueError("at least one profile is required")
     if len(labels) != len(element_sets):
         raise ValueError(f"got {len(labels)} labels for {len(element_sets)} profiles")
-    seen = set()
-    for label in labels:
-        if label in seen:
-            raise ValueError(f"duplicate profile identifier {label!r}")
-        seen.add(label)
+    labels = _checked_labels(labels)
 
     token_ids = {}
     masks = []
@@ -133,4 +139,10 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
             d = 1.0 - inter / union if union else 0.0
             row[j] = d
             rows[j][i] = d
-    return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
+    # Every cell is in [0, 1], the rows are symmetric and the diagonal is
+    # 0 by construction, so the matrix skips the O(n^2) checks that
+    # DistanceMatrix runs on values from outside.
+    matrix = object.__new__(DistanceMatrix)
+    object.__setattr__(matrix, "labels", labels)
+    object.__setattr__(matrix, "entries", tuple(map(tuple, rows)))
+    return matrix

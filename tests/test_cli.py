@@ -594,6 +594,7 @@ class TestUntrustedInput:
         "config-deep": ({"bad.json": b"[" * 100_000}, ["groups", "{corpus}", "--config", "bad.json"]),
         "matrix-one-row": ({"bad.csv": b"a,b\n0,1\n"}, ["tree", "bad.csv"]),
         "matrix-huge-field": ({"bad.csv": b"a\n" + b"0" * 200_000 + b"\n"}, ["tree", "bad.csv"]),
+        "matrix-empty-label": ({"bad.csv": b",a\n0,0.5\n0.5,0\n"}, ["tree", "bad.csv"]),
         "profile-malformed": ({"bad.xml": b"<Profile><Meta>"}, ["parse", "bad.xml"]),
         "classify-profile": ({"bad.xml": b"<Profile><Meta>"}, ["classify", "{chars}", "bad.xml"]),
         "grouping-truncated": (

@@ -31,6 +31,13 @@ WEIGHTED_GOLDEN = (
     "((((((L0:0,L1:0):0,L4:0):0.2,((L12:0,L7:0):0,L9:0):0.2):0.05,L8:0.25):0.15,"
     "L13:0.4):0.0604166667,(((L10:0,L11:0):0,L2:0):0.1666666667,((L3:0,L5:0):0,L6:0):0.1666666667):0.29375);"
 )
+# Size-weighted Newick of the test_cached_minimum_rounding matrix, computed
+# with the earlier full-scan tree builder.
+ROUNDING_GOLDEN = (
+    "((((((L0:0.1,L6:0.1):0,L7:0.1):0.0666666667,L9:0.1666666667):0.0583333333,"
+    "(((L1:0.1,L13:0.1):0,L4:0.1):0.0666666667,((L10:0.1,L12:0.1):0.05,L3:0.15):0.0166666667):0.0583333333):0.005,"
+    "((L11:0.1,L8:0.1):0.1,L2:0.2):0.03):0.0084615385,L5:0.2384615385);"
+)
 
 
 class TestUpgma:
@@ -79,6 +86,21 @@ class TestUpgma:
         matrix = random_matrix(random.Random(31), 14, ZERO_TIE_GRID, shuffled=True)
         assert to_newick(upgma(matrix)) == PLAIN_GOLDEN
         assert to_newick(upgma(matrix, size_weighted=True)) == WEIGHTED_GOLDEN
+
+    def test_cached_minimum_rounding(self):
+        # A size-weighted mean of two equal cells can round below them
+        # ((0.1 + 5 * 0.1) / 6 < 0.1), so after a merge a row above the
+        # merged row i can find its new d[x][i] smaller than its cached
+        # minimum, or equal to it in an earlier column. The matrices of the
+        # tests above never hit this; a builder that keeps a stale minimum,
+        # or the later of two tied columns, fails here.
+        matrix = random_matrix(random.Random(207), 14, (0.1, 0.2, 0.3), shuffled=True)
+        tree = upgma(matrix, size_weighted=True)
+        expected = naive_upgma_merges(matrix.labels, matrix.entries, size_weighted=True)
+        assert [(height, {a, b}) for height, a, b in tree_merges(tree)] == [
+            (height, {a, b}) for height, a, b in expected
+        ]
+        assert to_newick(tree) == ROUNDING_GOLDEN
 
     def test_heights_non_decreasing(self):
         rng = random.Random(5)

@@ -16,6 +16,7 @@ from malbehave import (
     extract_elements,
     generate_corpus,
     jaccard_distance,
+    jaccard_matrix,
 )
 from _pipeline import family_template, four_family_spec, mean_distance
 from conftest import make_random_event
@@ -111,6 +112,12 @@ class TestDistanceMatrix:
             DistanceMatrix(("a", "b"), ((0.0, 1.3), (1.3, 0.0)))
         with pytest.raises(ValueError, match="unique"):
             DistanceMatrix(("a", "a"), ((0.0, 0.3), (0.3, 0.0)))
+
+    def test_empty_label_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            DistanceMatrix(("", "a"), ((0.0, 0.5), (0.5, 0.0)))
+        with pytest.raises(ValueError, match="non-empty"):
+            jaccard_matrix([frozenset({"x"}), frozenset({"y"})], ["", "a"])
 
 
 def _oracle_elements(profile, config):
