@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterable
 
-from .profile import typed
+from .profile import typed, typed_float
 from .similarity import DistanceMatrix
 
 
@@ -121,7 +121,7 @@ class Grouping:
     @classmethod
     def from_json(cls, text: str) -> "Grouping":
         data = typed(json.loads(text), "grouping", dict)
-        threshold = float(typed(data.get("threshold"), "threshold", int, float))
+        threshold = typed_float(data.get("threshold"), "threshold")
         return cls(threshold, typed(data.get("groups"), "groups", [[str]]))
 
 

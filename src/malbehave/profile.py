@@ -19,6 +19,7 @@ analysis; tokenization is controlled by :class:`FeatureConfig`.
 from __future__ import annotations
 
 import csv
+import os
 import re
 import reprlib
 from dataclasses import dataclass
@@ -351,15 +352,38 @@ INPUT_ERRORS = (ValueError, csv.Error, RecursionError)
 _T = TypeVar("_T")
 
 
-def read_input(path: str | Path, parse: Callable[[str], _T]) -> _T:
-    """parse(text) of the UTF-8 file at path. Every error names the path:
-    a file that is not UTF-8 is a ProfileParseError, and an INPUT_ERRORS
-    error from parse keeps its class and fields, the path put before its
-    message."""
+# The most bytes read_input takes from one file. The largest inputs in
+# use are matrix CSVs: 8 MB for 1,500 labels, about 36 MB for 2,000.
+MAX_INPUT_BYTES = 256 * 1024 * 1024
+
+
+def _read_text(path: str | Path) -> str:
+    # A function of its own so that the file's bytes are freed before
+    # read_input parses the text.
+    with open(path, "rb") as stream:
+        # One read sized from the file's length, plus a byte to see whether
+        # it holds more; a pipe or a device has length 0 and is read up to
+        # the cap. A cap-sized buffer would cost every small file a fresh
+        # memory mapping.
+        length = os.fstat(stream.fileno()).st_size
+        data = stream.read(min(length or MAX_INPUT_BYTES, MAX_INPUT_BYTES) + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ProfileParseError(f"{path}: larger than MAX_INPUT_BYTES = {MAX_INPUT_BYTES} bytes")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProfileParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    if "\r" in text:  # universal newlines, as Path.read_text reads text
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_input(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """parse(text) of the UTF-8 file at path. Every error names the path:
+    a file over MAX_INPUT_BYTES or not UTF-8 is a ProfileParseError, and an
+    INPUT_ERRORS error from parse keeps its class and fields, the path put
+    before its message."""
+    text = _read_text(path)
     try:
         return parse(text)
     except INPUT_ERRORS as exc:
@@ -394,6 +418,15 @@ def typed(value, what: str, *kinds):
         names = " or ".join(map(_kind_name, kinds))
         raise ValueError(f"{what} must be {names}, got {reprlib.repr(value)}")
     return value
+
+
+def typed_float(value, what: str) -> float:
+    """typed(value, what, int, float) as a float. An integer too large for
+    a float is a ValueError naming what, not an OverflowError."""
+    try:
+        return float(typed(value, what, int, float))
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float: {reprlib.repr(value)}") from None
 
 
 def read_corpus(directory: str | Path) -> list[tuple[str, Profile]]:

@@ -39,20 +39,40 @@ class DistanceMatrix:
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _checked_labels(self.labels))
-        object.__setattr__(self, "entries", tuple(tuple(float(v) for v in row) for row in self.entries))
-        n = len(self.labels)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ValueError(f"matrix must be {n}x{n} to match its labels")
-        for i in range(n):
-            if self.entries[i][i] != 0.0:
-                raise ValueError(f"diagonal entry ({i},{i}) must be 0, got {self.entries[i][i]!r}")
-            for j in range(n):
-                value = self.entries[i][j]
+        # The one place a matrix from outside is converted and checked:
+        # rows are read one at a time (from_csv hands over its CSV reader),
+        # each cell goes through float() once, and each off-diagonal pair
+        # is checked once, from the upper triangle.
+        labels = _checked_labels(self.labels)
+        n = len(labels)
+        shape = f"matrix must be {n}x{n} to match its labels"
+        entries = []
+        for row in self.entries:
+            i = len(entries)
+            if i == n:
+                raise ValueError(f"{shape}: more than {n} rows")
+            try:
+                row = tuple(map(float, row))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"non-numeric distance cell in row {i}: {exc}") from None
+            if len(row) != n:
+                raise ValueError(f"{shape}: row {i} has {len(row)} cells")
+            entries.append(row)
+        if len(entries) != n:
+            raise ValueError(f"{shape}: got {len(entries)} rows")
+        # A lower cell (j, i) was checked as the mirror of (i, j), so this
+        # walk reports the same first error as one over the full square.
+        for i, row in enumerate(entries):
+            if row[i] != 0.0:
+                raise ValueError(f"diagonal entry ({i},{i}) must be 0, got {row[i]!r}")
+            for j in range(i + 1, n):
+                value = row[j]
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"entry ({i},{j}) out of range [0,1]: {value!r}")
-                if value != self.entries[j][i]:
+                if value != entries[j][i]:
                     raise ValueError(f"matrix is asymmetric at ({i},{j})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def size(self) -> int:
@@ -78,17 +98,13 @@ class DistanceMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "DistanceMatrix":
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
-        if not rows:
+        """Header row of labels, then one row of distances per label. The
+        constructor converts and checks the rows as the reader yields them."""
+        rows = filter(None, csv.reader(io.StringIO(text)))
+        labels = next(rows, None)
+        if labels is None:
             raise ValueError("empty distance matrix CSV")
-        labels = tuple(rows[0])
-        if len(rows) != len(labels) + 1:
-            raise ValueError(f"expected {len(labels)} data rows, got {len(rows) - 1}")
-        try:
-            entries = tuple(tuple(float(cell) for cell in row) for row in rows[1:])
-        except ValueError as exc:
-            raise ValueError(f"non-numeric distance cell: {exc}") from None
-        return cls(labels, entries)
+        return cls(tuple(labels), rows)
 
 
 def distance_matrix(

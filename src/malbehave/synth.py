@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import ApiEvent, Profile, serialize_profile, typed
+from .profile import ApiEvent, Profile, serialize_profile, typed, typed_float
 
 _MASK64 = (1 << 64) - 1
 
@@ -147,7 +147,7 @@ class CorpusSpec:
         families = tuple(
             (_template_from_dict(entry), typed(entry.get("variants"), "variants", int)) for entry in entries
         )
-        rate = float(typed(data.get("mutation_rate"), "mutation_rate", int, float))
+        rate = typed_float(data.get("mutation_rate"), "mutation_rate")
         return cls(families, rate, typed(data.get("seed"), "seed", int))
 
 

@@ -131,6 +131,45 @@ def random_matrix(rng: random.Random, n: int, grid=None, *, shuffled: bool = Fal
     return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
 
 
+# name -> (matrix CSV text, the error DistanceMatrix.from_csv raises). Each
+# is one fault in a valid 3x3 matrix, except the last four, whose several
+# faults must be reported in order: labels, then rows from the top (a row's
+# cells, its length, the row count), then the upper triangle row by row.
+_MATRIX = ("a,b,c", "0,0.5,1", "0.5,0,0.25", "1,0.25,0")
+_SHAPE = "matrix must be 3x3 to match its labels"
+_MALFORMED_MATRIX_LINES = {
+    "empty": (("", ""), "empty distance matrix CSV"),
+    "too-few-rows": (_MATRIX[:3], f"{_SHAPE}: got 2 rows"),
+    "header-only": (_MATRIX[:1], f"{_SHAPE}: got 0 rows"),
+    "too-many-rows": (_MATRIX + ("0,0,0",), f"{_SHAPE}: more than 3 rows"),
+    "ragged-row": (_MATRIX[:2] + ("0.5,0",) + _MATRIX[3:], f"{_SHAPE}: row 1 has 2 cells"),
+    "non-numeric": (
+        ("a,b,c", "0,x,1") + _MATRIX[2:],
+        "non-numeric distance cell in row 0: could not convert string to float: 'x'",
+    ),
+    "nan": (("a,b,c", "0,nan,1", "nan,0,0.25", _MATRIX[3]), "entry (0,1) out of range [0,1]: nan"),
+    "inf": (("a,b,c", "0,inf,1", "inf,0,0.25", _MATRIX[3]), "entry (0,1) out of range [0,1]: inf"),
+    "negative": (("a,b,c", "0,-0.5,1", "-0.5,0,0.25", _MATRIX[3]), "entry (0,1) out of range [0,1]: -0.5"),
+    "over-one": (_MATRIX[:2] + ("0.5,0,1.5", "1,1.5,0"), "entry (1,2) out of range [0,1]: 1.5"),
+    "asymmetric": (_MATRIX[:3] + ("1,0.75,0",), "matrix is asymmetric at (1,2)"),
+    "diagonal": (_MATRIX[:3] + ("1,0.25,0.1",), "diagonal entry (2,2) must be 0, got 0.1"),
+    "empty-label": (("a,,c",) + _MATRIX[1:], "matrix labels must be non-empty"),
+    "duplicate-label": (("a,b,a",) + _MATRIX[1:], "duplicate label 'a': matrix labels must be unique"),
+    "label-before-rows": (("a,a,c", "0,x"), "duplicate label 'a': matrix labels must be unique"),
+    "cell-before-row-count": (
+        ("a,b,c", "0,0.5,1", "0.5,x,0.25"),
+        "non-numeric distance cell in row 1: could not convert string to float: 'x'",
+    ),
+    "row-count-before-values": (("a,b,c", "0,2,1", "2,0,0.25"), f"{_SHAPE}: got 2 rows"),
+    # (2,0) differs from (0,2), (1,2) is out of range on both sides and
+    # (1,1) and (2,2) are not 0: (0,2) comes first.
+    "several-values": (("a,b,c", "0,0.5,0.4", "0.5,0.3,1.5", "0.9,1.5,0.2"), "matrix is asymmetric at (0,2)"),
+}
+MALFORMED_MATRIX_CSV = {
+    name: ("\n".join(lines) + "\n", message) for name, (lines, message) in _MALFORMED_MATRIX_LINES.items()
+}
+
+
 def mean_distance(labels_a, labels_b, sets_by_label) -> float:
     """Mean pairwise distance between two label sets (within one set when
     both arguments are the same sequence)."""

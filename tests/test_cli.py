@@ -11,6 +11,7 @@ import pytest
 
 from malbehave import ApiEvent, Profile, serialize_profile
 from malbehave.cli import main
+from _pipeline import MALFORMED_MATRIX_CSV
 
 
 def _write_corpus(directory, profiles_by_label):
@@ -433,7 +434,7 @@ class TestUntrustedInput:
             assert out == ""
             assert "list of lists of strings" in _single_error_line(err)
 
-    @pytest.mark.parametrize("threshold", ["0.5", "x", True, None])
+    @pytest.mark.parametrize("threshold", ["0.5", "x", True, None, pytest.param(10**400, id="int-over-float")])
     def test_grouping_threshold_must_be_number(self, capsys, tmp_path, threshold):
         table = tmp_path / "table.json"
         table.write_text(json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}))
@@ -526,6 +527,7 @@ class TestUntrustedInput:
             (("families",), [5], "family"),
             (("seed",), True, "seed"),
             (("mutation_rate",), None, "mutation_rate"),
+            (("mutation_rate",), 10**400, "mutation_rate"),
             (("families", 0, "variants"), "4", "variants"),
             (("families", 0, "name"), 3, "name"),
             (("families", 0, "mutation_ops"), [5, "x"], "mutation_ops"),
@@ -540,6 +542,7 @@ class TestUntrustedInput:
             "family-int",
             "seed-bool",
             "rate-null",
+            "rate-int-over-float",
             "variants-str",
             "name-int",
             "ops-mixed",
@@ -563,7 +566,9 @@ class TestUntrustedInput:
         code, out, err = _run(capsys, ["synth", str(spec_path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert out == ""
-        assert field in _single_error_line(err)
+        line = _single_error_line(err)
+        assert line.startswith(f"error: {spec_path}: ")
+        assert field in line
 
     @pytest.mark.parametrize("command", ["characterize", "distmat", "parse", "classify"])
     def test_non_utf8_profile_named(self, capsys, two_family_corpus, tmp_path, command):
@@ -632,6 +637,29 @@ class TestUntrustedInput:
         assert out == ""
         bad = next(name for name in files if name.startswith("bad."))
         assert _single_error_line(err).startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX_CSV))
+    def test_malformed_matrix_csv(self, capsys, tmp_path, case):
+        text, message = MALFORMED_MATRIX_CSV[case]
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out, err = _run(capsys, ["tree", str(path)])
+        assert code == 1
+        assert out == ""
+        assert _single_error_line(err) == f"error: {path}: {message}"
+
+    @pytest.mark.parametrize("source", ["dev-zero", "oversized-file"])
+    def test_input_size_cap(self, capsys, monkeypatch, tmp_path, source):
+        monkeypatch.setattr("malbehave.profile.MAX_INPUT_BYTES", 1000)
+        if source == "dev-zero":
+            path = "/dev/zero"
+        else:
+            path = tmp_path / "big.xml"
+            path.write_text("<Profile>" + " " * 1000 + "</Profile>")
+        code, out, err = _run(capsys, ["parse", str(path)])
+        assert code == 1
+        assert out == ""
+        assert _single_error_line(err) == f"error: {path}: larger than MAX_INPUT_BYTES = 1000 bytes"
 
     @pytest.mark.parametrize("variants", [[100_000_000], [60_000, 60_000]], ids=["one-huge", "sum-over"])
     def test_oversized_corpus_spec(self, capsys, tmp_path, variants):

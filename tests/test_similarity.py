@@ -18,7 +18,7 @@ from malbehave import (
     jaccard_distance,
     jaccard_matrix,
 )
-from _pipeline import family_template, four_family_spec, mean_distance
+from _pipeline import MALFORMED_MATRIX_CSV, family_template, four_family_spec, mean_distance
 from conftest import make_random_event
 
 
@@ -206,9 +206,28 @@ class TestCsv:
         matrix = DistanceMatrix(("a", "b"), ((0.0, 1 / 3), (1 / 3, 0.0)))
         assert "0.333333" in matrix.to_csv()
 
-    def test_bad_cell(self):
-        with pytest.raises(ValueError, match="non-numeric"):
-            DistanceMatrix.from_csv("a,b\n0.0,x\nx,0.0\n")
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX_CSV))
+    def test_malformed(self, case):
+        text, message = MALFORMED_MATRIX_CSV[case]
+        with pytest.raises(ValueError) as caught:
+            DistanceMatrix.from_csv(text)
+        assert str(caught.value) == message
+
+    def test_none_cell_is_value_error(self):
+        with pytest.raises(ValueError, match=r"^non-numeric distance cell in row 0: "):
+            DistanceMatrix(("a", "b"), ((0.0, None), (None, 0.0)))
+
+    def test_rows_read_lazily(self):
+        # The constructor stops at the first row past the label count, so a
+        # long tail of rows is neither converted nor held.
+        def rows():
+            yield ("0", "0.5")
+            yield ("0.5", "0")
+            yield ("0", "0")
+            raise AssertionError("read past the first extra row")
+
+        with pytest.raises(ValueError, match="more than 2 rows"):
+            DistanceMatrix(("a", "b"), rows())
 
 
 class TestParameterModes:
