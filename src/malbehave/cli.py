@@ -218,7 +218,11 @@ def _cmd_pcs(args: argparse.Namespace) -> int:
         return grouping
 
     def text_mining(text: str):
-        return text_mining_grouping(typed(json.loads(text), "descriptions", dict), threshold=config.tm_threshold)
+        descriptions = typed(json.loads(text), "descriptions", dict)
+        for malware_id in table.malware_ids:
+            if malware_id not in descriptions:
+                raise ValueError(f"no description for malware id {malware_id!r} of the label table")
+        return text_mining_grouping(descriptions, threshold=config.tm_threshold)
 
     if args.inject_grouping:
         grouping = read_input(args.inject_grouping, overlapping_grouping)

@@ -18,16 +18,20 @@ import csv
 import io
 import json
 import re
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, starmap
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .phylo import Grouping
 from .profile import typed
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9_]+")
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
+
+# A pair verdict (-1, 0, +1) held as a signed byte -> its '0'/'1' mask bit.
+_SAME_BIT = bytes.maketrans(b"\xff\x00\x01", b"001")
+_DIFF_BIT = bytes.maketrans(b"\xff\x00\x01", b"100")
 
 
 @dataclass(frozen=True)
@@ -184,13 +188,36 @@ def engine_weight(table: EngineLabelTable, engine: str) -> float:
     return sum(1 for cell in column if cell is not None) / len(column)
 
 
-def _pair_masks(verdict: Callable[..., int], items: Sequence) -> tuple[int, int]:
-    """One engine's pair verdicts as two bitmasks, (same, diff), over the
-    (i<j) row-major pairs of items: a bit is set where verdict is +1 / -1."""
-    verdicts = list(starmap(verdict, combinations(items, 2)))
-    same = int("".join("1" if v == 1 else "0" for v in verdicts), 2)
-    diff = int("".join("1" if v == -1 else "0" for v in verdicts), 2)
-    return same, diff
+def _label_masks(column: Sequence[str | None]) -> tuple[int, int]:
+    """One label engine's pair verdicts as two bitmasks, (same, diff), over
+    the (i<j) row-major pairs of samples: a bit is set where _pair_value is
+    +1 / -1.
+
+    Each family f has two '0'/'1' strings over the samples: same[f] marks
+    the samples labelled f, diff[f] those detected with another family. Row
+    i's bits are then same[c][i+1:] / diff[c][i+1:] for its cell c, and all
+    '0' for an undetected cell.
+    """
+    n = len(column)
+    zeros = b"0" * n
+    samples_of = defaultdict(list)
+    for i, cell in enumerate(column):
+        samples_of[cell].append(i)
+    detected = bytearray(b"1" * n)
+    for i in samples_of.pop(None, ()):
+        detected[i] = ord("0")
+    same = {None: zeros}
+    diff = {None: zeros}
+    for family, samples in samples_of.items():
+        same[family] = bytearray(zeros)
+        diff[family] = bytearray(detected)
+        for i in samples:
+            same[family][i] = ord("1")
+            diff[family][i] = ord("0")
+    return (
+        int(b"".join([same[cell][i + 1 :] for i, cell in enumerate(column)]), 2),
+        int(b"".join([diff[cell][i + 1 :] for i, cell in enumerate(column)]), 2),
+    )
 
 
 def _approval_from_masks(x: tuple[int, int], y: tuple[int, int]) -> float:
@@ -217,10 +244,7 @@ def approval(table: EngineLabelTable, engine_x: str, engine_y: str) -> float:
     whose condition never occurs contributes 0.
     """
     _require_pairs(table)
-    return _approval_from_masks(
-        _pair_masks(_pair_value, table.column(engine_x)),
-        _pair_masks(_pair_value, table.column(engine_y)),
-    )
+    return _approval_from_masks(_label_masks(table.column(engine_x)), _label_masks(table.column(engine_y)))
 
 
 def pcs_score(table: EngineLabelTable, engine: str) -> float:
@@ -241,22 +265,54 @@ class PairwiseIndicator:
         self._vectors = dict(vectors)
         self.threshold = float(threshold)
         self.detected = frozenset(key for key, vec in self._vectors.items() if vec)
+        # Squared norms, exact integers since counts are; computed once per id.
+        self._norms = {
+            key: sum(count * count for count in self._vectors[key].values()) for key in self.detected
+        }
+
+    def _rows(self, ids: Sequence[str]) -> list[array]:
+        """Row i holds the verdicts of the pairs (ids[i], ids[j]) for j > i.
+
+        Rows are scored last to first, so that row i's dot products come
+        from an inverted index (token -> [(j, count)]) of the later ids only.
+        """
+        for key in ids:
+            if key not in self._vectors:
+                raise ValueError(f"unknown malware id {key!r}")
+        n = len(ids)
+        threshold = self.threshold
+        norms = [self._norms.get(key) for key in ids]
+        postings: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
+        rows = []
+        for i in reversed(range(n)):
+            norm_a = norms[i]
+            if norm_a is None:
+                rows.append(array("b", bytes(n - i - 1)))
+                continue
+            dots = [0] * n
+            for token, count in self._vectors[ids[i]].items():
+                for j, count_b in postings[token]:
+                    dots[j] += count * count_b
+                postings[token].append((i, count))
+            # cosine >= threshold, compared without square roots (counts are ints)
+            verdicts = [
+                0 if norm_b is None else 1 if dot * dot >= threshold * threshold * norm_a * norm_b else -1
+                for dot, norm_b in zip(dots[i + 1 :], norms[i + 1 :])
+            ]
+            rows.append(array("b", verdicts))
+        rows.reverse()
+        return rows
 
     def __call__(self, i: str, j: str) -> int:
         if i == j:
             raise ValueError("indicator requires two distinct malware ids")
-        try:
-            a = self._vectors[i]
-            b = self._vectors[j]
-        except KeyError as exc:
-            raise ValueError(f"unknown malware id {exc.args[0]!r}") from None
-        if not a or not b:
-            return 0
-        dot = sum(count * b.get(token, 0) for token, count in a.items())
-        norm_a = sum(count * count for count in a.values())
-        norm_b = sum(count * count for count in b.values())
-        # cosine >= threshold, compared without square roots (counts are ints)
-        return 1 if dot * dot >= self.threshold * self.threshold * norm_a * norm_b else -1
+        return self._rows((i, j))[0][0]
+
+    def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:
+        """The verdicts over the (i<j) row-major pairs of ids as two
+        bitmasks, (same, diff): a bit is set where the verdict is +1 / -1."""
+        verdicts = b"".join(self._rows(ids))
+        return int(verdicts.translate(_SAME_BIT), 2), int(verdicts.translate(_DIFF_BIT), 2)
 
 
 def text_mining_grouping(
@@ -304,12 +360,12 @@ def pcs_report(
     n = table.sample_count
     ids = table.malware_ids
 
-    masks = [_pair_masks(_pair_value, table.column(engine)) for engine in table.engines]
+    masks = [_label_masks(table.column(engine)) for engine in table.engines]
     detected: list[int] = [
         sum(1 for cell in table.column(engine) if cell is not None) for engine in table.engines
     ]
     for _, indicator_fn in extra_indicators:
-        masks.append(_pair_masks(indicator_fn, ids))
+        masks.append(indicator_fn.pair_masks(ids))
         detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))
 
     m = len(masks)

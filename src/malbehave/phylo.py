@@ -94,6 +94,8 @@ class Grouping:
     groups: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
         object.__setattr__(self, "groups", tuple(tuple(group) for group in self.groups))
         seen: set[str] = set()
         for group in self.groups:

@@ -6,6 +6,8 @@ pair enumeration) instead of sharing code with the package.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 def naive_upgma_merges(labels, entries, *, size_weighted: bool = False):
     """Merge sequence [(height, members_a, members_b), ...] by re-scanning a
@@ -100,22 +102,40 @@ def brute_force_characteristics(tree, groups, sets, alpha):
     return out
 
 
+def cosine_verdict(a, b, threshold):
+    """Text-mining pair verdict from two token Counters: 0 when either is
+    empty, else +1 when cosine >= threshold, compared as the package does
+    (squared, without square roots), and -1 otherwise."""
+    if not a or not b:
+        return 0
+    dot = sum(a[token] * b[token] for token in a.keys() & b.keys())
+    norm_a = sum(count * count for count in a.values())
+    norm_b = sum(count * count for count in b.values())
+    return 1 if dot * dot >= threshold * threshold * norm_a * norm_b else -1
+
+
 def brute_force_pcs(ids, engines, rows, engine, indicators=()):
     """Literal conditional-probability evaluation of one engine's score.
 
     rows[i][e] is the family name engine e gave sample i, or None.
-    indicators lists extra (name, callable) engines that take part as
-    peers after the label engines, as in pcs_report: callable(id_i, id_j)
-    gives the pair verdict, and its ``detected`` set the detected ids.
+    indicators lists extra (name, text-mining indicator) engines that take
+    part as peers after the label engines, as in pcs_report. Only the
+    indicator's per-id token counts, threshold and ``detected`` set are
+    read; every pair verdict is recomputed by cosine_verdict.
     """
     n = len(ids)
     names = list(engines) + [name for name, _ in indicators]
     m = len(names)
     x = names.index(engine)
+    counters = [
+        ({key: Counter(vector or {}) for key, vector in indicator._vectors.items()}, indicator.threshold)
+        for _, indicator in indicators
+    ]
 
     def same_family(e, i, j):
         if e >= len(engines):
-            return indicators[e - len(engines)][1](ids[i], ids[j])
+            vectors, threshold = counters[e - len(engines)]
+            return cosine_verdict(vectors[ids[i]], vectors[ids[j]], threshold)
         a, b = rows[i][e], rows[j][e]
         if a is None or b is None:
             return 0

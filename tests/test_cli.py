@@ -447,6 +447,19 @@ class TestUntrustedInput:
         assert "threshold" in line
         assert str(grouping) in line
 
+    @pytest.mark.parametrize("threshold", ["NaN", "-5", "1e999"])
+    def test_grouping_threshold_out_of_range(self, capsys, tmp_path, threshold):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}))
+        grouping = tmp_path / "g.json"
+        grouping.write_text(f'{{"threshold": {threshold}, "groups": [["m1", "m2"]]}}')
+        code, out, err = _run(capsys, ["pcs", str(table), "--inject-grouping", str(grouping)])
+        assert code == 1
+        assert out == ""
+        line = _single_error_line(err)
+        assert line.startswith(f"error: {grouping}: ")
+        assert "threshold must be in [0, 1]" in line
+
     def test_grouping_without_table_ids_rejected(self, capsys, tmp_path):
         grouping, (code, out, err) = self._pcs_with_grouping(capsys, tmp_path, [["a1-0", "a2-0"], ["b1-0"]])
         assert code == 1
@@ -518,6 +531,20 @@ class TestUntrustedInput:
         assert code == 1
         assert out == ""
         assert "'m1'" in _single_error_line(err)
+
+    def test_description_missing_for_table_id(self, capsys, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text(
+            json.dumps({"malwares": ["a", "b", "c"], "engines": ["x"], "labels": [["f"], ["f"], ["g"]]})
+        )
+        descriptions = tmp_path / "d.json"
+        descriptions.write_text(json.dumps({"a": "trojan downloader", "b": "trojan", "zz": "worm"}))
+        code, out, err = _run(capsys, ["pcs", str(table), "--text-mining", str(descriptions)])
+        assert code == 1
+        assert out == ""
+        line = _single_error_line(err)
+        assert line.startswith(f"error: {descriptions}: ")
+        assert "'c'" in line
 
     @pytest.mark.parametrize(
         "path, value, field",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,8 @@ from malbehave import (
     pcs_score,
     text_mining_grouping,
 )
-from _oracles import brute_force_pcs
+from malbehave.pcs import _label_masks, _pair_value
+from _oracles import brute_force_pcs, cosine_verdict
 
 
 def _table(ids, engines, rows):
@@ -241,6 +243,75 @@ class TestTextMining:
     def test_exact_threshold_one_on_identical(self):
         grouping = text_mining_grouping({"a": "adware installer", "b": "adware installer"}, threshold=1.0)
         assert grouping("a", "b") == 1
+
+
+def _literal_masks(verdict, items):
+    """(same, diff) bitmasks by literal enumeration of the (i<j) pairs, the
+    first pair in the highest bit."""
+    same = diff = 0
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            value = verdict(items[i], items[j])
+            same = same << 1 | (value == 1)
+            diff = diff << 1 | (value == -1)
+    return same, diff
+
+
+class TestPairMasks:
+    FAMILIES = [f"fam_{k}" for k in range(8)]
+
+    def test_label_masks_equal_literal_enumeration(self):
+        rng = random.Random(2718)
+        columns = [[None, None], ["f", "f"], ["f", "g"], ["f", None], [None] * 9, ["f"] * 9]
+        columns.append([None, "f", "g", "f", None])
+        for _ in range(300):
+            n = rng.randint(2, 60)
+            families = self.FAMILIES[: rng.randint(1, 8)]
+            null_rate = rng.choice([0.0, 0.2, 0.5, 1.0])
+            column = [None if rng.random() < null_rate else rng.choice(families) for _ in range(n)]
+            if rng.random() < 0.3:
+                column[0] = column[-1] = None
+            columns.append(column)
+        for column in columns:
+            assert _label_masks(column) == _literal_masks(_pair_value, column)
+
+    def test_indicator_masks_equal_literal_enumeration(self):
+        rng = random.Random(1618)
+        words = ["adware", "installer", "worm", "dropper", "bundle", "win32"]
+        cases = [
+            ({"a": "", "b": "", "c": "worm"}, 0.7),
+            ({"a": "adware worm", "b": "adware worm", "c": "adware worm"}, 1.0),
+            ({"a": "a a b b", "b": "a b", "c": "b a", "d": "a b b"}, 1.0),
+        ]
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            descriptions = {f"m{i}": " ".join(rng.choices(words, k=rng.randint(0, 6))) for i in range(n)}
+            cases.append((descriptions, rng.choice([0.0, 0.5, 0.7, 1.0])))
+        for descriptions, threshold in cases:
+            grouping = text_mining_grouping(descriptions, threshold=threshold)
+            ids = list(descriptions)
+            rng.shuffle(ids)
+            assert grouping.pair_masks(ids) == _literal_masks(grouping, ids)
+
+    def test_exact_cosine_ties_at_threshold_one(self):
+        descriptions = {"a": "a a b b", "b": "a b", "c": "b a", "d": "a b b"}
+        grouping = text_mining_grouping(descriptions, threshold=1.0)
+        assert grouping("a", "b") == grouping("b", "a") == grouping("b", "c") == 1
+        assert grouping("a", "d") == grouping("d", "a") == -1
+        vectors = {key: Counter(text.split()) for key, text in descriptions.items()}
+        for i in descriptions:
+            for j in descriptions:
+                if i != j:
+                    assert grouping(i, j) == cosine_verdict(vectors[i], vectors[j], 1.0)
+
+    def test_unknown_id_rejected_before_scoring(self):
+        grouping = text_mining_grouping({"a": "worm", "b": "worm"})
+        with pytest.raises(ValueError, match="unknown malware id 'zz'"):
+            grouping.pair_masks(["a", "b", "zz"])
+        with pytest.raises(ValueError, match="unknown malware id 'zz'"):
+            grouping("zz", "a")
+        with pytest.raises(ValueError, match="unknown malware id 'zz'"):
+            pcs_report(_table(["a", "zz"], ["x"], [["f"], ["f"]]), [("Text_Mining", grouping)])
 
 
 class TestTableFormats:
