@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -346,8 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The grammar main parses with, built once per process: parse_args leaves a
+# parser unchanged (each call fills a new Namespace), so one serves every call.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (*INPUT_ERRORS, OSError) as exc:

@@ -123,10 +123,10 @@ class EngineLabelTable:
     def normalized(self, normalizer: FamilyNormalizer | None = None) -> "EngineLabelTable":
         """Run every cell through the family normalizer."""
         nz = normalizer or FamilyNormalizer()
-        rows = tuple(
-            tuple(None if cell is None else normalize_family(cell, nz) for cell in row)
-            for row in self.labels
-        )
+        # normalize_family is pure: one call per distinct string.
+        cells = {cell for row in self.labels for cell in row if cell is not None}
+        family = {cell: normalize_family(cell, nz) for cell in cells}
+        rows = tuple(tuple(map(family.get, row)) for row in self.labels)
         return EngineLabelTable(self.malware_ids, self.engines, rows)
 
     def to_json(self) -> str:
@@ -220,11 +220,15 @@ def _label_masks(column: Sequence[str | None]) -> tuple[int, int]:
     )
 
 
-def _approval_from_masks(x: tuple[int, int], y: tuple[int, int]) -> float:
-    """Sum over (same, diff) of |x & y| / |x|; a term with |x| = 0 is 0."""
+def _bit_counts(masks: tuple[int, int]) -> tuple[int, int]:
+    return masks[0].bit_count(), masks[1].bit_count()
+
+
+def _approval_from_masks(x: tuple[int, int], y: tuple[int, int], x_counts: tuple[int, int]) -> float:
+    """Sum over (same, diff) of |x & y| / |x|, where x_counts holds the
+    |x|; a term with |x| = 0 is 0."""
     value = 0.0
-    for mask_x, mask_y in zip(x, y):
-        den = mask_x.bit_count()
+    for mask_x, mask_y, den in zip(x, y, x_counts):
         if den:
             value += (mask_x & mask_y).bit_count() / den
     return value
@@ -244,7 +248,8 @@ def approval(table: EngineLabelTable, engine_x: str, engine_y: str) -> float:
     whose condition never occurs contributes 0.
     """
     _require_pairs(table)
-    return _approval_from_masks(_label_masks(table.column(engine_x)), _label_masks(table.column(engine_y)))
+    x = _label_masks(table.column(engine_x))
+    return _approval_from_masks(x, _label_masks(table.column(engine_y)), _bit_counts(x))
 
 
 def pcs_score(table: EngineLabelTable, engine: str) -> float:
@@ -369,12 +374,13 @@ def pcs_report(
         detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))
 
     m = len(masks)
+    counts = [_bit_counts(mask) for mask in masks]
     rows = []
     for x in range(m):
         weight = detected[x] / n
         total = 0.0
         for y in range(m):
-            total += _approval_from_masks(masks[x], masks[y])
+            total += _approval_from_masks(masks[x], masks[y], counts[x])
         rows.append(
             {
                 "engine": names[x],

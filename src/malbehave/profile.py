@@ -23,6 +23,7 @@ import os
 import re
 import reprlib
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 from xml.etree import ElementTree
@@ -406,7 +407,11 @@ def _kind_name(kind, plural: bool = False) -> str:
 
 def _fits(value, kind) -> bool:
     if isinstance(kind, list):
-        return isinstance(value, list) and all(_fits(item, kind[0]) for item in value)
+        inner = kind[0]
+        if isinstance(inner, type) and not issubclass(bool, inner):
+            # No bool is an instance of inner, so isinstance alone is the rule.
+            return isinstance(value, list) and all(map(isinstance, value, repeat(inner)))
+        return isinstance(value, list) and all(_fits(item, inner) for item in value)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from malbehave import ApiEvent, Profile, serialize_profile
+from malbehave import ApiEvent, Profile, cli, serialize_profile
 from malbehave.cli import main
 from _pipeline import MALFORMED_MATRIX_CSV
 
@@ -746,3 +746,55 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "p1-0" in result.stdout
+
+
+class TestSharedParser:
+    """main parses every call with one parser per process, so no call may
+    leave state behind for the next one."""
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch, two_family_corpus, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")  # the same usage wrapping in both processes
+        chars = tmp_path / "chars.json"
+        assert main(["characterize", str(two_family_corpus), "--alpha", "0", "--out", str(chars)]) == 0
+        # Two of the three tokens of group 1's distinct set: a score of 2/3.
+        partial = tmp_path / "partial.xml"
+        partial.write_text(serialize_profile(_profile("pp", ["Quince", "Rowan", "WinExec"])))
+        table = tmp_path / "table.json"
+        table.write_text(
+            json.dumps({"malwares": ["m1", "m2", "m3"], "engines": ["x"], "labels": [["f"], ["f"], ["g"]]})
+        )
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"threshold": 0.5, "groups": [["m1"], ["m2", "m3"]]}))
+        calls = [
+            (["classify", str(chars), str(partial), "--min-score", "0.99"], 0, "none\n"),
+            (["classify", str(chars), str(partial)], 0, "1\n"),
+            (["classify", str(chars), "--min-score", "x"], 2, ""),
+            (["pcs", str(table), "--inject-grouping", str(grouping), "--inject-name", "X"], 0, '"X"'),
+            (["pcs", str(table), "--inject-grouping", str(grouping)], 0, '"grouping"'),
+        ]
+        capsys.readouterr()
+        for argv, expected_code, expected_out in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "malbehave", *argv], capture_output=True, text=True
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert code == expected_code and expected_out in out, argv
+
+    def test_help_is_stable(self, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_:
+                main(["--help"])
+            assert exit_.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("usage: malbehave ")
+
+    def test_grammar_built_once(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli.build_parser()

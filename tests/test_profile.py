@@ -398,3 +398,22 @@ class TestInputBoundary:
             with pytest.raises(ValueError) as err:
                 typed(value, "names", *kinds)
             assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "kind, valid, mixed, message",
+        [
+            (str, ["a", ""], ["a", 1], "items must be a list of strings, got ['a', 1]"),
+            (str, ["a"], ["a", True], "items must be a list of strings, got ['a', True]"),
+            (list, [[], ["a", 1]], [[], "a"], "items must be a list of lists, got [[], 'a']"),
+            (dict, [{}, {"a": 1}], [{}, ["a"]], "items must be a list of objects, got [{}, ['a']]"),
+            (int, [1, 0], [1, True], "items must be a list of integers, got [1, True]"),
+            (bool, [True, False], [True, 1], "items must be a list of booleans, got [True, 1]"),
+            ([str], [["a"], []], [["a"], [None]], "items must be a list of lists of strings, got [['a'], [None]]"),
+        ],
+    )
+    def test_list_check(self, kind, valid, mixed, message):
+        assert typed(valid, "items", [kind]) is valid
+        assert typed([], "items", [kind]) == []
+        with pytest.raises(ValueError) as err:
+            typed(mixed, "items", [kind])
+        assert str(err.value) == message
