@@ -31,10 +31,11 @@ from .profile import (
     INPUT_ERRORS,
     ElementSet,
     FeatureConfig,
+    Profile,
     corpus_elements,
+    corpus_paths,
     extract_elements,
     parse_profile,
-    read_corpus,
     read_input,
     typed,
 )
@@ -120,23 +121,30 @@ def _emit(text: str, out: str | None) -> None:
 
 def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet], DistanceMatrix]:
     """The corpus's element set per label and their distance matrix, from
-    one tokenization."""
-    labeled = read_corpus(path)
-    labels = [label for label, _ in labeled]
-    element_sets = corpus_elements([profile for _, profile in labeled], config.feature())
+    one tokenization. Profiles are parsed and tokenized one at a time, so
+    only their element sets are kept."""
+    sources = corpus_paths(path)
+    labels = [source.stem for source in sources]
+    profiles = (read_input(source, parse_profile) for source in sources)
+    element_sets = corpus_elements(profiles, config.feature())
     return dict(zip(labels, element_sets)), jaccard_matrix(element_sets, labels)
 
 
+def _summary(label: str, profile: Profile) -> str:
+    parent = f" parent={profile.parent_hash}" if profile.parent_hash else ""
+    return (
+        f"{label}: hash={profile.hash} pid={profile.process_id} "
+        f"duration={profile.duration_seconds}s events={len(profile.events)}{parent}"
+    )
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
+    # Each profile is summarized and dropped before the next is read; the
+    # summaries are written only once every file has parsed.
     lines = []
     for path in map(Path, args.paths):
-        labeled = read_corpus(path) if path.is_dir() else [(path.stem, read_input(path, parse_profile))]
-        for label, profile in labeled:
-            parent = f" parent={profile.parent_hash}" if profile.parent_hash else ""
-            lines.append(
-                f"{label}: hash={profile.hash} pid={profile.process_id} "
-                f"duration={profile.duration_seconds}s events={len(profile.events)}{parent}"
-            )
+        sources = corpus_paths(path) if path.is_dir() else [path]
+        lines.extend(_summary(source.stem, read_input(source, parse_profile)) for source in sources)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

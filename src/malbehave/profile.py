@@ -322,11 +322,13 @@ def corpus_elements(profiles: Iterable[Profile], config: FeatureConfig) -> list[
     token; a profile with fewer than N events yields the empty set. Each
     distinct (api_name, attributes, return_value) is tokenized once per
     call: events that differ only in their timestamp share a token.
+    profiles may be a lazy stream: each profile is dropped as soon as its
+    set is made, before the next is drawn.
     """
     token_of = {}
     n = config.ngram_n
-    element_sets = []
-    for profile in profiles:
+
+    def element_set(profile: Profile) -> ElementSet:
         tokens = []
         for event in profile.events:
             key = (event.api_name, event.attributes, event.return_value)
@@ -335,10 +337,12 @@ def corpus_elements(profiles: Iterable[Profile], config: FeatureConfig) -> list[
                 token = token_of[key] = canonicalize_event(event, config)
             tokens.append(token)
         if n == 1:
-            element_sets.append(frozenset(tokens))
-        else:
-            element_sets.append(frozenset("||".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)))
-    return element_sets
+            return frozenset(tokens)
+        return frozenset("||".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    # map, unlike a for loop's variable, holds no profile while it draws
+    # the next one.
+    return list(map(element_set, profiles))
 
 
 def extract_elements(profile: Profile, config: FeatureConfig) -> ElementSet:
@@ -362,13 +366,14 @@ def _read_text(path: str | Path) -> str:
     # A function of its own so that the file's bytes are freed before
     # read_input parses the text.
     with open(path, "rb") as stream:
-        # One read sized from the file's length, plus a byte to see whether
-        # it holds more; a pipe or a device has length 0 and is read up to
+        # A file whose length is over the cap is refused unread. Otherwise
+        # one read sized from the length, plus a byte to see whether it
+        # holds more; a pipe or a device has length 0 and is read up to
         # the cap. A cap-sized buffer would cost every small file a fresh
         # memory mapping.
         length = os.fstat(stream.fileno()).st_size
-        data = stream.read(min(length or MAX_INPUT_BYTES, MAX_INPUT_BYTES) + 1)
-    if len(data) > MAX_INPUT_BYTES:
+        data = b"" if length > MAX_INPUT_BYTES else stream.read((length or MAX_INPUT_BYTES) + 1)
+    if max(length, len(data)) > MAX_INPUT_BYTES:
         raise ProfileParseError(f"{path}: larger than MAX_INPUT_BYTES = {MAX_INPUT_BYTES} bytes")
     try:
         text = data.decode("utf-8")
@@ -434,16 +439,26 @@ def typed_float(value, what: str) -> float:
         raise ValueError(f"{what} is too large for a float: {reprlib.repr(value)}") from None
 
 
-def read_corpus(directory: str | Path) -> list[tuple[str, Profile]]:
-    """Load a corpus directory of <hash>-<ordinal>.xml files.
-
-    Returns (label, profile) pairs ordered by filename; the label is the
-    file stem. Errors name the offending file (see read_input).
-    """
+def corpus_paths(directory: str | Path) -> list[Path]:
+    """The <hash>-<ordinal>.xml files of a corpus directory, sorted by
+    name; the label of each is its stem. Reads no file: a ProfileError
+    for a missing directory or one without XML files comes first."""
     path = Path(directory)
     if not path.is_dir():
         raise ProfileError(f"corpus directory not found: {path}")
-    items = [(xml_path.stem, read_input(xml_path, parse_profile)) for xml_path in sorted(path.glob("*.xml"))]
-    if not items:
+    paths = sorted(path.glob("*.xml"))
+    if not paths:
         raise ProfileError(f"no profile XML files in {path}")
-    return items
+    return paths
+
+
+def read_corpus(directory: str | Path) -> list[tuple[str, Profile]]:
+    """Load a corpus directory (see corpus_paths).
+
+    Returns (label, profile) pairs ordered by filename; the label is the
+    file stem. Errors name the offending file (see read_input). Every
+    profile is kept, so memory grows with the corpus's total events; to
+    tokenize a corpus one profile at a time, pass corpus_elements a lazy
+    stream of read_input(path, parse_profile) over corpus_paths.
+    """
+    return [(path.stem, read_input(path, parse_profile)) for path in corpus_paths(directory)]

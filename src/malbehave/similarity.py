@@ -155,10 +155,13 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
             d = 1.0 - inter / union if union else 0.0
             row[j] = d
             rows[j][i] = d
+        # Earlier passes filled the row's lower half, so it is complete;
+        # each row becomes a tuple in place, so the matrix is never held twice.
+        rows[i] = tuple(row)
     # Every cell is in [0, 1], the rows are symmetric and the diagonal is
     # 0 by construction, so the matrix skips the O(n^2) checks that
     # DistanceMatrix runs on values from outside.
     matrix = object.__new__(DistanceMatrix)
     object.__setattr__(matrix, "labels", labels)
-    object.__setattr__(matrix, "entries", tuple(map(tuple, rows)))
+    object.__setattr__(matrix, "entries", tuple(rows))
     return matrix

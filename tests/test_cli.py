@@ -6,10 +6,12 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
+import weakref
 
 import pytest
 
-from malbehave import ApiEvent, Profile, cli, serialize_profile
+from malbehave import MAX_INPUT_BYTES, ApiEvent, Profile, cli, parse_profile, serialize_profile
 from malbehave.cli import main
 from _pipeline import MALFORMED_MATRIX_CSV
 
@@ -688,6 +690,23 @@ class TestUntrustedInput:
         assert out == ""
         assert _single_error_line(err) == f"error: {path}: larger than MAX_INPUT_BYTES = 1000 bytes"
 
+    def test_oversized_file_refused_unread(self, capsys, tmp_path):
+        # A sparse file over the real cap: refused from its length, so the
+        # refusal costs no cap-sized read.
+        path = tmp_path / "big.xml"
+        with open(path, "wb") as sparse:
+            sparse.truncate(MAX_INPUT_BYTES + 1)
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, ["parse", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert _single_error_line(err) == f"error: {path}: larger than MAX_INPUT_BYTES = {MAX_INPUT_BYTES} bytes"
+        assert peak < 4 * 1024 * 1024, f"refusing the file allocated {peak} bytes"
+
     @pytest.mark.parametrize("variants", [[100_000_000], [60_000, 60_000]], ids=["one-huge", "sum-over"])
     def test_oversized_corpus_spec(self, capsys, tmp_path, variants):
         spec = copy.deepcopy(TestSynth.SPEC)
@@ -735,6 +754,68 @@ class TestUntrustedInput:
         assert result.returncode == 1
         assert result.stdout == ""
         assert "memory" not in _single_error_line(result.stderr).lower()
+
+
+CORPUS_COMMANDS = ["characterize", "groups", "distmat", "tree", "parse"]
+
+
+class TestStreamedCorpus:
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_one_profile_alive(self, capsys, monkeypatch, two_family_corpus, command):
+        counts = {"parsed": 0, "live": 0, "peak": 0}
+
+        def released():
+            counts["live"] -= 1
+
+        def counted_parse(text):
+            profile = parse_profile(text)
+            counts["parsed"] += 1
+            counts["live"] += 1
+            counts["peak"] = max(counts["peak"], counts["live"])
+            weakref.finalize(profile, released)
+            return profile
+
+        monkeypatch.setattr("malbehave.profile.parse_profile", counted_parse)
+        monkeypatch.setattr("malbehave.cli.parse_profile", counted_parse)
+        code, out, err = _run(capsys, [command, str(two_family_corpus)])
+        assert code == 0
+        assert err == ""
+        assert out
+        assert counts["parsed"] == 4
+        assert counts["peak"] == 1
+
+    @pytest.fixture
+    def corpora(self, tmp_path):
+        """A missing directory, an empty one, and three files whose second
+        is malformed XML and whose third is not UTF-8."""
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("not a profile")
+        bad = tmp_path / "bad"
+        _write_corpus(bad, {"a-0": _profile("a", ["Apple"])})
+        (bad / "b-0.xml").write_text("<Profile><Meta>")
+        (bad / "c-0.xml").write_bytes(b"\xff\xfe<Profile/>")
+        return {"missing": tmp_path / "missing", "empty": empty, "bad": bad}
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    @pytest.mark.parametrize("case", ["missing", "empty", "bad"])
+    def test_corpus_errors(self, capsys, corpora, command, case):
+        path = corpora[case]
+        code, out, err = _run(capsys, [command, str(path)])
+        assert code == 1
+        assert out == ""
+        line = _single_error_line(err)
+        if case == "bad":
+            # The first failing file in name order, although the next fails too.
+            assert line.startswith(f"error: {path / 'b-0.xml'}: malformed XML: ")
+        elif case == "empty":
+            assert line == f"error: no profile XML files in {path}"
+        elif command == "tree":
+            assert line == f"error: tree input must be a corpus directory or a .csv matrix, got {path}"
+        elif command == "parse":
+            assert line == f"error: [Errno 2] No such file or directory: '{path}'"
+        else:
+            assert line == f"error: corpus directory not found: {path}"
 
 
 class TestEntryPoint:
