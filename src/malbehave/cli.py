@@ -32,9 +32,9 @@ from .profile import (
     ElementSet,
     FeatureConfig,
     Profile,
-    corpus_elements,
+    _call_elements,
+    _profile_calls,
     corpus_paths,
-    extract_elements,
     parse_profile,
     read_input,
     typed,
@@ -121,12 +121,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet], DistanceMatrix]:
     """The corpus's element set per label and their distance matrix, from
-    one tokenization. Profiles are parsed and tokenized one at a time, so
-    only their element sets are kept."""
+    one tokenization. Profiles are walked to their call keys and tokenized
+    one at a time, so only their element sets are kept."""
     sources = corpus_paths(path)
     labels = [source.stem for source in sources]
-    profiles = (read_input(source, parse_profile) for source in sources)
-    element_sets = corpus_elements(profiles, config.feature())
+    call_lists = (read_input(source, _profile_calls) for source in sources)
+    element_sets = _call_elements(call_lists, config.feature())
     return dict(zip(labels, element_sets)), jaccard_matrix(element_sets, labels)
 
 
@@ -206,8 +206,8 @@ def _read_characteristics(text: str) -> tuple[dict, dict]:
 def _cmd_classify(args: argparse.Namespace) -> int:
     overrides, chars = read_input(args.characteristics, _read_characteristics)
     config = _resolve_config(args, overrides)
-    profile = read_input(args.profile, parse_profile)
-    elements = extract_elements(profile, config.feature())
+    calls = read_input(args.profile, _profile_calls)
+    [elements] = _call_elements((calls,), config.feature())
     result = classify(elements, chars, config.endurance())
     _emit(("none" if result is None else str(result)) + "\n", args.out)
     return 0

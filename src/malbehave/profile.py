@@ -13,7 +13,11 @@ else is treated as a call parameter. Spawned processes are stored as
 separate profiles linked through ``parent_hash``.
 
 Profiles are turned into sets of behavior-element tokens for similarity
-analysis; tokenization is controlled by :class:`FeatureConfig`.
+analysis; tokenization is controlled by :class:`FeatureConfig`. A token
+reads only an event's call key, ``(api_name, attributes, return_value)``,
+so the corpus and classify commands walk each document to its checked call
+keys and tokenize those, building no events; :func:`parse_profile` is the
+same walk plus event construction, with the same checks and errors.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import os
 import re
 import reprlib
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_quoteattr
@@ -34,6 +38,9 @@ from xml.sax.saxutils import quoteattr as _xml_quoteattr
 # frozensets of them.
 BehaviorElement = str
 ElementSet = frozenset
+
+# What a token reads of one event: (api_name, attributes, return_value).
+CallKey = tuple[str, tuple[tuple[str, str], ...], str | None]
 
 RESERVED_ATTRIBUTES = ("Return", "Time")
 
@@ -116,9 +123,31 @@ def _check_timestamp(timestamp) -> None:
         raise ProfileSchemaError(f"Time must be a non-negative integer, got {timestamp!r}", field_name="Time")
 
 
-def _checked_event(api_name: str, attributes: tuple, return_value: str | None, timestamp: int) -> ApiEvent:
+def _check_positive(value, field_name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise ProfileSchemaError(f"{field_name} must be a positive integer, got {value!r}", field_name=field_name)
+
+
+def _check_parent_hash(parent_hash) -> None:
+    if parent_hash is not None and (not isinstance(parent_hash, str) or not parent_hash):
+        raise ProfileSchemaError("Parent_hash must be non-empty text when present", field_name="Parent_hash")
+
+
+def _check_order(timestamps: Iterable[int]) -> None:
+    """Raise for the first timestamp below the one before it. timestamps
+    may be lazy: each is drawn just before it is compared."""
+    for previous, timestamp in pairwise(timestamps):
+        if timestamp < previous:
+            raise ProfileSchemaError(
+                f"events out of order: Time {timestamp} follows Time {previous}",
+                field_name="Time",
+            )
+
+
+def _checked_event(call: CallKey, timestamp: int) -> ApiEvent:
     """An ApiEvent built without running __post_init__. Only for a caller
     that has made the same checks itself, as parse_profile does."""
+    api_name, attributes, return_value = call
     event = object.__new__(ApiEvent)
     # Set as the dataclass __init__ does, so the instance keeps its compact
     # shared-key attribute storage (a __dict__.update doubles its size).
@@ -127,6 +156,12 @@ def _checked_event(api_name: str, attributes: tuple, return_value: str | None, t
     object.__setattr__(event, "return_value", return_value)
     object.__setattr__(event, "timestamp", timestamp)
     return event
+
+
+def _event_timestamp(event) -> int:
+    if not isinstance(event, ApiEvent):
+        raise ProfileSchemaError("events must be ApiEvent instances")
+    return event.timestamp
 
 
 @dataclass(frozen=True)
@@ -143,32 +178,10 @@ class Profile:
         object.__setattr__(self, "events", tuple(self.events))
         if not isinstance(self.hash, str) or not self.hash:
             raise ProfileSchemaError("Hash must be non-empty text", field_name="Hash")
-        if not isinstance(self.process_id, int) or isinstance(self.process_id, bool) or self.process_id <= 0:
-            raise ProfileSchemaError(
-                f"Process_id must be a positive integer, got {self.process_id!r}",
-                field_name="Process_id",
-            )
-        if (
-            not isinstance(self.duration_seconds, int)
-            or isinstance(self.duration_seconds, bool)
-            or self.duration_seconds <= 0
-        ):
-            raise ProfileSchemaError(
-                f"Duration must be a positive integer, got {self.duration_seconds!r}",
-                field_name="Duration",
-            )
-        if self.parent_hash is not None and (not isinstance(self.parent_hash, str) or not self.parent_hash):
-            raise ProfileSchemaError("Parent_hash must be non-empty text when present", field_name="Parent_hash")
-        previous = None
-        for event in self.events:
-            if not isinstance(event, ApiEvent):
-                raise ProfileSchemaError("events must be ApiEvent instances")
-            if previous is not None and event.timestamp < previous:
-                raise ProfileSchemaError(
-                    f"events out of order: Time {event.timestamp} follows Time {previous}",
-                    field_name="Time",
-                )
-            previous = event.timestamp
+        _check_positive(self.process_id, "Process_id")
+        _check_positive(self.duration_seconds, "Duration")
+        _check_parent_hash(self.parent_hash)
+        _check_order(map(_event_timestamp, self.events))
 
 
 @dataclass(frozen=True)
@@ -206,13 +219,23 @@ def _meta_int(meta: ElementTree.Element, tag: str) -> int:
         raise ProfileSchemaError(f"<{tag}> must be an integer, got {text!r}", field_name=tag) from None
 
 
-def parse_profile(xml_text: str) -> Profile:
-    """Parse one profile document.
+class _Walk(NamedTuple):
+    """One checked profile document: its meta fields, then each event's
+    call key and timestamp in document order."""
 
-    Raises ProfileParseError for malformed XML (with line/column) and
-    ProfileSchemaError, naming the offending field, for documents that do
-    not match the profile schema.
-    """
+    hash: str
+    process_id: int
+    duration_seconds: int
+    parent_hash: str | None
+    calls: list[CallKey]
+    timestamps: list[int]
+
+
+def _walk_profile(xml_text: str) -> _Walk:
+    """The one checked walk of a profile document. It makes every check
+    that ApiEvent and Profile make, in their order: each event's own checks
+    in document order, then the meta fields, then the first out-of-order
+    Time."""
     try:
         root = ElementTree.fromstring(xml_text)
     except ElementTree.ParseError as exc:
@@ -227,6 +250,7 @@ def parse_profile(xml_text: str) -> Profile:
     if execution is None:
         raise ProfileSchemaError("missing <Execution> element", field_name="Execution")
 
+    # _meta_text returns non-empty text, so Hash needs no further check.
     sample_hash = _meta_text(meta, "Hash")
     process_id = _meta_int(meta, "Process_id")
     duration = _meta_int(meta, "Duration")
@@ -239,7 +263,8 @@ def parse_profile(xml_text: str) -> Profile:
     # ASCII subset (and namespaced ones, as "{uri}name"), so each distinct
     # tag and key is checked once per document.
     names = set()
-    events = []
+    calls = []
+    timestamps = []
     for index, element in enumerate(execution):
         tag = element.tag
         attrib = element.attrib
@@ -262,8 +287,32 @@ def parse_profile(xml_text: str) -> Profile:
                 _check_attribute_key(key)
                 names.add(key)
         _check_timestamp(timestamp)
-        events.append(_checked_event(tag, tuple(attrib.items()), return_value, timestamp))
-    return Profile(sample_hash, process_id, duration, tuple(events), parent_hash)
+        calls.append((tag, tuple(attrib.items()), return_value))
+        timestamps.append(timestamp)
+    _check_positive(process_id, "Process_id")
+    _check_positive(duration, "Duration")
+    _check_parent_hash(parent_hash)
+    _check_order(timestamps)
+    return _Walk(sample_hash, process_id, duration, parent_hash, calls, timestamps)
+
+
+def parse_profile(xml_text: str) -> Profile:
+    """Parse one profile document.
+
+    Raises ProfileParseError for malformed XML (with line/column) and
+    ProfileSchemaError, naming the offending field, for documents that do
+    not match the profile schema.
+    """
+    walk = _walk_profile(xml_text)
+    events = tuple(map(_checked_event, walk.calls, walk.timestamps))
+    return Profile(walk.hash, walk.process_id, walk.duration_seconds, events, walk.parent_hash)
+
+
+def _profile_calls(xml_text: str) -> list[CallKey]:
+    """The call key of each event of a profile document, in order: what
+    _call_elements tokenizes. The document is checked as parse_profile
+    checks it, with the same errors, but no event is built."""
+    return _walk_profile(xml_text).calls
 
 
 def serialize_profile(profile: Profile) -> str:
@@ -297,52 +346,69 @@ def _escape_part(text: str) -> str:
     return text.replace("%", "%25").replace("|", "%7C").replace("=", "%3D")
 
 
+def _call_token(call: CallKey, config: FeatureConfig) -> BehaviorElement:
+    # Only values are escaped: an api_name or attribute key is an XML name
+    # (_NAME_RE), which holds no '%', '|' or '='.
+    api_name, attributes, return_value = call
+    if not config.with_params:
+        return api_name
+    parts = [api_name]
+    for key, value in sorted(attributes):
+        if config.normalize_paths and key in PATH_LIKE_KEYS:
+            value = value.lower()
+        parts.append(f"{key}={_escape_part(value)}")
+    if config.include_return and return_value is not None:
+        parts.append(f"Return={_escape_part(return_value)}")
+    return "|".join(parts)
+
+
 def canonicalize_event(event: ApiEvent, config: FeatureConfig) -> BehaviorElement:
     """Deterministic token for one event; the timestamp never participates.
 
     Attribute order in the source never matters: pairs are sorted by key.
     """
-    if not config.with_params:
-        return event.api_name
-    parts = [_escape_part(event.api_name)]
-    for key, value in sorted(event.attributes):
-        if config.normalize_paths and key in PATH_LIKE_KEYS:
-            value = value.lower()
-        parts.append(f"{_escape_part(key)}={_escape_part(value)}")
-    if config.include_return and event.return_value is not None:
-        parts.append(f"Return={_escape_part(event.return_value)}")
-    return "|".join(parts)
+    return _call_token((event.api_name, event.attributes, event.return_value), config)
 
 
-def corpus_elements(profiles: Iterable[Profile], config: FeatureConfig) -> list[ElementSet]:
-    """Element sets of the profiles, in order: distinct tokens, or distinct
-    n-gram tokens.
+def _call_elements(call_lists: Iterable[Iterable[CallKey]], config: FeatureConfig) -> list[ElementSet]:
+    """Element sets of profiles given as call keys (see _profile_calls), in
+    order: distinct tokens, or distinct n-gram tokens.
 
-    With ngram_n=N>1 every window of N consecutive events becomes one
-    token; a profile with fewer than N events yields the empty set. Each
-    distinct (api_name, attributes, return_value) is tokenized once per
-    call: events that differ only in their timestamp share a token.
-    profiles may be a lazy stream: each profile is dropped as soon as its
-    set is made, before the next is drawn.
+    With ngram_n=N>1 every window of N consecutive calls becomes one
+    token; a profile with fewer than N calls yields the empty set. Each
+    distinct call key is tokenized once per call of this function. The
+    call lists may be a lazy stream: each is dropped as soon as its set is
+    made, before the next is drawn.
     """
     token_of = {}
     n = config.ngram_n
 
-    def element_set(profile: Profile) -> ElementSet:
+    def element_set(calls: Iterable[CallKey]) -> ElementSet:
         tokens = []
-        for event in profile.events:
-            key = (event.api_name, event.attributes, event.return_value)
-            token = token_of.get(key)
+        for call in calls:
+            token = token_of.get(call)
             if token is None:
-                token = token_of[key] = canonicalize_event(event, config)
+                token = token_of[call] = _call_token(call, config)
             tokens.append(token)
         if n == 1:
             return frozenset(tokens)
         return frozenset("||".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
-    # map, unlike a for loop's variable, holds no profile while it draws
+    # map, unlike a for loop's variable, holds no call list while it draws
     # the next one.
-    return list(map(element_set, profiles))
+    return list(map(element_set, call_lists))
+
+
+def _event_calls(profile: Profile) -> Iterable[CallKey]:
+    # The generator holds the events, not the profile.
+    return ((event.api_name, event.attributes, event.return_value) for event in profile.events)
+
+
+def corpus_elements(profiles: Iterable[Profile], config: FeatureConfig) -> list[ElementSet]:
+    """Element sets of the profiles, in order; see _call_elements. Events
+    that differ only in their timestamp share a token. profiles may be a
+    lazy stream: each profile is dropped as soon as its set is made."""
+    return _call_elements(map(_event_calls, profiles), config)
 
 
 def extract_elements(profile: Profile, config: FeatureConfig) -> ElementSet:

@@ -90,10 +90,11 @@ class DistanceMatrix:
     def to_csv(self) -> str:
         """Header row of labels, then one row of distances per profile."""
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.labels)
-        for row in self.entries:
-            writer.writerow([f"{value:.6f}" for value in row])
+        csv.writer(out, lineterminator="\n").writerow(self.labels)
+        # A distance formatted as %.6f (the same text as f"{value:.6f}")
+        # never needs CSV quoting, so each row is one format operation.
+        line = ",".join(["%.6f"] * self.size) + "\n"
+        out.writelines(line % row for row in self.entries)
         return out.getvalue()
 
     @classmethod

@@ -8,6 +8,30 @@ from __future__ import annotations
 
 from collections import Counter
 
+from malbehave.profile import PATH_LIKE_KEYS
+
+
+def escaped_token(api_name, attributes, return_value, config):
+    """Token of one call by the original rule, which escapes every part,
+    names and keys included: '%', '|' and '=' become %25, %7C and %3D.
+    Pairs are sorted by key, path-like values lowercased when
+    normalize_paths is on, and the return value kept when include_return
+    is on."""
+
+    def escape(text):
+        return text.replace("%", "%25").replace("|", "%7C").replace("=", "%3D")
+
+    if not config.with_params:
+        return api_name
+    parts = [escape(api_name)]
+    for key, value in sorted(attributes):
+        if config.normalize_paths and key in PATH_LIKE_KEYS:
+            value = value.lower()
+        parts.append(escape(key) + "=" + escape(value))
+    if config.include_return and return_value is not None:
+        parts.append("Return=" + escape(return_value))
+    return "|".join(parts)
+
 
 def naive_upgma_merges(labels, entries, *, size_weighted: bool = False):
     """Merge sequence [(height, members_a, members_b), ...] by re-scanning a

@@ -11,9 +11,18 @@ import weakref
 
 import pytest
 
-from malbehave import MAX_INPUT_BYTES, ApiEvent, Profile, cli, parse_profile, serialize_profile
+from malbehave import (
+    MAX_INPUT_BYTES,
+    ApiEvent,
+    Profile,
+    ProfileError,
+    cli,
+    parse_profile,
+    serialize_profile,
+)
 from malbehave.cli import main
-from _pipeline import MALFORMED_MATRIX_CSV
+from malbehave.profile import _profile_calls
+from _pipeline import MALFORMED_MATRIX_CSV, PARSER_REJECTIONS, profile_document
 
 
 def _write_corpus(directory, profiles_by_label):
@@ -759,24 +768,29 @@ class TestUntrustedInput:
 CORPUS_COMMANDS = ["characterize", "groups", "distmat", "tree", "parse"]
 
 
+class _CallList(list):
+    """A list that takes a weak reference."""
+
+
 class TestStreamedCorpus:
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     def test_one_profile_alive(self, capsys, monkeypatch, two_family_corpus, command):
+        # The token commands walk each document to its call keys; parse
+        # builds Profiles. Either result is counted while it is alive.
         counts = {"parsed": 0, "live": 0, "peak": 0}
 
         def released():
             counts["live"] -= 1
 
-        def counted_parse(text):
-            profile = parse_profile(text)
+        def counted(result):
             counts["parsed"] += 1
             counts["live"] += 1
             counts["peak"] = max(counts["peak"], counts["live"])
-            weakref.finalize(profile, released)
-            return profile
+            weakref.finalize(result, released)
+            return result
 
-        monkeypatch.setattr("malbehave.profile.parse_profile", counted_parse)
-        monkeypatch.setattr("malbehave.cli.parse_profile", counted_parse)
+        monkeypatch.setattr("malbehave.cli._profile_calls", lambda text: counted(_CallList(_profile_calls(text))))
+        monkeypatch.setattr("malbehave.cli.parse_profile", lambda text: counted(parse_profile(text)))
         code, out, err = _run(capsys, [command, str(two_family_corpus)])
         assert code == 0
         assert err == ""
@@ -816,6 +830,96 @@ class TestStreamedCorpus:
             assert line == f"error: [Errno 2] No such file or directory: '{path}'"
         else:
             assert line == f"error: corpus directory not found: {path}"
+
+
+_META = "<Process_id>1</Process_id><Duration>10</Duration>"
+_PID_ZERO = "<Process_id>0</Process_id><Duration>10</Duration>"
+_DURATION_ZERO = "<Process_id>1</Process_id><Duration>0</Duration>"
+_BLANK_PARENT = _META + "<Parent_hash> </Parent_hash>"
+_OUT_OF_ORDER = '<A Time="2"/><B Time="1"/>'
+
+# Documents that the call-key walk and parse_profile must reject alike,
+# with the message each raises: every parser rejection, then faults in the
+# XML, the structure and the meta fields, alone and together with event
+# faults, in the order the checked constructors raise them (events, then
+# Process_id, Duration and Parent_hash, then the first out-of-order Time).
+WALK_REJECTIONS = {
+    **{case: (profile_document(execution), message) for case, (execution, message, _) in PARSER_REJECTIONS.items()},
+    "process-id-zero": (profile_document('<A Time="1"/>', _PID_ZERO), "Process_id must be a positive integer, got 0"),
+    "duration-zero": (profile_document('<A Time="1"/>', _DURATION_ZERO), "Duration must be a positive integer, got 0"),
+    "blank-parent-hash": (
+        profile_document('<A Time="1"/>', _BLANK_PARENT),
+        "Parent_hash must be non-empty text when present",
+    ),
+    "bad-tag-before-process-id-zero": (
+        profile_document('<Bé Time="1"/>', _PID_ZERO),
+        "api_name must be a non-empty XML name, got 'Bé'",
+    ),
+    "process-id-zero-before-out-of-order": (
+        profile_document(_OUT_OF_ORDER, _PID_ZERO),
+        "Process_id must be a positive integer, got 0",
+    ),
+    "duration-zero-before-out-of-order": (
+        profile_document(_OUT_OF_ORDER, _DURATION_ZERO),
+        "Duration must be a positive integer, got 0",
+    ),
+    "blank-parent-hash-before-out-of-order": (
+        profile_document(_OUT_OF_ORDER, _BLANK_PARENT),
+        "Parent_hash must be non-empty text when present",
+    ),
+    "non-integer-process-id-before-bad-tag": (
+        profile_document('<Bé Time="1"/>', "<Process_id>x</Process_id><Duration>10</Duration>"),
+        "<Process_id> must be an integer, got 'x'",
+    ),
+    "non-integer-time": (profile_document('<A Time="x"/>'), "event 0 <A>: Time must be an integer, got 'x'"),
+    "missing-hash": (
+        "<Profile><Meta><Process_id>1</Process_id></Meta><Execution/></Profile>",
+        "missing or empty <Hash> in <Meta>",
+    ),
+    "missing-execution": (f"<Profile><Meta><Hash>ab</Hash>{_META}</Meta></Profile>", "missing <Execution> element"),
+    "wrong-root": ("<Report/>", "root element must be <Profile>, got <Report>"),
+    "malformed-xml": (
+        '<Profile>\n<Meta><Hash>ab</Hash></Meta>\n<Execution><A Time="1"></Execution>',
+        "malformed XML: mismatched tag: line 3, column 25",
+    ),
+}
+
+
+def _error_fields(exc: Exception) -> tuple:
+    return (type(exc), str(exc), *(getattr(exc, name, None) for name in ("field_name", "line", "column")))
+
+
+class TestWalkErrors:
+    @pytest.mark.parametrize("case", list(WALK_REJECTIONS))
+    def test_walk_raises_as_parse_profile(self, case):
+        text, message = WALK_REJECTIONS[case]
+        with pytest.raises(ProfileError) as parsed:
+            parse_profile(text)
+        with pytest.raises(ProfileError) as walked:
+            _profile_calls(text)
+        assert str(parsed.value) == message
+        assert _error_fields(walked.value) == _error_fields(parsed.value)
+
+    @pytest.fixture(scope="class")
+    def characteristics(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        corpus = root / "corpus"
+        _write_corpus(corpus, {"a1-0": _profile("a1", ["Apple", "Berry"]), "b1-0": _profile("b1", ["Quince"])})
+        chars = root / "chars.json"
+        assert main(["characterize", str(corpus), "--out", str(chars)]) == 0
+        return chars
+
+    @pytest.mark.parametrize("case", list(WALK_REJECTIONS))
+    def test_commands_print_the_same_error(self, capsys, tmp_path, characteristics, case):
+        text, _ = WALK_REJECTIONS[case]
+        path = tmp_path / "x-0.xml"
+        path.write_text(text)
+        with pytest.raises(ProfileError) as parsed:
+            parse_profile(text)
+        expected = f"error: {path}: {parsed.value}"
+        for argv in (["classify", str(characteristics), str(path)], ["groups", str(tmp_path)], ["parse", str(path)]):
+            code, out, err = _run(capsys, argv)
+            assert (code, out, _single_error_line(err)) == (1, "", expected), argv
 
 
 class TestEntryPoint:

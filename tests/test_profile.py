@@ -20,7 +20,7 @@ from malbehave import (
 )
 from malbehave.profile import read_input, typed
 from conftest import make_random_profile
-from _pipeline import four_family_spec
+from _pipeline import PARSER_REJECTIONS, four_family_spec, profile_document
 
 
 def _named_events(names, start=100):
@@ -99,57 +99,23 @@ class TestParse:
             parse_profile(text)
 
 
-def _document(execution: str) -> str:
-    return (
-        "<Profile><Meta><Hash>ab</Hash><Process_id>1</Process_id><Duration>10</Duration></Meta>"
-        f"<Execution>{execution}</Execution></Profile>"
-    )
-
-
 class TestParserChecks:
     """The parser makes the ApiEvent checks itself, each name once per
     document; errors must be the ones the checked constructor raises, in
     the same order."""
 
-    @pytest.mark.parametrize(
-        "execution, message, field_name",
-        [
-            ('<Créer Time="1"/>', "api_name must be a non-empty XML name, got 'Créer'", "api_name"),
-            ('<a:b xmlns:a="u" Time="1"/>', "api_name must be a non-empty XML name, got '{u}b'", "api_name"),
-            ('<A xmlns:a="u" a:k="v" Time="1"/>', "attribute key '{u}k' is not an XML name", "{u}k"),
-            ('<A é="1" Time="1"/>', "attribute key 'é' is not an XML name", "é"),
-            ('<A Time="-5"/>', "Time must be a non-negative integer, got -5", "Time"),
-            ('<A Time="2"/><B Time="-1"/>', "Time must be a non-negative integer, got -1", "Time"),
-            ('<A k="1" Time="5"/><B Time="4"/>', "events out of order: Time 4 follows Time 5", "Time"),
-            ('<A Time="1"/><Bé Time="2"/>', "api_name must be a non-empty XML name, got 'Bé'", "api_name"),
-            ('<A Time="2"/><B Time="1"/><Cé Time="3"/>', "api_name must be a non-empty XML name, got 'Cé'", "api_name"),
-            ('<A k="1" Time="1"/><A k="2" é="3" Time="2"/>', "attribute key 'é' is not an XML name", "é"),
-            ('<Bé/>', "event 0 <Bé>: missing Time attribute", "Time"),
-        ],
-        ids=[
-            "non-ascii-tag",
-            "namespaced-tag",
-            "namespaced-key",
-            "non-ascii-key",
-            "negative-time",
-            "negative-time-second-event",
-            "out-of-order",
-            "bad-tag-second-event",
-            "bad-tag-after-out-of-order",
-            "bad-key-beside-checked-key",
-            "missing-time-before-bad-tag",
-        ],
-    )
-    def test_rejection_pinned(self, execution, message, field_name):
+    @pytest.mark.parametrize("case", list(PARSER_REJECTIONS))
+    def test_rejection_pinned(self, case):
+        execution, message, field_name = PARSER_REJECTIONS[case]
         with pytest.raises(ProfileSchemaError) as err:
-            parse_profile(_document(execution))
+            parse_profile(profile_document(execution))
         assert type(err.value) is ProfileSchemaError
         assert str(err.value) == message
         assert err.value.field_name == field_name
 
     @pytest.mark.parametrize("text, value", [("+5", 5), (" 7 ", 7), ("1_0", 10)])
     def test_accepted_time_forms(self, text, value):
-        profile = parse_profile(_document(f'<A Time="{text}"/>'))
+        profile = parse_profile(profile_document(f'<A Time="{text}"/>'))
         assert profile.events == (ApiEvent("A", (), None, value),)
 
     def test_synth_round_trip_equals_checked_events(self):

@@ -10,14 +10,16 @@ from malbehave import (
     DistanceMatrix,
     FeatureConfig,
     Profile,
-    canonicalize_event,
     corpus_elements,
     distance_matrix,
     extract_elements,
     generate_corpus,
     jaccard_distance,
     jaccard_matrix,
+    serialize_profile,
 )
+from malbehave.profile import _call_elements, _profile_calls
+from _oracles import escaped_token
 from _pipeline import MALFORMED_MATRIX_CSV, family_template, four_family_spec, mean_distance
 from conftest import make_random_event
 
@@ -122,14 +124,19 @@ class TestDistanceMatrix:
 
 def _oracle_elements(profile, config):
     """Element set straight from per-event tokens, no memo."""
-    tokens = [canonicalize_event(event, config) for event in profile.events]
+    tokens = [escaped_token(e.api_name, e.attributes, e.return_value, config) for e in profile.events]
     n = config.ngram_n
     return frozenset("||".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+# Values that need escaping, and path values in mixed case.
+_MARKED_VALUES = ("50%|off", "k=v|w=x", "%7C", "C:\\Temp\\Mixed=Case%.EXE", "HKCU\\Run|Key")
+
+
 def _event_pool(rng, size):
     """Random events, each with near-twins that differ only in the return
-    value, in attribute order, or in the case of every value."""
+    value, in attribute order, in the case of every value, or in values
+    that hold '%', '|' or '='."""
     pool = []
     for _ in range(size):
         event = make_random_event(rng, 0)
@@ -137,6 +144,8 @@ def _event_pool(rng, size):
         pool.append(ApiEvent(event.api_name, event.attributes, rng.choice(("SUCCESS", "FAILURE", None)), 0))
         pool.append(ApiEvent(event.api_name, event.attributes[::-1], event.return_value, 0))
         pool.append(ApiEvent(event.api_name, tuple((k, v.upper()) for k, v in event.attributes), event.return_value, 0))
+        marked = tuple((k, rng.choice(_MARKED_VALUES)) for k, _ in event.attributes)
+        pool.append(ApiEvent(event.api_name, marked, rng.choice(_MARKED_VALUES + (None,)), 0))
     return pool
 
 
@@ -183,6 +192,18 @@ class TestCorpusTokenizationOracle:
                 for j, y in enumerate(expected):
                     assert matrix.entries[i][j] == jaccard_distance(x, y)
 
+    @pytest.mark.parametrize("config", FEATURE_CONFIGS, ids=repr)
+    def test_walked_documents_match_per_event_oracle(self, config):
+        # The CLI's path: each profile as a document, walked to its call
+        # keys and tokenized without building events.
+        rng = random.Random(repr(config))
+        for _ in range(6):
+            profiles = _repetitive_corpus(rng)
+            rng.shuffle(profiles)
+            expected = [_oracle_elements(p, config) for p in profiles]
+            documents = [serialize_profile(p) for p in profiles]
+            assert _call_elements(map(_profile_calls, documents), config) == expected
+
     def test_two_empty_profiles_are_identical(self):
         matrix = distance_matrix([Profile("a", 1, 10), Profile("b", 1, 10)], FeatureConfig())
         assert matrix.entries == ((0.0, 0.0), (0.0, 0.0))
@@ -205,6 +226,21 @@ class TestCsv:
     def test_six_decimal_digits(self):
         matrix = DistanceMatrix(("a", "b"), ((0.0, 1 / 3), (1 / 3, 0.0)))
         assert "0.333333" in matrix.to_csv()
+
+    def test_cells_match_per_value_format(self):
+        # Rounding edges, a negative zero read from a CSV, and labels that
+        # need quoting, against the per-cell f-string rendering.
+        values = (0.0, -0.0, 1.0, 1e-7, 0.0000005, 0.1234565, 2 / 3, 0.9999995)
+        n = len(values) + 1
+        rows = [[0.0] * n for _ in range(n)]
+        for k, value in enumerate(values):
+            rows[0][k + 1] = rows[k + 1][0] = value
+        labels = ("a,b", 'q"x') + tuple(f"s{i}" for i in range(n - 2))
+        matrix = DistanceMatrix(labels, rows)
+        expected = '"a,b","q""x",' + ",".join(labels[2:]) + "\n"
+        expected += "".join(",".join(f"{value:.6f}" for value in row) + "\n" for row in matrix.entries)
+        assert matrix.to_csv() == expected
+        assert "-0.000000" in expected
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX_CSV))
     def test_malformed(self, case):
