@@ -105,7 +105,7 @@ def distinct_characteristics(
         if root_id == tree.root:
             distinct = common
         else:
-            parent_labels = sorted(tree.leaf_labels(parents[root_id]))
+            parent_labels = tree.leaf_labels(parents[root_id])
             parent_common = common_set([members[label] for label in parent_labels], config.alpha)
             distinct = common - parent_common
         result[group_id] = GroupCharacteristics(group_id, common, distinct, len(group))
@@ -141,14 +141,18 @@ def classify(
     return None
 
 
+# How many distinct tokens a report row shows in distinct_samples.
+_SAMPLE_SIZE = 5
+
+
 def characteristics_report(
     characteristics: Mapping[int, GroupCharacteristics],
     grouping: Grouping,
     *,
-    sample_size: int = 5,
     include_sets: bool = False,
 ) -> list[dict]:
-    """Rows of {id, size, members, common/distinct counts, sample tokens}.
+    """Rows of {id, size, members, common/distinct counts, sample tokens};
+    the sample tokens are the first _SAMPLE_SIZE sorted distinct tokens.
 
     include_sets adds the full sorted token sets, which makes the report
     usable as a classifier input file.
@@ -163,7 +167,7 @@ def characteristics_report(
             "members": list(grouping.groups[group_id]),
             "common_count": len(chars.common),
             "distinct_count": len(chars.distinct),
-            "distinct_samples": distinct_sorted[:sample_size],
+            "distinct_samples": distinct_sorted[:_SAMPLE_SIZE],
         }
         if include_sets:
             row["common"] = sorted(chars.common)

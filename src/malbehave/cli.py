@@ -31,11 +31,11 @@ from .profile import (
     INPUT_ERRORS,
     ElementSet,
     FeatureConfig,
-    Profile,
+    _Walk,
     _call_elements,
     _profile_calls,
+    _walk_profile,
     corpus_paths,
-    parse_profile,
     read_input,
     typed,
 )
@@ -130,21 +130,22 @@ def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet],
     return dict(zip(labels, element_sets)), jaccard_matrix(element_sets, labels)
 
 
-def _summary(label: str, profile: Profile) -> str:
-    parent = f" parent={profile.parent_hash}" if profile.parent_hash else ""
+def _summary(label: str, walk: _Walk) -> str:
+    parent = f" parent={walk.parent_hash}" if walk.parent_hash else ""
     return (
-        f"{label}: hash={profile.hash} pid={profile.process_id} "
-        f"duration={profile.duration_seconds}s events={len(profile.events)}{parent}"
+        f"{label}: hash={walk.hash} pid={walk.process_id} "
+        f"duration={walk.duration_seconds}s events={len(walk.calls)}{parent}"
     )
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    # Each profile is summarized and dropped before the next is read; the
-    # summaries are written only once every file has parsed.
+    # Each profile is walked (every parse_profile check, no event built),
+    # summarized and dropped before the next is read; the summaries are
+    # written only once every file has parsed.
     lines = []
     for path in map(Path, args.paths):
         sources = corpus_paths(path) if path.is_dir() else [path]
-        lines.extend(_summary(source.stem, read_input(source, parse_profile)) for source in sources)
+        lines.extend(_summary(source.stem, read_input(source, _walk_profile)) for source in sources)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

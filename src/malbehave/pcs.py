@@ -34,28 +34,25 @@ _SAME_BIT = bytes.maketrans(b"\xff\x00\x01", b"001")
 _DIFF_BIT = bytes.maketrans(b"\xff\x00\x01", b"100")
 
 
-@dataclass(frozen=True)
-class FamilyNormalizer:
-    """Extracts a comparable family name from an engine's detection string.
+# Words that name no family: dropped from detection strings and descriptions.
+_STOP_WORDS = frozenset({"win32", "variant", "troj_gen"})
 
-    Pipeline: lowercase, split on non-alphanumeric runs (underscores stay,
-    so multi-word stop words like troj_gen survive), drop stop words and
-    pure-hex / pure-numeric tokens, keep the longest remaining token.
+
+def _tokenize(text: str) -> list[str]:
+    # Underscores stay in tokens, so multi-word stop words like troj_gen survive.
+    return [token for token in _TOKEN_SPLIT.split(text.lower()) if token]
+
+
+def normalize_family(detection_string: str) -> str | None:
+    """Family name for a detection string, or None when nothing usable remains.
+
+    Lowercase, split on non-alphanumeric runs (underscores stay), drop stop
+    words and pure-hex / pure-numeric tokens, keep the longest token left.
     """
-
-    stop_words: frozenset = frozenset({"win32", "variant", "troj_gen"})
-
-    def tokenize(self, text: str) -> list[str]:
-        return [token for token in _TOKEN_SPLIT.split(text.lower()) if token]
-
-
-def normalize_family(detection_string: str, normalizer: FamilyNormalizer | None = None) -> str | None:
-    """Family name for a detection string, or None when nothing usable remains."""
-    nz = normalizer or FamilyNormalizer()
     kept = [
         token
-        for token in nz.tokenize(detection_string)
-        if token not in nz.stop_words and not _HEX_RE.match(token) and not token.isdigit()
+        for token in _tokenize(detection_string)
+        if token not in _STOP_WORDS and not _HEX_RE.match(token) and not token.isdigit()
     ]
     if not kept:
         return None
@@ -99,12 +96,6 @@ class EngineLabelTable:
         except ValueError:
             raise ValueError(f"unknown engine {engine!r}") from None
 
-    def malware_index(self, malware_id: str) -> int:
-        try:
-            return self.malware_ids.index(malware_id)
-        except ValueError:
-            raise ValueError(f"unknown malware id {malware_id!r}") from None
-
     def column(self, engine: str) -> tuple[str | None, ...]:
         index = self.engine_index(engine)
         return tuple(row[index] for row in self.labels)
@@ -120,12 +111,11 @@ class EngineLabelTable:
         )
         return EngineLabelTable(self.malware_ids, self.engines + (name,), rows)
 
-    def normalized(self, normalizer: FamilyNormalizer | None = None) -> "EngineLabelTable":
-        """Run every cell through the family normalizer."""
-        nz = normalizer or FamilyNormalizer()
+    def normalized(self) -> "EngineLabelTable":
+        """Run every cell through normalize_family."""
         # normalize_family is pure: one call per distinct string.
         cells = {cell for row in self.labels for cell in row if cell is not None}
-        family = {cell: normalize_family(cell, nz) for cell in cells}
+        family = {cell: normalize_family(cell) for cell in cells}
         rows = tuple(tuple(map(family.get, row)) for row in self.labels)
         return EngineLabelTable(self.malware_ids, self.engines, rows)
 
@@ -168,30 +158,10 @@ class EngineLabelTable:
         return cls(tuple(ids), engines, tuple(labels))
 
 
-def _pair_value(a: str | None, b: str | None) -> int:
-    if a is None or b is None:
-        return 0
-    return 1 if a == b else -1
-
-
-def indicator(table: EngineLabelTable, engine: str, i: str, j: str) -> int:
-    """Same-family indicator for one engine and one pair of samples."""
-    if i == j:
-        raise ValueError("indicator requires two distinct malware ids")
-    column = table.column(engine)
-    return _pair_value(column[table.malware_index(i)], column[table.malware_index(j)])
-
-
-def engine_weight(table: EngineLabelTable, engine: str) -> float:
-    """Fraction of the samples the engine detected."""
-    column = table.column(engine)
-    return sum(1 for cell in column if cell is not None) / len(column)
-
-
 def _label_masks(column: Sequence[str | None]) -> tuple[int, int]:
     """One label engine's pair verdicts as two bitmasks, (same, diff), over
-    the (i<j) row-major pairs of samples: a bit is set where _pair_value is
-    +1 / -1.
+    the (i<j) row-major pairs of samples: a bit is set where both samples
+    are detected with the same / with different families.
 
     Each family f has two '0'/'1' strings over the samples: same[f] marks
     the samples labelled f, diff[f] those detected with another family. Row
@@ -253,7 +223,12 @@ def approval(table: EngineLabelTable, engine_x: str, engine_y: str) -> float:
 
 
 def pcs_score(table: EngineLabelTable, engine: str) -> float:
-    """Detection weight times the mean approval rate over all engines."""
+    """Detection weight times the mean approval rate over all engines.
+
+    Builds the whole pcs_report, every engine against every other (m x m
+    approvals for m engines), to return one row: call pcs_report once to
+    score several engines.
+    """
     table.engine_index(engine)
     return next(row["pcs"] for row in pcs_report(table) if row["engine"] == engine)
 
@@ -320,11 +295,7 @@ class PairwiseIndicator:
         return int(verdicts.translate(_SAME_BIT), 2), int(verdicts.translate(_DIFF_BIT), 2)
 
 
-def text_mining_grouping(
-    descriptions: Mapping[str, str],
-    normalizer: FamilyNormalizer | None = None,
-    threshold: float = 0.7,
-) -> PairwiseIndicator:
+def text_mining_grouping(descriptions: Mapping[str, str], threshold: float = 0.7) -> PairwiseIndicator:
     """Bag-of-words cosine grouping over per-sample text descriptions.
 
     Two samples count as same-family when the cosine similarity of their
@@ -332,11 +303,10 @@ def text_mining_grouping(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
-    nz = normalizer or FamilyNormalizer()
     vectors: dict[str, Counter | None] = {}
     for malware_id, text in descriptions.items():
-        words = nz.tokenize(typed(text, f"description of {malware_id!r}", str))
-        tokens = [token for token in words if token not in nz.stop_words]
+        words = _tokenize(typed(text, f"description of {malware_id!r}", str))
+        tokens = [token for token in words if token not in _STOP_WORDS]
         vectors[malware_id] = Counter(tokens) if tokens else None
     return PairwiseIndicator(vectors, threshold)
 
@@ -365,10 +335,12 @@ def pcs_report(
     n = table.sample_count
     ids = table.malware_ids
 
-    masks = [_label_masks(table.column(engine)) for engine in table.engines]
-    detected: list[int] = [
-        sum(1 for cell in table.column(engine) if cell is not None) for engine in table.engines
-    ]
+    masks = []
+    detected: list[int] = []
+    for engine in table.engines:
+        column = table.column(engine)
+        masks.append(_label_masks(column))
+        detected.append(len(column) - column.count(None))
     for _, indicator_fn in extra_indicators:
         masks.append(indicator_fn.pair_masks(ids))
         detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))

@@ -15,9 +15,9 @@ separate profiles linked through ``parent_hash``.
 Profiles are turned into sets of behavior-element tokens for similarity
 analysis; tokenization is controlled by :class:`FeatureConfig`. A token
 reads only an event's call key, ``(api_name, attributes, return_value)``,
-so the corpus and classify commands walk each document to its checked call
-keys and tokenize those, building no events; :func:`parse_profile` is the
-same walk plus event construction, with the same checks and errors.
+so the commands walk each document to its checked meta fields and call
+keys and build no events; :func:`parse_profile` is the same walk plus event
+construction, with the same checks and errors.
 """
 
 from __future__ import annotations
@@ -347,8 +347,9 @@ def _escape_part(text: str) -> str:
 
 
 def _call_token(call: CallKey, config: FeatureConfig) -> BehaviorElement:
-    # Only values are escaped: an api_name or attribute key is an XML name
-    # (_NAME_RE), which holds no '%', '|' or '='.
+    # Attribute pairs are sorted by key, so their source order never
+    # matters. Only values are escaped: an api_name or attribute key is an
+    # XML name (_NAME_RE), which holds no '%', '|' or '='.
     api_name, attributes, return_value = call
     if not config.with_params:
         return api_name
@@ -360,14 +361,6 @@ def _call_token(call: CallKey, config: FeatureConfig) -> BehaviorElement:
     if config.include_return and return_value is not None:
         parts.append(f"Return={_escape_part(return_value)}")
     return "|".join(parts)
-
-
-def canonicalize_event(event: ApiEvent, config: FeatureConfig) -> BehaviorElement:
-    """Deterministic token for one event; the timestamp never participates.
-
-    Attribute order in the source never matters: pairs are sorted by key.
-    """
-    return _call_token((event.api_name, event.attributes, event.return_value), config)
 
 
 def _call_elements(call_lists: Iterable[Iterable[CallKey]], config: FeatureConfig) -> list[ElementSet]:

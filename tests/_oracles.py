@@ -126,6 +126,14 @@ def brute_force_characteristics(tree, groups, sets, alpha):
     return out
 
 
+def label_verdict(a, b):
+    """One label engine's verdict on a pair from its two cells: 0 when it
+    missed (None) either sample, +1 for the same family, -1 otherwise."""
+    if a is None or b is None:
+        return 0
+    return 1 if a == b else -1
+
+
 def cosine_verdict(a, b, threshold):
     """Text-mining pair verdict from two token Counters: 0 when either is
     empty, else +1 when cosine >= threshold, compared as the package does
@@ -160,10 +168,7 @@ def brute_force_pcs(ids, engines, rows, engine, indicators=()):
         if e >= len(engines):
             vectors, threshold = counters[e - len(engines)]
             return cosine_verdict(vectors[ids[i]], vectors[ids[j]], threshold)
-        a, b = rows[i][e], rows[j][e]
-        if a is None or b is None:
-            return 0
-        return 1 if a == b else -1
+        return label_verdict(rows[i][e], rows[j][e])
 
     if x < len(engines):
         detected = sum(1 for i in range(n) if rows[i][x] is not None)

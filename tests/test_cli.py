@@ -21,7 +21,7 @@ from malbehave import (
     serialize_profile,
 )
 from malbehave.cli import main
-from malbehave.profile import _profile_calls
+from malbehave.profile import _profile_calls, _walk_profile
 from _pipeline import MALFORMED_MATRIX_CSV, PARSER_REJECTIONS, profile_document
 
 
@@ -776,7 +776,8 @@ class TestStreamedCorpus:
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     def test_one_profile_alive(self, capsys, monkeypatch, two_family_corpus, command):
         # The token commands walk each document to its call keys; parse
-        # builds Profiles. Either result is counted while it is alive.
+        # walks it to its meta fields and call keys. A walk is a tuple, which
+        # takes no weakref, so its call list is counted while it is alive.
         counts = {"parsed": 0, "live": 0, "peak": 0}
 
         def released():
@@ -790,7 +791,11 @@ class TestStreamedCorpus:
             return result
 
         monkeypatch.setattr("malbehave.cli._profile_calls", lambda text: counted(_CallList(_profile_calls(text))))
-        monkeypatch.setattr("malbehave.cli.parse_profile", lambda text: counted(parse_profile(text)))
+        def counted_walk(text):
+            walk = _walk_profile(text)
+            return walk._replace(calls=counted(_CallList(walk.calls)))
+
+        monkeypatch.setattr("malbehave.cli._walk_profile", counted_walk)
         code, out, err = _run(capsys, [command, str(two_family_corpus)])
         assert code == 0
         assert err == ""

@@ -7,19 +7,16 @@ import pytest
 
 from malbehave import (
     EngineLabelTable,
-    FamilyNormalizer,
     Grouping,
     approval,
-    engine_weight,
     grouping_to_labels,
-    indicator,
     normalize_family,
     pcs_report,
     pcs_score,
     text_mining_grouping,
 )
-from malbehave.pcs import _label_masks, _pair_value
-from _oracles import brute_force_pcs, cosine_verdict
+from malbehave.pcs import _label_masks
+from _oracles import brute_force_pcs, cosine_verdict, label_verdict
 
 
 def _table(ids, engines, rows):
@@ -63,54 +60,57 @@ class TestNormalizeFamily:
             if first is not None:
                 assert normalize_family(first) == first
 
-    def test_custom_stop_words(self):
-        nz = FamilyNormalizer(stop_words=frozenset({"morstar"}))
-        assert normalize_family("Win32.Morstar.ba", nz) == "win32"
+
+def _mask_verdict(column, i, j):
+    """The verdict that _label_masks(column) holds for samples i < j: +1
+    from its same bit, -1 from its diff bit, 0 when neither is set."""
+    n = len(column)
+    bit = n * (n - 1) // 2 - 1 - (i * (2 * n - i - 1) // 2 + j - i - 1)
+    same, diff = _label_masks(column)
+    return (same >> bit & 1) - (diff >> bit & 1)
 
 
-class TestIndicator:
+class TestLabelMaskBits:
     def test_same_family(self):
-        assert indicator(THREE_BY_TWO, "x", "m1", "m2") == 1
+        assert _mask_verdict(THREE_BY_TWO.column("x"), 0, 1) == 1
 
     def test_different_family(self):
-        assert indicator(THREE_BY_TWO, "x", "m1", "m3") == -1
+        assert _mask_verdict(THREE_BY_TWO.column("x"), 0, 2) == -1
 
     def test_null_cell(self):
-        table = _table(["m1", "m2"], ["x"], [[None], ["f"]])
-        assert indicator(table, "x", "m1", "m2") == 0
+        assert _label_masks([None, "f"]) == (0, 0)
+        assert _mask_verdict([None, "f"], 0, 1) == 0
 
     def test_symmetry(self):
+        # Reversing the samples swaps each pair's order, never its verdict.
         rng = random.Random(17)
         table = _random_table(rng, 6, 3, 0.3)
-        ids = table.malware_ids
+        n = table.sample_count
         for engine in table.engines:
-            for i in ids:
-                for j in ids:
-                    if i != j:
-                        assert indicator(table, engine, i, j) == indicator(table, engine, j, i)
+            column = table.column(engine)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    assert _mask_verdict(column, i, j) == _mask_verdict(column[::-1], n - 1 - j, n - 1 - i)
 
-    def test_identical_ids_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            indicator(THREE_BY_TWO, "x", "m1", "m1")
 
-    def test_unknown_engine_and_id(self):
-        with pytest.raises(ValueError, match="engine"):
-            indicator(THREE_BY_TWO, "zz", "m1", "m2")
-        with pytest.raises(ValueError, match="malware"):
-            indicator(THREE_BY_TWO, "x", "m1", "zz")
+def _report_row(table, engine):
+    return next(row for row in pcs_report(table) if row["engine"] == engine)
 
 
 class TestWeight:
     def test_all_detected(self):
-        assert engine_weight(THREE_BY_TWO, "x") == 1.0
+        row = _report_row(THREE_BY_TWO, "x")
+        assert (row["detected"], row["weight"]) == (3, 1.0)
 
     def test_none_detected(self):
         table = _table(["m1", "m2"], ["x"], [[None], [None]])
-        assert engine_weight(table, "x") == 0.0
+        row = _report_row(table, "x")
+        assert (row["detected"], row["weight"]) == (0, 0.0)
 
     def test_half_detected(self):
         table = _table(["m1", "m2", "m3", "m4"], ["x"], [["f"], [None], ["g"], [None]])
-        assert engine_weight(table, "x") == 0.5
+        row = _report_row(table, "x")
+        assert (row["detected"], row["weight"]) == (2, 0.5)
 
 
 class TestApproval:
@@ -153,6 +153,14 @@ class TestPcsScore:
         table = _table(["m1"], ["x"], [["f"]])
         with pytest.raises(ValueError, match="at least 2"):
             pcs_score(table, "x")
+
+    def test_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine 'zz'"):
+            pcs_score(THREE_BY_TWO, "zz")
+        with pytest.raises(ValueError, match="unknown engine 'zz'"):
+            approval(THREE_BY_TWO, "zz", "x")
+        with pytest.raises(ValueError, match="unknown engine 'zz'"):
+            approval(THREE_BY_TWO, "x", "zz")
 
     def test_matches_brute_force(self):
         rng = random.Random(90125)
@@ -273,7 +281,7 @@ class TestPairMasks:
                 column[0] = column[-1] = None
             columns.append(column)
         for column in columns:
-            assert _label_masks(column) == _literal_masks(_pair_value, column)
+            assert _label_masks(column) == _literal_masks(label_verdict, column)
 
     def test_indicator_masks_equal_literal_enumeration(self):
         rng = random.Random(1618)

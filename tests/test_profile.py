@@ -11,7 +11,6 @@ from malbehave import (
     Profile,
     ProfileParseError,
     ProfileSchemaError,
-    canonicalize_event,
     extract_elements,
     generate_corpus,
     parse_profile,
@@ -182,21 +181,27 @@ class TestValidation:
             FeatureConfig(ngram_n=0)
 
 
+def _event_token(event, config):
+    """The one token of a one-event profile."""
+    [token] = extract_elements(Profile("ab", 1, 10, (event,)), config)
+    return token
+
+
 class TestCanonicalization:
     def test_name_only_mode(self, sample_xml):
         event = parse_profile(sample_xml).events[0]
-        assert canonicalize_event(event, FeatureConfig(with_params=False)) == "CreateFile"
+        assert _event_token(event, FeatureConfig(with_params=False)) == "CreateFile"
 
     def test_full_mode_token(self, sample_xml):
         event = parse_profile(sample_xml).events[0]
-        token = canonicalize_event(event, FeatureConfig())
+        token = _event_token(event, FeatureConfig())
         assert "c:\\docume~1\\ants\\locals~1\\temp\\n7785\\s7785.exe" in token
         assert "desiredAccess=GENERIC_WRITE" in token
         assert token.endswith("Return=SUCCESS")
 
     def test_path_values_lowercased_non_path_verbatim(self):
         event = ApiEvent("RegSetValue", (("hKey", "HKCU\\Run"), ("data", "MiXeD")), None, 0)
-        token = canonicalize_event(event, FeatureConfig())
+        token = _event_token(event, FeatureConfig())
         assert "hkcu\\run" in token
         assert "data=MiXeD" in token
 
@@ -204,13 +209,13 @@ class TestCanonicalization:
         a = ApiEvent("ReadFile", (("hName", "x"),), "SUCCESS", 1)
         b = ApiEvent("ReadFile", (("hName", "x"),), "SUCCESS", 99)
         config = FeatureConfig()
-        assert canonicalize_event(a, config) == canonicalize_event(b, config)
+        assert _event_token(a, config) == _event_token(b, config)
 
     def test_attribute_order_invariance(self):
         a = ApiEvent("ReadFile", (("hName", "x"), ("mode", "r")), None, 0)
         b = ApiEvent("ReadFile", (("mode", "r"), ("hName", "x")), None, 0)
         config = FeatureConfig()
-        assert canonicalize_event(a, config) == canonicalize_event(b, config)
+        assert _event_token(a, config) == _event_token(b, config)
 
     def test_xml_attribute_order_invariance(self):
         head = (
@@ -227,11 +232,11 @@ class TestCanonicalization:
         a = ApiEvent("ReadFile", (("data", "x|y=z"),), None, 0)
         b = ApiEvent("ReadFile", (("data", "x"), ("extra", "y=z")), None, 0)
         config = FeatureConfig()
-        assert canonicalize_event(a, config) != canonicalize_event(b, config)
+        assert _event_token(a, config) != _event_token(b, config)
 
     def test_return_dropped_when_configured(self):
         event = ApiEvent("ReadFile", (), "SUCCESS", 0)
-        assert "Return" not in canonicalize_event(event, FeatureConfig(include_return=False))
+        assert "Return" not in _event_token(event, FeatureConfig(include_return=False))
 
 
 class TestExtractElements:
