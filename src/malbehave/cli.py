@@ -9,9 +9,13 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 from .characteristics import (
     EnduranceConfig,
@@ -119,14 +123,151 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _fork_chunk(work: Callable[[list[Path]], list], chunk: list[Path]) -> tuple[int, BinaryIO]:
+    """The pid and the pipe's read end of a forked worker that sends back
+    the pickled (True, work(chunk)) or (False, exception) and exits."""
+    # Only the fork path imports pickle: the module adds about 0.2 MB to
+    # the RSS of a process.
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # The worker never returns into the caller's stack, and os._exit
+        # flushes no stdio buffer it inherited.
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                payload = pickle.dumps((True, work(chunk)), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:  # an interrupt too: the caller raises it
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            with open(write_end, "wb") as stream:
+                stream.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _worker_result(payload: bytes, status: int, chunk: list[Path]) -> list:
+    """A reaped worker's result, or its error raised here."""
+    import pickle  # see _fork_chunk
+
+    if status or not payload:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(f"{chunk[0]}..{chunk[-1].name}: worker process ended without a result ({how})")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
+
+
+# A fork, its worker's exit and the copy-on-write faults it causes cost about
+# 4-5 ms on a 2-vCPU host: the parse time of 150-200 KB of profile XML,
+# whether the files are 3 KB or 58 KB each. So each chunk must hold at least
+# _CHUNK_BYTES of files. The fan-out was measured at two processes only.
+_CHUNK_BYTES = 128 << 10
+_MAX_CHUNKS = 2
+# A cgroup v2 CPU quota, "QUOTA PERIOD" or "max PERIOD", as a container sees it.
+_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, lowered to its cgroup's CPU quota."""
+    if not hasattr(os, "sched_getaffinity"):  # not Linux
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        quota, period = _CPU_MAX.read_text().split()
+        cpus = min(cpus, max(1, int(quota) // int(period)))
+    except (OSError, ValueError):  # no cgroup v2 file, or no quota ("max")
+        pass
+    return cpus
+
+
+def _chunk_count(paths: list[Path]) -> int:
+    """How many chunks to split paths into: one per usable CPU, at most
+    _MAX_CHUNKS, and at most one per _CHUNK_BYTES of files."""
+    count = min(_cpu_count(), _MAX_CHUNKS, len(paths))
+    if count < 2:
+        return 1
+    size = 0
+    for path in paths:
+        if size >= count * _CHUNK_BYTES:
+            break
+        try:
+            size += os.stat(path).st_size
+        except OSError:  # the reader reports it, in name order
+            return 1
+    return max(1, min(count, size // _CHUNK_BYTES))
+
+
+def _map_corpus(work: Callable[[list[Path]], list], paths: list[Path]) -> list:
+    """work(chunk) over contiguous chunks of paths, joined in path order.
+
+    The first chunk is worked here while a forked worker works each other
+    one (see _chunk_count). Each chunk stops at its first error, so the
+    first failing chunk holds the first failing path, and its error (class,
+    message, fields) is the one raised, as if work(paths) had run here.
+    With one chunk, or in a process with other threads, which a fork would
+    not copy, work(paths) runs here. When a fork fails (no process or no
+    memory left for a worker), the chunks without a worker are worked here
+    after the workers' results.
+    """
+    count = 1 if threading.active_count() > 1 else _chunk_count(paths)
+    if count < 2:
+        return work(paths)
+    bounds = [len(paths) * k // count for k in range(count + 1)]
+    chunks = [paths[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    pending = []  # (pid, read end) of each worker not yet reaped, in chunk order
+    try:
+        for chunk in chunks[1:]:
+            try:
+                pending.append(_fork_chunk(work, chunk))
+            except OSError:  # EAGAIN, ENOMEM: the command still needs no worker
+                break
+        forked = 1 + len(pending)  # chunks[1:forked] have a worker
+        results = work(chunks[0])
+        for chunk in chunks[1:forked]:
+            pid, stream = pending[0]
+            with stream:
+                payload = stream.read()
+            _, status = os.waitpid(pid, 0)
+            del pending[0]
+            results += _worker_result(payload, status, chunk)
+        for chunk in chunks[forked:]:
+            results += work(chunk)
+        return results
+    finally:
+        # After an error the workers left are not waited for: one may still
+        # be parsing, or blocked writing a result larger than the pipe
+        # buffer. Each is killed, then reaped.
+        for pid, stream in pending:
+            stream.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet], DistanceMatrix]:
     """The corpus's element set per label and their distance matrix, from
-    one tokenization. Profiles are walked to their call keys and tokenized
-    one at a time, so only their element sets are kept."""
+    one tokenization. Each process walks its profiles to their call keys
+    and tokenizes them one at a time, so only their element sets are kept."""
     sources = corpus_paths(path)
     labels = [source.stem for source in sources]
-    call_lists = (read_input(source, _profile_calls) for source in sources)
-    element_sets = _call_elements(call_lists, config.feature())
+    feature = config.feature()
+
+    def chunk_elements(chunk: list[Path]) -> list[ElementSet]:
+        return _call_elements((read_input(source, _profile_calls) for source in chunk), feature)
+
+    element_sets = _map_corpus(chunk_elements, sources)
     return dict(zip(labels, element_sets)), jaccard_matrix(element_sets, labels)
 
 
@@ -138,14 +279,22 @@ def _summary(label: str, walk: _Walk) -> str:
     )
 
 
+def _summaries(sources: list[Path]) -> list[str]:
+    return [_summary(source.stem, read_input(source, _walk_profile)) for source in sources]
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
     # Each profile is walked (every parse_profile check, no event built),
     # summarized and dropped before the next is read; the summaries are
-    # written only once every file has parsed.
+    # written only once every file has parsed. A path that is not a
+    # directory is a profile file if it exists or is named *.xml; any other
+    # is a corpus directory, which corpus_paths names when it is missing.
     lines = []
     for path in map(Path, args.paths):
-        sources = corpus_paths(path) if path.is_dir() else [path]
-        lines.extend(_summary(source.stem, read_input(source, _walk_profile)) for source in sources)
+        if not path.is_dir() and (path.exists() or path.suffix.lower() == ".xml"):
+            lines += _summaries([path])
+        else:
+            lines += _map_corpus(_summaries, corpus_paths(path))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -160,9 +309,11 @@ def _cmd_distmat(args: argparse.Namespace) -> int:
 def _cmd_tree(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     source = Path(args.input)
-    if source.is_dir():
+    csv_matrix = source.suffix.lower() == ".csv"
+    if source.is_dir() or not (csv_matrix or source.exists()):
+        # corpus_paths names a missing path.
         _, matrix = _corpus_matrix(args.input, config)
-    elif source.suffix.lower() == ".csv":
+    elif csv_matrix:
         matrix = read_input(source, DistanceMatrix.from_csv)
     else:
         raise ValueError(f"tree input must be a corpus directory or a .csv matrix, got {args.input}")

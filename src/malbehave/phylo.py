@@ -24,6 +24,7 @@ instead of O(n^3).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import inf
@@ -155,6 +156,9 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     for s in range(n - 1):
         rescan(s)
 
+    # The rows not yet merged away, in order. A retired row and column
+    # hold inf, which an update would keep, so the loops below skip them.
+    live = list(range(n))
     last_height = 0.0
     for _ in range(n - 1):
         height = min(near)
@@ -166,7 +170,11 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
         a, b = node_of[i], node_of[j]
         nodes.append(PhyloNode(len(nodes), height, (a, b)))
         wi, wj = sizes[i], sizes[j]
-        for x, row in enumerate(d):
+        live.remove(j)
+        # Row i's own turn (x == i) keeps its inf diagonal and retires its
+        # cell in column j: (inf + d[i][j]) / 2 is inf.
+        for x in live:
+            row = d[x]
             if size_weighted:
                 merged = (wi * row[i] + wj * row[j]) / (wi + wj)
             else:
@@ -184,7 +192,8 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
         # or ties it further left. A row between i and j loses only
         # column j; rows below j see no change right of their diagonal.
         rescan(i)
-        for x in range(i):
+        at_i = bisect_left(live, i)
+        for x in live[:at_i]:
             c = col[x]
             if c == i or c == j:
                 rescan(x)
@@ -193,7 +202,7 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
                 if value < near[x] or (value == near[x] and i < c):
                     near[x] = value
                     col[x] = i
-        for x in range(i + 1, j):
+        for x in live[at_i + 1 : bisect_left(live, j)]:
             if col[x] == j:
                 rescan(x)
 

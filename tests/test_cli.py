@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -21,7 +24,7 @@ from malbehave import (
     serialize_profile,
 )
 from malbehave.cli import main
-from malbehave.profile import _profile_calls, _walk_profile
+from malbehave.profile import _profile_calls, _walk_profile, corpus_paths, read_input
 from _pipeline import MALFORMED_MATRIX_CSV, PARSER_REJECTIONS, profile_document
 
 
@@ -772,21 +775,36 @@ class _CallList(list):
     """A list that takes a weak reference."""
 
 
+def _cpus(monkeypatch, count):
+    """Make the corpus commands split their files into count chunks (at
+    most one per file), whatever the CPUs and the corpus size."""
+    monkeypatch.setattr(cli, "_chunk_count", lambda paths: min(count, len(paths)))
+
+
 class TestStreamedCorpus:
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
-    def test_one_profile_alive(self, capsys, monkeypatch, two_family_corpus, command):
+    def test_one_profile_alive(self, capsys, monkeypatch, tmp_path, two_family_corpus, command, cpus):
         # The token commands walk each document to its call keys; parse
         # walks it to its meta fields and call keys. A walk is a tuple, which
         # takes no weakref, so its call list is counted while it is alive.
-        counts = {"parsed": 0, "live": 0, "peak": 0}
+        # Each process (this one and every worker) counts its own walks and
+        # writes its counts to a file named after its pid.
+        _cpus(monkeypatch, cpus)
+        counts = {}
+
+        def mine():
+            return counts.setdefault(os.getpid(), {"parsed": 0, "live": 0, "peak": 0})
 
         def released():
-            counts["live"] -= 1
+            mine()["live"] -= 1
 
         def counted(result):
-            counts["parsed"] += 1
-            counts["live"] += 1
-            counts["peak"] = max(counts["peak"], counts["live"])
+            own = mine()
+            own["parsed"] += 1
+            own["live"] += 1
+            own["peak"] = max(own["peak"], own["live"])
+            (tmp_path / f"counts-{os.getpid()}.json").write_text(json.dumps(own))
             weakref.finalize(result, released)
             return result
 
@@ -800,8 +818,10 @@ class TestStreamedCorpus:
         assert code == 0
         assert err == ""
         assert out
-        assert counts["parsed"] == 4
-        assert counts["peak"] == 1
+        per_process = [json.loads(path.read_text()) for path in tmp_path.glob("counts-*.json")]
+        assert len(per_process) == cpus
+        assert sum(own["parsed"] for own in per_process) == 4
+        assert [own["peak"] for own in per_process] == [1] * cpus
 
     @pytest.fixture
     def corpora(self, tmp_path):
@@ -829,12 +849,24 @@ class TestStreamedCorpus:
             assert line.startswith(f"error: {path / 'b-0.xml'}: malformed XML: ")
         elif case == "empty":
             assert line == f"error: no profile XML files in {path}"
-        elif command == "tree":
-            assert line == f"error: tree input must be a corpus directory or a .csv matrix, got {path}"
-        elif command == "parse":
-            assert line == f"error: [Errno 2] No such file or directory: '{path}'"
         else:
             assert line == f"error: corpus directory not found: {path}"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["parse", "missing.xml"], "error: [Errno 2] No such file or directory: 'missing.xml'"),
+            (["tree", "missing.csv"], "error: [Errno 2] No such file or directory: 'missing.csv'"),
+            (["tree", "notes.txt"], "error: tree input must be a corpus directory or a .csv matrix, got notes.txt"),
+        ],
+    )
+    def test_file_errors(self, capsys, monkeypatch, tmp_path, argv, line):
+        # A missing path named as a file is read as one; an existing file
+        # that tree cannot read is named as such.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "notes.txt").write_text("not a matrix")
+        code, out, err = _run(capsys, argv)
+        assert (code, out, _single_error_line(err)) == (1, "", line)
 
 
 _META = "<Process_id>1</Process_id><Duration>10</Duration>"
@@ -925,6 +957,308 @@ class TestWalkErrors:
         for argv in (["classify", str(characteristics), str(path)], ["groups", str(tmp_path)], ["parse", str(path)]):
             code, out, err = _run(capsys, argv)
             assert (code, out, _single_error_line(err)) == (1, "", expected), argv
+
+
+@pytest.fixture
+def ordered_corpus(tmp_path):
+    """Six profiles p0-0 .. p5-0: two chunks of three at two CPUs, three of
+    two at three."""
+    corpus = tmp_path / "ordered"
+    _write_corpus(corpus, {f"p{k}-0": _profile(f"p{k}", ["Apple", f"Fruit{k % 3}"]) for k in range(6)})
+    return corpus
+
+
+class TestCorpusWorkers:
+    """Corpus commands split the sorted files into one contiguous chunk per
+    CPU; the first is worked in this process and the others in forked
+    workers. The results and the errors are those of one process."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "{c}", "--threshold", "0.7"],
+            ["groups", "{c}"],
+            ["distmat", "{c}", "--ngram", "2"],
+            ["tree", "{c}"],
+            ["parse", "{c}"],
+            ["parse", "{c}/a2-0.xml", "{c}", "{c}/b1-0.xml"],
+        ],
+        ids=lambda argv: "-".join(arg for arg in argv if "{" not in arg),
+    )
+    def test_same_bytes_at_any_cpu_count(self, capsys, monkeypatch, tmp_path, argv):
+        corpus = tmp_path / "corpus"
+        fruits = ["Apple", "Berry", "Cherry", "Damson", "Elder", "Fig", "Grape"]
+        _write_corpus(corpus, {f"{f}{k}-0": _profile(f"{f}{k}", fruits[k : k + 3]) for f in "ab" for k in range(4)})
+        argv = [arg.format(c=corpus) for arg in argv]
+        outputs = []
+        for cpus in (1, 2, 3, 8, 16):
+            _cpus(monkeypatch, cpus)
+            outputs.append(_run(capsys, argv))
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs == [outputs[0]] * len(outputs)
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    @pytest.mark.parametrize(
+        "cpus, broken, first",
+        [
+            (2, ["p2-0", "p3-0"], "p2-0"),  # both chunks fail, the second sooner
+            (2, ["p4-0"], "p4-0"),  # only the worker's chunk fails
+            (3, ["p3-0", "p4-0"], "p3-0"),  # two workers fail
+            (3, ["p5-0", "p0-0"], "p0-0"),  # this process's chunk fails first
+        ],
+    )
+    def test_first_failing_file_in_name_order(self, capsys, monkeypatch, ordered_corpus, command, cpus, broken, first):
+        for name in broken:
+            (ordered_corpus / f"{name}.xml").write_text("<Profile><Meta>")
+        lines = []
+        for count in (1, cpus):
+            _cpus(monkeypatch, count)
+            code, out, err = _run(capsys, [command, str(ordered_corpus)])
+            assert (code, out) == (1, "")
+            lines.append(_single_error_line(err))
+        assert lines[0].startswith(f"error: {ordered_corpus / first}.xml: malformed XML: ")
+        assert lines[1] == lines[0]
+
+    @pytest.mark.parametrize("case", ["malformed-xml", "process-id-zero", "non-integer-time", "wrong-root"])
+    def test_error_fields_cross_the_process_boundary(self, monkeypatch, ordered_corpus, case):
+        text, _ = WALK_REJECTIONS[case]
+        (ordered_corpus / "p4-0.xml").write_text(text)
+        fields = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(ProfileError) as tokens:
+                cli._corpus_matrix(str(ordered_corpus), cli.RunConfig())
+            with pytest.raises(ProfileError) as summaries:
+                cli._map_corpus(cli._summaries, corpus_paths(ordered_corpus))
+            fields += [_error_fields(tokens.value), _error_fields(summaries.value)]
+        assert fields == [fields[0]] * 4
+        assert fields[0][1].startswith(f"{ordered_corpus / 'p4-0.xml'}: ")
+        if case == "malformed-xml":
+            assert fields[0][3:] == (3, 25)
+        elif case == "process-id-zero":
+            assert fields[0][2] == "Process_id"
+
+    def test_os_error_crosses_the_process_boundary(self, monkeypatch, ordered_corpus):
+        # A directory named like a profile: reading it is an OSError, which
+        # keeps its class, errno and filename.
+        (ordered_corpus / "p4-0.xml").unlink()
+        (ordered_corpus / "p4-0.xml").mkdir()
+        raised = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(OSError) as error:
+                cli._corpus_matrix(str(ordered_corpus), cli.RunConfig())
+            raised.append((type(error.value), str(error.value), error.value.errno, error.value.filename))
+        assert raised[0] == raised[1]
+        assert raised[0][0] is IsADirectoryError
+
+    def test_large_results(self, monkeypatch):
+        # Each worker's result is over the 64 KiB pipe buffer.
+        _cpus(monkeypatch, 3)
+
+        def work(chunk):
+            return [name * 100_000 for name in chunk]
+
+        names = ["a", "b", "c", "d", "e"]
+        assert cli._map_corpus(work, names) == work(names)
+
+    @pytest.mark.parametrize("worker", ["large-result", "still-working"])
+    def test_own_chunk_fails_first(self, monkeypatch, worker):
+        # The worker blocks writing a result over the pipe buffer until it
+        # is read, or is still at work: this process kills it rather than
+        # wait for it.
+        _cpus(monkeypatch, 2)
+
+        def work(chunk):
+            if chunk[0] == "first":
+                raise ProfileError("first chunk fails")
+            if worker == "still-working":
+                time.sleep(60)
+            return ["x" * (1 << 20)]
+
+        def deadlocked(signum, frame):
+            raise TimeoutError("the corpus map did not return")
+
+        previous = signal.signal(signal.SIGALRM, deadlocked)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ProfileError, match="first chunk fails"):
+                cli._map_corpus(work, ["first", "second"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    @pytest.mark.parametrize("broken", [None, "p1-0", "p4-0"])
+    def test_no_worker_outlives_the_command(self, capsys, monkeypatch, ordered_corpus, command, broken):
+        _cpus(monkeypatch, 3)
+        if broken:
+            (ordered_corpus / f"{broken}.xml").write_text("<Profile><Meta>")
+        code, _, _ = _run(capsys, [command, str(ordered_corpus)])
+        assert code == (1 if broken else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    @pytest.mark.parametrize(
+        "death, how", [("exit-0", "exit status 0"), ("exit-3", "exit status 3"), ("kill", "killed by signal 9")]
+    )
+    def test_worker_dies_without_result(self, capsys, monkeypatch, ordered_corpus, command, death, how):
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def read_or_die(path, parse):
+            if os.getpid() != parent:
+                if death == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(int(death[-1]))
+            return read_input(path, parse)
+
+        monkeypatch.setattr("malbehave.cli.read_input", read_or_die)
+        code, out, err = _run(capsys, [command, str(ordered_corpus)])
+        assert (code, out) == (1, "")
+        expected = f"error: {ordered_corpus / 'p3-0.xml'}..p5-0.xml: worker process ended without a result ({how})"
+        assert _single_error_line(err) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    @pytest.mark.parametrize("broken", [None, "p1-0", "p3-0", "p5-0"])
+    def test_fork_fails(self, capsys, monkeypatch, ordered_corpus, command, broken):
+        # Out of processes or memory (EAGAIN, ENOMEM) after the first fork:
+        # the chunks without a worker are worked here, in order, with the
+        # output and the error of one process.
+        if broken:
+            (ordered_corpus / f"{broken}.xml").write_text("<Profile><Meta>")
+        _cpus(monkeypatch, 1)
+        expected = _run(capsys, [command, str(ordered_corpus)])
+        fork = os.fork
+        forks = []
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        _cpus(monkeypatch, 3)
+        assert _run(capsys, [command, str(ordered_corpus)]) == expected
+        assert len(forks) == 2
+        assert expected[0] == (1 if broken else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_at_all(self, capsys, monkeypatch, ordered_corpus):
+        _cpus(monkeypatch, 1)
+        expected = _run(capsys, ["groups", str(ordered_corpus)])
+
+        def no_fork():
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _cpus(monkeypatch, 2)
+        assert _run(capsys, ["groups", str(ordered_corpus)]) == expected
+
+    def test_buffered_stdout_written_once(self, ordered_corpus):
+        # Text still in this process's stdout buffer at the fork is not
+        # written again by a worker on its way out.
+        code = (
+            "import sys; from malbehave import cli; cli._chunk_count = lambda paths: 3; "
+            "sys.stdout.write('before\\n'); sys.exit(cli.main(sys.argv[1:]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "parse", str(ordered_corpus)], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        lines = result.stdout.splitlines()
+        assert lines[0] == "before"
+        assert [line.split(":")[0] for line in lines[1:]] == [f"p{k}-0" for k in range(6)]
+
+    def test_no_fork_with_other_threads(self, capsys, monkeypatch, ordered_corpus):
+        # A fork copies only the calling thread, so with another thread
+        # alive every file is read in this process.
+        _cpus(monkeypatch, 2)
+        read = []
+
+        def recorded(path, parse):
+            read.append(path.stem)
+            return read_input(path, parse)
+
+        monkeypatch.setattr("malbehave.cli.read_input", recorded)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            code, _, err = _run(capsys, ["groups", str(ordered_corpus)])
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (code, err) == (0, "")
+        assert read == [f"p{k}-0" for k in range(6)]
+
+
+class TestChunkCount:
+    """One chunk per CPU the process may use, capped at the fan-out that
+    was measured, and only as many as the corpus's bytes pay for."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch, tmp_path):
+        def set_cpus(count, cpu_max=None):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+            monkeypatch.setattr(cli, "_CPU_MAX", tmp_path / "cpu.max")
+            if cpu_max is not None:
+                (tmp_path / "cpu.max").write_text(cpu_max + "\n")
+
+        return set_cpus
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_max, count",
+        [
+            (8, None, 8),
+            (8, "max 100000", 8),
+            (8, "300000 100000", 3),
+            (8, "150000 100000", 1),
+            (8, "50000 100000", 1),
+            (2, "400000 100000", 2),
+            (8, "", 8),
+        ],
+    )
+    def test_cpu_count(self, cpus, affinity, cpu_max, count):
+        cpus(affinity, cpu_max)
+        assert cli._cpu_count() == count
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._cpu_count() == 1
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_max, sizes, count",
+        [
+            (16, None, [cli._CHUNK_BYTES] * 8, cli._MAX_CHUNKS),
+            (1, None, [cli._CHUNK_BYTES] * 8, 1),
+            (16, "100000 100000", [cli._CHUNK_BYTES] * 8, 1),
+            (2, None, [cli._CHUNK_BYTES, cli._CHUNK_BYTES - 1], 1),
+            (2, None, [cli._CHUNK_BYTES, cli._CHUNK_BYTES], 2),
+            (2, None, [1] * 7 + [2 * cli._CHUNK_BYTES], 2),
+            (2, None, [2 * cli._CHUNK_BYTES], 1),
+        ],
+    )
+    def test_chunk_count(self, cpus, tmp_path, affinity, cpu_max, sizes, count):
+        cpus(affinity, cpu_max)
+        paths = []
+        for k, size in enumerate(sizes):
+            paths.append(tmp_path / f"p{k}.xml")
+            paths[-1].write_bytes(b"x" * size)
+        assert cli._chunk_count(paths) == count
+
+    def test_unreadable_path_left_to_the_reader(self, cpus, tmp_path):
+        cpus(2)
+        (tmp_path / "p1.xml").write_bytes(b"x" * 2 * cli._CHUNK_BYTES)
+        assert cli._chunk_count([tmp_path / "p0.xml", tmp_path / "p1.xml"]) == 1
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -38,6 +39,19 @@ ROUNDING_GOLDEN = (
     "(((L1:0.1,L13:0.1):0,L4:0.1):0.0666666667,((L10:0.1,L12:0.1):0.05,L3:0.15):0.0166666667):0.0583333333):0.005,"
     "((L11:0.1,L8:0.1):0.1,L2:0.2):0.03):0.0084615385,L5:0.2384615385);"
 )
+
+# sha256 prefix of every node as (id, height.hex(), children, label), for
+# 300-leaf matrices with shuffled labels, from the tree builder whose merge
+# update visited every row of the working matrix, retired rows included.
+ALL_ROWS_DIGESTS = {
+    ("continuous", False): "230ae6563bde7be3",
+    ("continuous", True): "d310042a2661bd39",
+    ("ties", False): "edc84e0f2d63bf68",
+    ("ties", True): "e42d49b9cc717f69",
+    ("zero-ties", False): "3d661989d42b7628",
+    ("zero-ties", True): "fdc847895c5de0e9",
+}
+GRIDS = {"continuous": None, "ties": TIE_GRID, "zero-ties": ZERO_TIE_GRID}
 
 
 class TestUpgma:
@@ -101,6 +115,14 @@ class TestUpgma:
             (height, {a, b}) for height, a, b in expected
         ]
         assert to_newick(tree) == ROUNDING_GOLDEN
+
+    @pytest.mark.parametrize("grid, size_weighted", sorted(ALL_ROWS_DIGESTS))
+    def test_live_row_updates_match_all_rows(self, grid, size_weighted):
+        # Skipping retired rows changes no node and no height bit.
+        matrix = random_matrix(random.Random(300), 300, GRIDS[grid], shuffled=True)
+        nodes = [(n.id, n.height.hex(), n.children, n.label) for n in upgma(matrix, size_weighted=size_weighted).nodes]
+        digest = hashlib.sha256(repr(nodes).encode()).hexdigest()[:16]
+        assert digest == ALL_ROWS_DIGESTS[grid, size_weighted]
 
     def test_heights_non_decreasing(self):
         rng = random.Random(5)
