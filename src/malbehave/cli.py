@@ -512,12 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _error_text(exc: Exception) -> str:
+    # Python's text for an OSError on a file puts the path last ("[Errno 2]
+    # No such file or directory: 'x.csv'"); put it first, as every other
+    # input error does.
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (*INPUT_ERRORS, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
 
 

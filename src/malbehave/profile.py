@@ -146,7 +146,7 @@ def _check_order(timestamps: Iterable[int]) -> None:
 
 def _checked_event(call: CallKey, timestamp: int) -> ApiEvent:
     """An ApiEvent built without running __post_init__. Only for a caller
-    that has made the same checks itself, as parse_profile does."""
+    that has made the same checks itself, as parse_profile and synth do."""
     api_name, attributes, return_value = call
     event = object.__new__(ApiEvent)
     # Set as the dataclass __init__ does, so the instance keeps its compact
@@ -315,8 +315,34 @@ def _profile_calls(xml_text: str) -> list[CallKey]:
     return _walk_profile(xml_text).calls
 
 
+# The characters xml.sax.saxutils.quoteattr rewrites in a value, or that
+# make it pick single quotes.
+_ATTRIBUTE_SPECIALS = frozenset('&<>"\n\r\t')
+
+
+def _quoteattr(value: str) -> str:
+    """quoteattr(value): a value without _ATTRIBUTE_SPECIALS is only put in
+    double quotes, which is what quoteattr returns for it."""
+    if _ATTRIBUTE_SPECIALS.isdisjoint(value):
+        return '"' + value + '"'
+    return _xml_quoteattr(value)
+
+
+def _event_head(call: CallKey) -> str:
+    """An event's element up to its Time attribute: '<Api key="value" Return="r"'."""
+    api_name, attributes, return_value = call
+    parts = [api_name]
+    for key, value in attributes:
+        parts.append(f"{key}={_quoteattr(value)}")
+    if return_value is not None:
+        parts.append(f"Return={_quoteattr(return_value)}")
+    return "<" + " ".join(parts)
+
+
 def serialize_profile(profile: Profile) -> str:
-    """Emit the profile XML document; parse_profile(serialize_profile(p)) == p."""
+    """Emit the profile XML document; parse_profile(serialize_profile(p)) == p.
+
+    Each distinct call key is formatted once per document."""
     lines = ['<?xml version="1.0"?>', "<Profile>", "<Meta>"]
     lines.append(f"<Hash>{_xml_escape(profile.hash)}</Hash>")
     lines.append(f"<Process_id>{profile.process_id}</Process_id>")
@@ -326,14 +352,13 @@ def serialize_profile(profile: Profile) -> str:
     lines.append("</Meta>")
     if profile.events:
         lines.append("<Execution>")
+        head_of = {}
         for event in profile.events:
-            parts = [event.api_name]
-            for key, value in event.attributes:
-                parts.append(f"{key}={_xml_quoteattr(value)}")
-            if event.return_value is not None:
-                parts.append(f"Return={_xml_quoteattr(event.return_value)}")
-            parts.append(f'Time="{event.timestamp}"')
-            lines.append(f"<{' '.join(parts)} />")
+            call = (event.api_name, event.attributes, event.return_value)
+            head = head_of.get(call)
+            if head is None:
+                head = head_of[call] = _event_head(call)
+            lines.append(f'{head} Time="{event.timestamp}" />')
         lines.append("</Execution>")
     else:
         lines.append("<Execution/>")

@@ -16,10 +16,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import ApiEvent, Profile, serialize_profile, typed, typed_float
+from .profile import ApiEvent, Profile, _checked_event, serialize_profile, typed, typed_float
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,6 +63,9 @@ class Xorshift64Star:
         if self._state == 0:
             self._state = 0x9E3779B97F4A7C15
 
+    # random and randrange repeat next_u64's step rather than call it: synth
+    # draws once or more per event, and the extra call cost as much as the
+    # step itself.
     def next_u64(self) -> int:
         s = self._state
         s ^= s >> 12
@@ -72,12 +76,22 @@ class Xorshift64Star:
 
     def random(self) -> float:
         """Float in [0, 1) with 53 bits of the next output."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        s = self._state
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK64
+        s ^= s >> 27
+        self._state = s
+        return (((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (2.0 ** -53)
 
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        return self.next_u64() % n
+        s = self._state
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK64
+        s ^= s >> 27
+        self._state = s
+        return ((s * 0x2545F4914F6CDD1D) & _MASK64) % n
 
     def choice(self, seq: Sequence):
         return seq[self.randrange(len(seq))]
@@ -85,7 +99,11 @@ class Xorshift64Star:
 
 @dataclass(frozen=True)
 class FamilyTemplate:
-    """Base behavior of one family and the mutations its variants may carry."""
+    """Base behavior of one family and the mutations its variants may carry.
+
+    The base events and param pools are checked here, once, so that
+    generation can build every variant's events unchecked.
+    """
 
     name: str
     base_events: tuple[ApiEvent, ...]
@@ -95,16 +113,21 @@ class FamilyTemplate:
     def __post_init__(self):
         object.__setattr__(self, "base_events", tuple(self.base_events))
         object.__setattr__(self, "mutation_ops", frozenset(self.mutation_ops))
+        # Read-only, as the pools are checked here once for every variant.
         object.__setattr__(
             self,
             "param_pools",
-            {key: tuple(values) for key, values in dict(self.param_pools).items()},
+            MappingProxyType({key: tuple(values) for key, values in dict(self.param_pools).items()}),
         )
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"family template needs a name string, got {self.name!r}")
         if not self.base_events:
             raise ValueError(f"family {self.name!r}: base_events must be non-empty")
         for event in self.base_events:
+            if not isinstance(event, ApiEvent):
+                raise ValueError(
+                    f"family {self.name!r}: base_events must be ApiEvent instances, got {type(event).__name__}"
+                )
             if event.api_name not in HOOKED_APIS:
                 raise ValueError(
                     f"family {self.name!r}: {event.api_name!r} is not a hooked API"
@@ -115,6 +138,11 @@ class FamilyTemplate:
         for key, values in self.param_pools.items():
             if not values:
                 raise ValueError(f"family {self.name!r}: empty param pool for {key!r}")
+            # A pool pair becomes an attribute of a variant's event (a
+            # perturbed value or a noise event's one pair), so it gets the
+            # checks and messages of an ApiEvent attribute.
+            for value in values:
+                ApiEvent(_APIS_SORTED[0], ((key, value),))
 
 
 @dataclass(frozen=True)
@@ -173,12 +201,17 @@ def _name_seed(name: str) -> int:
     return int.from_bytes(hashlib.md5(name.encode("utf-8")).digest()[:8], "big")
 
 
+# Every event below is built unchecked (_checked_event): its fields come
+# from a checked base event or pool (FamilyTemplate), a hooked API name or
+# "SUCCESS", and its timestamp is a base event's, 0, or a positive tick.
+
+
 def _assign_timestamps(events: Sequence[ApiEvent], rng: Xorshift64Star) -> tuple[ApiEvent, ...]:
     ticks = 300_000_000
     stamped = []
     for event in events:
         ticks += 10_000 + rng.randrange(90_000)
-        stamped.append(ApiEvent(event.api_name, event.attributes, event.return_value, ticks))
+        stamped.append(_checked_event((event.api_name, event.attributes, event.return_value), ticks))
     return tuple(stamped)
 
 
@@ -197,7 +230,7 @@ def _perturb(event: ApiEvent, template: FamilyTemplate, rng: Xorshift64Star) -> 
     replacement = rng.choice([v for v in template.param_pools[key] if v != current])
     attributes = list(event.attributes)
     attributes[index] = (key, replacement)
-    return ApiEvent(event.api_name, tuple(attributes), event.return_value, event.timestamp)
+    return _checked_event((event.api_name, tuple(attributes), event.return_value), event.timestamp)
 
 
 def _noise_event(template: FamilyTemplate, rng: Xorshift64Star) -> ApiEvent:
@@ -207,7 +240,7 @@ def _noise_event(template: FamilyTemplate, rng: Xorshift64Star) -> ApiEvent:
     if pool_keys:
         key = rng.choice(pool_keys)
         attributes = ((key, rng.choice(template.param_pools[key])),)
-    return ApiEvent(api, attributes, "SUCCESS", 0)
+    return _checked_event((api, attributes, "SUCCESS"), 0)
 
 
 def _mutate_events(
@@ -219,19 +252,21 @@ def _mutate_events(
     MUTATION_OPS order, so the random stream consumed per variant is
     reproducible.
     """
-    ops = tuple(op for op in MUTATION_OPS if op in template.mutation_ops)
+    enabled = [op in template.mutation_ops for op in MUTATION_OPS]
+    random = rng.random
     events: list[ApiEvent] = []
     spawns = 0
     for event in template.base_events:
-        fired = {op: rng.random() < rate for op in ops}
-        current = _perturb(event, template, rng) if fired.get("perturb_param") else event
-        if not fired.get("drop_event"):
+        # A disabled op draws nothing: `and` stops before its coin.
+        drop, duplicate, perturb, noise, spawn = [on and random() < rate for on in enabled]
+        current = _perturb(event, template, rng) if perturb else event
+        if not drop:
             events.append(current)
-            if fired.get("duplicate_event"):
+            if duplicate:
                 events.append(current)
-        if fired.get("insert_noise_event"):
+        if noise:
             events.append(_noise_event(template, rng))
-        if fired.get("spawn_child"):
+        if spawn:
             spawns += 1
     return events, spawns
 

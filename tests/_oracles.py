@@ -7,8 +7,33 @@ pair enumeration) instead of sharing code with the package.
 from __future__ import annotations
 
 from collections import Counter
+from xml.sax.saxutils import escape, quoteattr
 
 from malbehave.profile import PATH_LIKE_KEYS
+
+
+def per_event_xml(profile):
+    """A profile document formatted event by event, every value through
+    xml.sax.saxutils.quoteattr: the serializer's original rule."""
+    lines = ['<?xml version="1.0"?>', "<Profile>", "<Meta>", f"<Hash>{escape(profile.hash)}</Hash>"]
+    lines.append(f"<Process_id>{profile.process_id}</Process_id>")
+    lines.append(f"<Duration>{profile.duration_seconds}</Duration>")
+    if profile.parent_hash is not None:
+        lines.append(f"<Parent_hash>{escape(profile.parent_hash)}</Parent_hash>")
+    lines.append("</Meta>")
+    if not profile.events:
+        lines.append("<Execution/>")
+    else:
+        lines.append("<Execution>")
+        for event in profile.events:
+            parts = [event.api_name] + [f"{key}={quoteattr(value)}" for key, value in event.attributes]
+            if event.return_value is not None:
+                parts.append(f"Return={quoteattr(event.return_value)}")
+            parts.append(f'Time="{event.timestamp}"')
+            lines.append(f"<{' '.join(parts)} />")
+        lines.append("</Execution>")
+    lines.append("</Profile>")
+    return "\n".join(lines) + "\n"
 
 
 def escaped_token(api_name, attributes, return_value, config):

@@ -361,6 +361,29 @@ class TestSynth:
         names_second = sorted(p.name for p in second.glob("*.xml"))
         assert names_first != names_second
 
+    @pytest.mark.parametrize(
+        "pools, message",
+        [
+            ({"Return": ["x"]}, "attribute key 'Return' is reserved"),
+            ({"Time": ["1"]}, "attribute key 'Time' is reserved"),
+            ({"bad key": ["x"]}, "attribute key 'bad key' is not an XML name"),
+        ],
+        ids=["return", "time", "not-a-name"],
+    )
+    def test_bad_param_pool_for_every_seed(self, capsys, tmp_path, pools, message):
+        # With few noise events, only some seeds would draw the bad pool;
+        # the spec is refused for all of them, naming the spec file.
+        spec = copy.deepcopy(self.SPEC)
+        spec["mutation_rate"] = 0.1
+        spec["families"][0].update(variants=3, mutation_ops=["insert_noise_event"], param_pools=pools)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        for seed in range(1, 7):
+            out_dir = tmp_path / f"out-{seed}"
+            code, out, err = _run(capsys, ["synth", str(spec_path), "--seed", str(seed), "--out", str(out_dir)])
+            assert (code, out, _single_error_line(err)) == (1, "", f"error: {spec_path}: {message}")
+            assert not out_dir.exists()
+
 
 class TestErrors:
     def test_missing_input_file(self, capsys):
@@ -855,8 +878,8 @@ class TestStreamedCorpus:
     @pytest.mark.parametrize(
         "argv, line",
         [
-            (["parse", "missing.xml"], "error: [Errno 2] No such file or directory: 'missing.xml'"),
-            (["tree", "missing.csv"], "error: [Errno 2] No such file or directory: 'missing.csv'"),
+            (["parse", "missing.xml"], "error: missing.xml: No such file or directory"),
+            (["tree", "missing.csv"], "error: missing.csv: No such file or directory"),
             (["tree", "notes.txt"], "error: tree input must be a corpus directory or a .csv matrix, got notes.txt"),
         ],
     )

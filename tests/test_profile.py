@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
@@ -17,8 +19,9 @@ from malbehave import (
     read_corpus,
     serialize_profile,
 )
-from malbehave.profile import read_input, typed
+from malbehave.profile import _quoteattr, read_input, typed
 from conftest import make_random_profile
+from _oracles import per_event_xml
 from _pipeline import PARSER_REJECTIONS, four_family_spec, profile_document
 
 
@@ -150,6 +153,25 @@ class TestSerialize:
         for _ in range(60):
             profile = make_random_profile(rng)
             assert parse_profile(serialize_profile(profile)) == profile
+
+    def test_quoting_matches_saxutils(self):
+        # Every string of up to three characters over quoteattr's specials,
+        # both quote kinds, and plain, backslash and non-ASCII characters.
+        alphabet = "&<>\"'\n\r\t a;\\é字"
+        for length in range(4):
+            for chars in itertools.product(alphabet, repeat=length):
+                value = "".join(chars)
+                assert _quoteattr(value) == quoteattr(value), value
+
+    def test_bytes_match_per_event_formatting(self):
+        # Repeated calls share one formatted head; values need quoting or not.
+        rng = random.Random(99)
+        for _ in range(60):
+            profile = make_random_profile(rng)
+            calls = profile.events * 2
+            events = tuple(ApiEvent(e.api_name, e.attributes, e.return_value, tick) for tick, e in enumerate(calls))
+            for document in (profile, Profile(profile.hash, 1, 10, events)):
+                assert serialize_profile(document) == per_event_xml(document)
 
 
 class TestValidation:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from malbehave import (
     ApiEvent,
     MAX_CORPUS_VARIANTS,
+    MUTATION_OPS,
     CorpusSpec,
     FamilyTemplate,
     FeatureConfig,
@@ -17,8 +21,50 @@ from malbehave import (
     jaccard_distance,
     parse_profile,
     serialize_profile,
+    write_corpus,
 )
+from malbehave.profile import ProfileSchemaError
 from _pipeline import family_template, four_family_spec, mean_distance
+
+# Values that quoteattr rewrites or single-quotes, each for one reason
+# alone, one with both quote kinds, and plain and non-ASCII ones.
+AWKWARD_VALUES = (
+    "a & b",
+    "a < b",
+    "x > y",
+    'say "hi"',
+    "it's",
+    "both \"'\" kinds",
+    "line\nbreak",
+    "cr\rhere",
+    "tab\tstop",
+    "café ✓ 字",
+    "plain",
+)
+
+
+def quoting_spec() -> CorpusSpec:
+    """One family whose values, in base events, pools and returns, need
+    quoting. Its base events carry each of AWKWARD_VALUES, and no variant
+    drops an event."""
+    events = [ApiEvent("RegSetValue", (("hKey", "hkcu\\run"), ("data", value)), "SUCCESS") for value in AWKWARD_VALUES]
+    events += [
+        ApiEvent("CreateFile", (("hName", AWKWARD_VALUES[0]), ("data", AWKWARD_VALUES[5])), 'ok "&" <done>'),
+        ApiEvent("WriteFile", (("hName", AWKWARD_VALUES[9]),), None),
+        ApiEvent("WinExec", (("lpCmdLine", AWKWARD_VALUES[7] + AWKWARD_VALUES[8]),), "it's"),
+    ]
+    ops = frozenset(MUTATION_OPS) - {"drop_event"}
+    template = FamilyTemplate("quoting", tuple(events), ops, {"hName": AWKWARD_VALUES, "data": AWKWARD_VALUES[3:]})
+    return CorpusSpec(((template, 12),), 0.3, 31)
+
+
+def corpus_digest(directory: Path) -> str:
+    """sha256 over every file's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode("utf-8") + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class TestRng:
@@ -44,6 +90,37 @@ class TestRng:
         b = Xorshift64Star(123)
         assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
 
+    def test_golden_random(self):
+        rng = Xorshift64Star(42)
+        assert [rng.random() for _ in range(4)] == [
+            0.33908526400192196,
+            0.7822558479199243,
+            0.7901370452687786,
+            0.9440426349851643,
+        ]
+
+    def test_golden_randrange(self):
+        rng = Xorshift64Star(42)
+        bounds = (1, 2, 7, 90_000, 2**53, 2**64 - 1, 2**64)
+        assert [rng.randrange(n) for n in bounds] == [
+            0,
+            0,
+            1,
+            58735,
+            4307714684488198,
+            15416679289703091875,
+            3767188687873256562,
+        ]
+
+    def test_every_draw_is_one_step(self):
+        # Interleaved draws each take one next_u64 of the same stream.
+        rng = Xorshift64Star(5)
+        steps = Xorshift64Star(5)
+        for n in range(1, 200):
+            assert rng.random() == (steps.next_u64() >> 11) * 2.0**-53
+            assert rng.randrange(n) == steps.next_u64() % n
+            assert rng.next_u64() == steps.next_u64()
+
 
 class TestTemplateValidation:
     def test_unhooked_api_rejected(self):
@@ -65,6 +142,38 @@ class TestTemplateValidation:
             FamilyTemplate(
                 "f", (ApiEvent("ReadFile", (), None, 0),), frozenset(), {"hName": ()}
             )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("Return", "x"), ("Time", "1"), ("bad key", "x"), ("", "x"), (5, "x"), ("hName", 5), ("hName", None)],
+    )
+    def test_bad_param_pool(self, key, value):
+        # Refused when the template is made, whatever the seed would draw,
+        # with the message an event carrying the pair would give.
+        with pytest.raises(ProfileSchemaError) as constructor:
+            ApiEvent("ReadFile", ((key, value),))
+        with pytest.raises(ProfileSchemaError) as template:
+            FamilyTemplate("f", (ApiEvent("ReadFile"),), frozenset(MUTATION_OPS), {key: ("ok", value)})
+        assert str(template.value) == str(constructor.value)
+
+    def test_param_pools_read_only(self):
+        template = FamilyTemplate("f", (ApiEvent("ReadFile"),), param_pools={"hName": ["a", "b"]})
+        assert template.param_pools == {"hName": ("a", "b")}
+        with pytest.raises(TypeError):
+            template.param_pools["Return"] = ("x",)
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            ("ReadFile", (), None, 0),
+            None,
+            SimpleNamespace(api_name="ReadFile", attributes=(("Return", "x"),), return_value=None, timestamp=0),
+        ],
+        ids=["tuple", "none", "duck-typed"],
+    )
+    def test_base_event_must_be_api_event(self, event):
+        with pytest.raises(ValueError, match="'f': base_events must be ApiEvent instances"):
+            FamilyTemplate("f", (ApiEvent("ReadFile"), event))
 
 
 class TestGenerateFamily:
@@ -164,6 +273,30 @@ class TestGenerateCorpus:
         first = [(label, serialize_profile(p)) for label, p in generate_corpus(spec)[0]]
         second = [(label, serialize_profile(p)) for label, p in generate_corpus(spec)[0]]
         assert first == second
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (four_family_spec, "f044ca19a4d638f82d69f663d7a407d7236fad949ffed89654520ab561f44935"),
+            (quoting_spec, "4cec4276a856eeba3a79856cb0e2d984d76f8f396ce78d039d71518d0fb82135"),
+        ],
+        ids=["four-family", "quoting"],
+    )
+    def test_golden_bytes(self, tmp_path, spec, digest):
+        # Pins the draw stream, the events built from it and their quoting.
+        labeled, truth = generate_corpus(spec())
+        write_corpus(tmp_path, labeled, truth)
+        assert corpus_digest(tmp_path) == digest
+
+    @pytest.mark.parametrize("spec", [four_family_spec, quoting_spec], ids=["four-family", "quoting"])
+    def test_events_pass_the_constructor(self, spec):
+        # Generation builds events unchecked; each must be one the checked
+        # constructor accepts and builds equal.
+        labeled, _ = generate_corpus(spec())
+        for _, profile in labeled:
+            for event in profile.events:
+                assert type(event) is ApiEvent
+                assert event == ApiEvent(event.api_name, event.attributes, event.return_value, event.timestamp)
 
     def test_different_seeds_differ(self):
         base = four_family_spec(variants=3, seed=1)
