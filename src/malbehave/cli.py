@@ -172,10 +172,10 @@ def _worker_result(payload: bytes, status: int, chunk: list[Path]) -> list:
 
 # A fork, its worker's exit and the copy-on-write faults it causes cost about
 # 4-5 ms on a 2-vCPU host: the parse time of 150-200 KB of profile XML,
-# whether the files are 3 KB or 58 KB each. So each chunk must hold at least
-# _CHUNK_BYTES of files. The fan-out was measured at two processes only.
+# whether the files are 3 KB or 58 KB each. So a corpus is split in two
+# halves only when it holds at least 2 * _CHUNK_BYTES of files, and only
+# between two processes: no other fan-out was measured.
 _CHUNK_BYTES = 128 << 10
-_MAX_CHUNKS = 2
 # A cgroup v2 CPU quota, "QUOTA PERIOD" or "max PERIOD", as a container sees it.
 _CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
 
@@ -193,67 +193,53 @@ def _cpu_count() -> int:
     return cpus
 
 
-def _chunk_count(paths: list[Path]) -> int:
-    """How many chunks to split paths into: one per usable CPU, at most
-    _MAX_CHUNKS, and at most one per _CHUNK_BYTES of files."""
-    count = min(_cpu_count(), _MAX_CHUNKS, len(paths))
-    if count < 2:
-        return 1
+def _forks(paths: list[Path]) -> bool:
+    """Whether to fork a worker for half of paths: only with two usable
+    CPUs, two files, and at least 2 * _CHUNK_BYTES of files."""
+    if _cpu_count() < 2 or len(paths) < 2:
+        return False
     size = 0
     for path in paths:
-        if size >= count * _CHUNK_BYTES:
-            break
         try:
             size += os.stat(path).st_size
         except OSError:  # the reader reports it, in name order
-            return 1
-    return max(1, min(count, size // _CHUNK_BYTES))
+            return False
+        if size >= 2 * _CHUNK_BYTES:
+            return True
+    return False
 
 
 def _map_corpus(work: Callable[[list[Path]], list], paths: list[Path]) -> list:
-    """work(chunk) over contiguous chunks of paths, joined in path order.
+    """work(paths), with the second half of paths worked in a forked worker.
 
-    The first chunk is worked here while a forked worker works each other
-    one (see _chunk_count). Each chunk stops at its first error, so the
-    first failing chunk holds the first failing path, and its error (class,
-    message, fields) is the one raised, as if work(paths) had run here.
-    With one chunk, or in a process with other threads, which a fork would
-    not copy, work(paths) runs here. When a fork fails (no process or no
-    memory left for a worker), the chunks without a worker are worked here
-    after the workers' results.
+    This process works the first half while the worker (see _forks) works
+    the second, and the two results are joined in path order. Each half
+    stops at its first error, so this process's error comes first, then
+    the worker's, and the error raised (class, message, fields) is the one
+    work(paths) would raise here. When _forks says no, or in a process
+    with other threads, which a fork would not copy, work(paths) runs here,
+    as it does when the fork fails (no process or no memory left for it).
     """
-    count = 1 if threading.active_count() > 1 else _chunk_count(paths)
-    if count < 2:
+    if threading.active_count() > 1 or not _forks(paths):
         return work(paths)
-    bounds = [len(paths) * k // count for k in range(count + 1)]
-    chunks = [paths[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    pending = []  # (pid, read end) of each worker not yet reaped, in chunk order
+    half = len(paths) // 2
     try:
-        for chunk in chunks[1:]:
-            try:
-                pending.append(_fork_chunk(work, chunk))
-            except OSError:  # EAGAIN, ENOMEM: the command still needs no worker
-                break
-        forked = 1 + len(pending)  # chunks[1:forked] have a worker
-        results = work(chunks[0])
-        for chunk in chunks[1:forked]:
-            pid, stream = pending[0]
-            with stream:
-                payload = stream.read()
-            _, status = os.waitpid(pid, 0)
-            del pending[0]
-            results += _worker_result(payload, status, chunk)
-        for chunk in chunks[forked:]:
-            results += work(chunk)
-        return results
-    finally:
-        # After an error the workers left are not waited for: one may still
-        # be parsing, or blocked writing a result larger than the pipe
-        # buffer. Each is killed, then reaped.
-        for pid, stream in pending:
-            stream.close()
+        pid, stream = _fork_chunk(work, paths[half:])
+    except OSError:  # EAGAIN, ENOMEM: the command still needs no worker
+        return work(paths)
+    with stream:
+        try:
+            results = work(paths[:half])
+            payload = stream.read()
+        except BaseException:
+            # The worker is not waited for: it may still be parsing, or be
+            # blocked writing a result larger than the pipe buffer. It is
+            # killed, then reaped.
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            raise
+    _, status = os.waitpid(pid, 0)
+    return results + _worker_result(payload, status, paths[half:])
 
 
 def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet], DistanceMatrix]:
@@ -283,15 +269,20 @@ def _summaries(sources: list[Path]) -> list[str]:
     return [_summary(source.stem, read_input(source, _walk_profile)) for source in sources]
 
 
+def _is_file(path: Path, suffix: str) -> bool:
+    """Whether a command reads path as one file rather than as a corpus
+    directory: path is not a directory, and it exists or is named *suffix.
+    corpus_paths names any other path that is missing."""
+    return not path.is_dir() and (path.exists() or path.suffix.lower() == suffix)
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
     # Each profile is walked (every parse_profile check, no event built),
     # summarized and dropped before the next is read; the summaries are
-    # written only once every file has parsed. A path that is not a
-    # directory is a profile file if it exists or is named *.xml; any other
-    # is a corpus directory, which corpus_paths names when it is missing.
+    # written only once every file has parsed.
     lines = []
     for path in map(Path, args.paths):
-        if not path.is_dir() and (path.exists() or path.suffix.lower() == ".xml"):
+        if _is_file(path, ".xml"):
             lines += _summaries([path])
         else:
             lines += _map_corpus(_summaries, corpus_paths(path))
@@ -309,11 +300,9 @@ def _cmd_distmat(args: argparse.Namespace) -> int:
 def _cmd_tree(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     source = Path(args.input)
-    csv_matrix = source.suffix.lower() == ".csv"
-    if source.is_dir() or not (csv_matrix or source.exists()):
-        # corpus_paths names a missing path.
+    if not _is_file(source, ".csv"):
         _, matrix = _corpus_matrix(args.input, config)
-    elif csv_matrix:
+    elif source.suffix.lower() == ".csv":
         matrix = read_input(source, DistanceMatrix.from_csv)
     else:
         raise ValueError(f"tree input must be a corpus directory or a .csv matrix, got {args.input}")

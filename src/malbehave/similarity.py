@@ -78,15 +78,6 @@ class DistanceMatrix:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown label {label!r}") from None
-
-    def get(self, a: str, b: str) -> float:
-        return self.entries[self.index(a)][self.index(b)]
-
     def to_csv(self) -> str:
         """Header row of labels, then one row of distances per profile."""
         out = io.StringIO()

@@ -798,22 +798,22 @@ class _CallList(list):
     """A list that takes a weak reference."""
 
 
-def _cpus(monkeypatch, count):
-    """Make the corpus commands split their files into count chunks (at
-    most one per file), whatever the CPUs and the corpus size."""
-    monkeypatch.setattr(cli, "_chunk_count", lambda paths: min(count, len(paths)))
+def _fork(monkeypatch, fork):
+    """Make the corpus commands fork a worker for half of their files, or
+    not, whatever the CPUs and the corpus size."""
+    monkeypatch.setattr(cli, "_forks", lambda paths: fork)
 
 
 class TestStreamedCorpus:
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fork", [False, True])
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
-    def test_one_profile_alive(self, capsys, monkeypatch, tmp_path, two_family_corpus, command, cpus):
+    def test_one_profile_alive(self, capsys, monkeypatch, tmp_path, two_family_corpus, command, fork):
         # The token commands walk each document to its call keys; parse
         # walks it to its meta fields and call keys. A walk is a tuple, which
         # takes no weakref, so its call list is counted while it is alive.
-        # Each process (this one and every worker) counts its own walks and
+        # Each process (this one and the worker) counts its own walks and
         # writes its counts to a file named after its pid.
-        _cpus(monkeypatch, cpus)
+        _fork(monkeypatch, fork)
         counts = {}
 
         def mine():
@@ -842,9 +842,10 @@ class TestStreamedCorpus:
         assert err == ""
         assert out
         per_process = [json.loads(path.read_text()) for path in tmp_path.glob("counts-*.json")]
-        assert len(per_process) == cpus
+        processes = 2 if fork else 1
+        assert len(per_process) == processes
         assert sum(own["parsed"] for own in per_process) == 4
-        assert [own["peak"] for own in per_process] == [1] * cpus
+        assert [own["peak"] for own in per_process] == [1] * processes
 
     @pytest.fixture
     def corpora(self, tmp_path):
@@ -984,17 +985,17 @@ class TestWalkErrors:
 
 @pytest.fixture
 def ordered_corpus(tmp_path):
-    """Six profiles p0-0 .. p5-0: two chunks of three at two CPUs, three of
-    two at three."""
+    """Six profiles p0-0 .. p5-0: with a worker, p0-0 .. p2-0 are worked
+    in this process and p3-0 .. p5-0 in the worker."""
     corpus = tmp_path / "ordered"
     _write_corpus(corpus, {f"p{k}-0": _profile(f"p{k}", ["Apple", f"Fruit{k % 3}"]) for k in range(6)})
     return corpus
 
 
 class TestCorpusWorkers:
-    """Corpus commands split the sorted files into one contiguous chunk per
-    CPU; the first is worked in this process and the others in forked
-    workers. The results and the errors are those of one process."""
+    """Corpus commands split the sorted files into two halves; the first is
+    worked in this process and the second in a forked worker. The results
+    and the errors are those of one process."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1008,34 +1009,34 @@ class TestCorpusWorkers:
         ],
         ids=lambda argv: "-".join(arg for arg in argv if "{" not in arg),
     )
-    def test_same_bytes_at_any_cpu_count(self, capsys, monkeypatch, tmp_path, argv):
+    def test_same_bytes_with_and_without_worker(self, capsys, monkeypatch, tmp_path, argv):
         corpus = tmp_path / "corpus"
         fruits = ["Apple", "Berry", "Cherry", "Damson", "Elder", "Fig", "Grape"]
         _write_corpus(corpus, {f"{f}{k}-0": _profile(f"{f}{k}", fruits[k : k + 3]) for f in "ab" for k in range(4)})
         argv = [arg.format(c=corpus) for arg in argv]
         outputs = []
-        for cpus in (1, 2, 3, 8, 16):
-            _cpus(monkeypatch, cpus)
+        for fork in (False, True):
+            _fork(monkeypatch, fork)
             outputs.append(_run(capsys, argv))
         assert outputs[0][0] == 0 and outputs[0][1]
-        assert outputs == [outputs[0]] * len(outputs)
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     @pytest.mark.parametrize(
-        "cpus, broken, first",
+        "broken, first",
         [
-            (2, ["p2-0", "p3-0"], "p2-0"),  # both chunks fail, the second sooner
-            (2, ["p4-0"], "p4-0"),  # only the worker's chunk fails
-            (3, ["p3-0", "p4-0"], "p3-0"),  # two workers fail
-            (3, ["p5-0", "p0-0"], "p0-0"),  # this process's chunk fails first
+            (["p2-0", "p3-0"], "p2-0"),  # both halves fail, the worker's sooner
+            (["p4-0"], "p4-0"),  # only the worker's half fails
+            (["p3-0", "p4-0"], "p3-0"),  # the worker's half fails twice
+            (["p5-0", "p0-0"], "p0-0"),  # this process's half fails first
         ],
     )
-    def test_first_failing_file_in_name_order(self, capsys, monkeypatch, ordered_corpus, command, cpus, broken, first):
+    def test_first_failing_file_in_name_order(self, capsys, monkeypatch, ordered_corpus, command, broken, first):
         for name in broken:
             (ordered_corpus / f"{name}.xml").write_text("<Profile><Meta>")
         lines = []
-        for count in (1, cpus):
-            _cpus(monkeypatch, count)
+        for fork in (False, True):
+            _fork(monkeypatch, fork)
             code, out, err = _run(capsys, [command, str(ordered_corpus)])
             assert (code, out) == (1, "")
             lines.append(_single_error_line(err))
@@ -1047,8 +1048,8 @@ class TestCorpusWorkers:
         text, _ = WALK_REJECTIONS[case]
         (ordered_corpus / "p4-0.xml").write_text(text)
         fields = []
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
+        for fork in (False, True):
+            _fork(monkeypatch, fork)
             with pytest.raises(ProfileError) as tokens:
                 cli._corpus_matrix(str(ordered_corpus), cli.RunConfig())
             with pytest.raises(ProfileError) as summaries:
@@ -1067,8 +1068,8 @@ class TestCorpusWorkers:
         (ordered_corpus / "p4-0.xml").unlink()
         (ordered_corpus / "p4-0.xml").mkdir()
         raised = []
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
+        for fork in (False, True):
+            _fork(monkeypatch, fork)
             with pytest.raises(OSError) as error:
                 cli._corpus_matrix(str(ordered_corpus), cli.RunConfig())
             raised.append((type(error.value), str(error.value), error.value.errno, error.value.filename))
@@ -1076,8 +1077,8 @@ class TestCorpusWorkers:
         assert raised[0][0] is IsADirectoryError
 
     def test_large_results(self, monkeypatch):
-        # Each worker's result is over the 64 KiB pipe buffer.
-        _cpus(monkeypatch, 3)
+        # The worker's result is over the 64 KiB pipe buffer.
+        _fork(monkeypatch, True)
 
         def work(chunk):
             return [name * 100_000 for name in chunk]
@@ -1090,7 +1091,7 @@ class TestCorpusWorkers:
         # The worker blocks writing a result over the pipe buffer until it
         # is read, or is still at work: this process kills it rather than
         # wait for it.
-        _cpus(monkeypatch, 2)
+        _fork(monkeypatch, True)
 
         def work(chunk):
             if chunk[0] == "first":
@@ -1116,7 +1117,7 @@ class TestCorpusWorkers:
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     @pytest.mark.parametrize("broken", [None, "p1-0", "p4-0"])
     def test_no_worker_outlives_the_command(self, capsys, monkeypatch, ordered_corpus, command, broken):
-        _cpus(monkeypatch, 3)
+        _fork(monkeypatch, True)
         if broken:
             (ordered_corpus / f"{broken}.xml").write_text("<Profile><Meta>")
         code, _, _ = _run(capsys, [command, str(ordered_corpus)])
@@ -1129,7 +1130,7 @@ class TestCorpusWorkers:
         "death, how", [("exit-0", "exit status 0"), ("exit-3", "exit status 3"), ("kill", "killed by signal 9")]
     )
     def test_worker_dies_without_result(self, capsys, monkeypatch, ordered_corpus, command, death, how):
-        _cpus(monkeypatch, 2)
+        _fork(monkeypatch, True)
         parent = os.getpid()
 
         def read_or_die(path, parse):
@@ -1149,47 +1150,30 @@ class TestCorpusWorkers:
 
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     @pytest.mark.parametrize("broken", [None, "p1-0", "p3-0", "p5-0"])
-    def test_fork_fails(self, capsys, monkeypatch, ordered_corpus, command, broken):
-        # Out of processes or memory (EAGAIN, ENOMEM) after the first fork:
-        # the chunks without a worker are worked here, in order, with the
-        # output and the error of one process.
+    def test_no_fork_at_all(self, capsys, monkeypatch, ordered_corpus, command, broken):
+        # Out of processes or memory (EAGAIN, ENOMEM): every file is worked
+        # here, in order, with the output and the error of one process.
         if broken:
             (ordered_corpus / f"{broken}.xml").write_text("<Profile><Meta>")
-        _cpus(monkeypatch, 1)
+        _fork(monkeypatch, False)
         expected = _run(capsys, [command, str(ordered_corpus)])
-        fork = os.fork
         forks = []
 
-        def fork_once():
-            forks.append(None)
-            if len(forks) > 1:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", fork_once)
-        _cpus(monkeypatch, 3)
-        assert _run(capsys, [command, str(ordered_corpus)]) == expected
-        assert len(forks) == 2
-        assert expected[0] == (1 if broken else 0)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_no_fork_at_all(self, capsys, monkeypatch, ordered_corpus):
-        _cpus(monkeypatch, 1)
-        expected = _run(capsys, ["groups", str(ordered_corpus)])
-
         def no_fork():
+            forks.append(None)
             raise OSError(12, "Cannot allocate memory")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        _cpus(monkeypatch, 2)
-        assert _run(capsys, ["groups", str(ordered_corpus)]) == expected
+        _fork(monkeypatch, True)
+        assert _run(capsys, [command, str(ordered_corpus)]) == expected
+        assert len(forks) == 1
+        assert expected[0] == (1 if broken else 0)
 
     def test_buffered_stdout_written_once(self, ordered_corpus):
         # Text still in this process's stdout buffer at the fork is not
         # written again by a worker on its way out.
         code = (
-            "import sys; from malbehave import cli; cli._chunk_count = lambda paths: 3; "
+            "import sys; from malbehave import cli; cli._forks = lambda paths: True; "
             "sys.stdout.write('before\\n'); sys.exit(cli.main(sys.argv[1:]))"
         )
         result = subprocess.run(
@@ -1203,7 +1187,7 @@ class TestCorpusWorkers:
     def test_no_fork_with_other_threads(self, capsys, monkeypatch, ordered_corpus):
         # A fork copies only the calling thread, so with another thread
         # alive every file is read in this process.
-        _cpus(monkeypatch, 2)
+        _fork(monkeypatch, True)
         read = []
 
         def recorded(path, parse):
@@ -1224,9 +1208,9 @@ class TestCorpusWorkers:
         assert read == [f"p{k}-0" for k in range(6)]
 
 
-class TestChunkCount:
-    """One chunk per CPU the process may use, capped at the fan-out that
-    was measured, and only as many as the corpus's bytes pay for."""
+class TestForks:
+    """A worker for half the corpus only when the process may use two CPUs
+    and the corpus's bytes pay for the fork; never more than one."""
 
     @pytest.fixture
     def cpus(self, monkeypatch, tmp_path):
@@ -1259,29 +1243,50 @@ class TestChunkCount:
         assert cli._cpu_count() == 1
 
     @pytest.mark.parametrize(
-        "affinity, cpu_max, sizes, count",
+        "affinity, cpu_max, sizes, forks",
         [
-            (16, None, [cli._CHUNK_BYTES] * 8, cli._MAX_CHUNKS),
-            (1, None, [cli._CHUNK_BYTES] * 8, 1),
-            (16, "100000 100000", [cli._CHUNK_BYTES] * 8, 1),
-            (2, None, [cli._CHUNK_BYTES, cli._CHUNK_BYTES - 1], 1),
-            (2, None, [cli._CHUNK_BYTES, cli._CHUNK_BYTES], 2),
-            (2, None, [1] * 7 + [2 * cli._CHUNK_BYTES], 2),
-            (2, None, [2 * cli._CHUNK_BYTES], 1),
+            (16, None, [cli._CHUNK_BYTES] * 8, True),
+            (1, None, [cli._CHUNK_BYTES] * 8, False),
+            (16, "100000 100000", [cli._CHUNK_BYTES] * 8, False),
+            (2, None, [cli._CHUNK_BYTES, cli._CHUNK_BYTES - 1], False),
+            (2, None, [cli._CHUNK_BYTES, cli._CHUNK_BYTES], True),
+            (2, None, [1] * 7 + [2 * cli._CHUNK_BYTES], True),
+            (2, None, [2 * cli._CHUNK_BYTES], False),
         ],
     )
-    def test_chunk_count(self, cpus, tmp_path, affinity, cpu_max, sizes, count):
+    def test_forks(self, cpus, tmp_path, affinity, cpu_max, sizes, forks):
         cpus(affinity, cpu_max)
         paths = []
         for k, size in enumerate(sizes):
             paths.append(tmp_path / f"p{k}.xml")
             paths[-1].write_bytes(b"x" * size)
-        assert cli._chunk_count(paths) == count
+        assert cli._forks(paths) is forks
 
     def test_unreadable_path_left_to_the_reader(self, cpus, tmp_path):
         cpus(2)
         (tmp_path / "p1.xml").write_bytes(b"x" * 2 * cli._CHUNK_BYTES)
-        assert cli._chunk_count([tmp_path / "p0.xml", tmp_path / "p1.xml"]) == 1
+        assert cli._forks([tmp_path / "p0.xml", tmp_path / "p1.xml"]) is False
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_one_fork_at_sixteen_cpus(self, capsys, monkeypatch, cpus, ordered_corpus, command):
+        # The process may use 16 CPUs and any corpus pays for a fork: the
+        # command still forks one worker.
+        cpus(16)
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
+        fork = os.fork
+        forks = []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        code, out, err = _run(capsys, [command, str(ordered_corpus)])
+        assert (code, err) == (0, "")
+        assert out
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestEntryPoint:
