@@ -15,7 +15,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import Callable
 
 from .characteristics import (
     EnduranceConfig,
@@ -123,53 +123,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fork_chunk(work: Callable[[list[Path]], list], chunk: list[Path]) -> tuple[int, BinaryIO]:
-    """The pid and the pipe's read end of a forked worker that sends back
-    the pickled (True, work(chunk)) or (False, exception) and exits."""
-    # Only the fork path imports pickle: the module adds about 0.2 MB to
-    # the RSS of a process.
-    import pickle
-
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        # The worker never returns into the caller's stack, and os._exit
-        # flushes no stdio buffer it inherited.
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                payload = pickle.dumps((True, work(chunk)), pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:  # an interrupt too: the caller raises it
-                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-            with open(write_end, "wb") as stream:
-                stream.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
-def _worker_result(payload: bytes, status: int, chunk: list[Path]) -> list:
-    """A reaped worker's result, or its error raised here."""
-    import pickle  # see _fork_chunk
-
-    if status or not payload:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(f"{chunk[0]}..{chunk[-1].name}: worker process ended without a result ({how})")
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    return value
-
-
 # A fork, its worker's exit and the copy-on-write faults it causes cost about
 # 4-5 ms on a 2-vCPU host: the parse time of 150-200 KB of profile XML,
 # whether the files are 3 KB or 58 KB each. So a corpus is split in two
@@ -213,21 +166,44 @@ def _map_corpus(work: Callable[[list[Path]], list], paths: list[Path]) -> list:
     """work(paths), with the second half of paths worked in a forked worker.
 
     This process works the first half while the worker (see _forks) works
-    the second, and the two results are joined in path order. Each half
-    stops at its first error, so this process's error comes first, then
-    the worker's, and the error raised (class, message, fields) is the one
-    work(paths) would raise here. When _forks says no, or in a process
-    with other threads, which a fork would not copy, work(paths) runs here,
-    as it does when the fork fails (no process or no memory left for it).
+    the second, and the two results are joined in path order. The worker
+    sends back its pickled result, or nothing: on any error it exits
+    non-zero. A half the worker does not return, because it failed, died
+    or sent nothing, is worked here. So this process's first error comes
+    first, then that of the second half, and the result or the error raised
+    (class, message, fields) is the one work(paths) would give here. When
+    _forks says no, or in a process with other threads, which a fork would
+    not copy, work(paths) runs here, as it does when the fork fails (no
+    process or no memory left for it).
     """
     if threading.active_count() > 1 or not _forks(paths):
         return work(paths)
+    # Only the fork path imports pickle: the module adds about 0.2 MB to the
+    # RSS of a process.
+    import pickle
+
     half = len(paths) // 2
+    read_end, write_end = os.pipe()
     try:
-        pid, stream = _fork_chunk(work, paths[half:])
+        pid = os.fork()
     except OSError:  # EAGAIN, ENOMEM: the command still needs no worker
+        os.close(read_end)
+        os.close(write_end)
         return work(paths)
-    with stream:
+    if pid == 0:
+        # The worker never returns into the caller's stack, and os._exit
+        # flushes no stdio buffer it inherited.
+        status = 1
+        try:
+            os.close(read_end)
+            payload = pickle.dumps(work(paths[half:]), pickle.HIGHEST_PROTOCOL)
+            with open(write_end, "wb") as stream:
+                stream.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    with open(read_end, "rb") as stream:
         try:
             results = work(paths[:half])
             payload = stream.read()
@@ -239,7 +215,9 @@ def _map_corpus(work: Callable[[list[Path]], list], paths: list[Path]) -> list:
             os.waitpid(pid, 0)
             raise
     _, status = os.waitpid(pid, 0)
-    return results + _worker_result(payload, status, paths[half:])
+    if status or not payload:  # the worker failed, died or sent nothing
+        return results + work(paths[half:])
+    return results + pickle.loads(payload)
 
 
 def _corpus_matrix(path: str, config: RunConfig) -> tuple[dict[str, ElementSet], DistanceMatrix]:

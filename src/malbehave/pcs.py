@@ -331,7 +331,8 @@ def pcs_report(
     _require_pairs(table)
     names = list(table.engines) + [name for name, _ in extra_indicators]
     if len(set(names)) != len(names):
-        raise ValueError("duplicate engine name in report")
+        duplicate = next(name for k, name in enumerate(names) if name in names[:k])
+        raise ValueError(f"duplicate engine name {duplicate!r} in report")
     n = table.sample_count
     ids = table.malware_ids
 

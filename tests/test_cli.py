@@ -314,6 +314,16 @@ class TestPcs:
         names = [row["engine"] for row in json.loads(out)]
         assert "Text_Mining" in names
 
+    def test_text_mining_name_taken(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(
+            json.dumps({"malwares": ["m1", "m2"], "engines": ["x", "Text_Mining"], "labels": [["f", "f"], ["f", "g"]]})
+        )
+        descriptions = tmp_path / "descriptions.json"
+        descriptions.write_text(json.dumps({"m1": "silent adware", "m2": "network worm"}))
+        code, out, err = _run(capsys, ["pcs", str(path), "--text-mining", str(descriptions)])
+        assert (code, out, _single_error_line(err)) == (1, "", "error: duplicate engine name 'Text_Mining' in report")
+
 
 class TestSynth:
     SPEC = {
@@ -847,6 +857,29 @@ class TestStreamedCorpus:
         assert sum(own["parsed"] for own in per_process) == 4
         assert [own["peak"] for own in per_process] == [1] * processes
 
+    @pytest.mark.parametrize("command", ["parse", "characterize"])
+    def test_crlf_corpus(self, capsys, tmp_path, two_family_corpus, command):
+        # Windows-made traces end their lines with \r\n; they read as \n.
+        crlf = tmp_path / "crlf"
+        crlf.mkdir()
+        for path in two_family_corpus.iterdir():
+            data = path.read_bytes()
+            assert b"\n" in data and b"\r" not in data
+            (crlf / path.name).write_bytes(data.replace(b"\n", b"\r\n"))
+        outputs = [_run(capsys, [command, str(corpus)]) for corpus in (two_family_corpus, crlf)]
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[1] == outputs[0]
+
+    def test_crlf_matrix_csv(self, capsys, tmp_path, two_family_corpus):
+        lf = tmp_path / "lf.csv"
+        assert main(["distmat", str(two_family_corpus), "--out", str(lf)]) == 0
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        outputs = [_run(capsys, ["tree", str(path)]) for path in (lf, crlf)]
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[1] == outputs[0]
+
     @pytest.fixture
     def corpora(self, tmp_path):
         """A missing directory, an empty one, and three files whose second
@@ -937,6 +970,7 @@ WALK_REJECTIONS = {
         "<Profile><Meta><Process_id>1</Process_id></Meta><Execution/></Profile>",
         "missing or empty <Hash> in <Meta>",
     ),
+    "missing-meta": ("<Profile><Execution/></Profile>", "missing <Meta> element"),
     "missing-execution": (f"<Profile><Meta><Hash>ab</Hash>{_META}</Meta></Profile>", "missing <Execution> element"),
     "wrong-root": ("<Report/>", "root element must be <Profile>, got <Report>"),
     "malformed-xml": (
@@ -981,6 +1015,13 @@ class TestWalkErrors:
         for argv in (["classify", str(characteristics), str(path)], ["groups", str(tmp_path)], ["parse", str(path)]):
             code, out, err = _run(capsys, argv)
             assert (code, out, _single_error_line(err)) == (1, "", expected), argv
+
+
+class _Unpicklable(ProfileError):
+    """An error that pickle refuses to serialize."""
+
+    def __reduce__(self):
+        raise TypeError("not picklable")
 
 
 @pytest.fixture
@@ -1044,7 +1085,7 @@ class TestCorpusWorkers:
         assert lines[1] == lines[0]
 
     @pytest.mark.parametrize("case", ["malformed-xml", "process-id-zero", "non-integer-time", "wrong-root"])
-    def test_error_fields_cross_the_process_boundary(self, monkeypatch, ordered_corpus, case):
+    def test_worker_half_error_fields_as_one_process(self, monkeypatch, ordered_corpus, case):
         text, _ = WALK_REJECTIONS[case]
         (ordered_corpus / "p4-0.xml").write_text(text)
         fields = []
@@ -1062,7 +1103,7 @@ class TestCorpusWorkers:
         elif case == "process-id-zero":
             assert fields[0][2] == "Process_id"
 
-    def test_os_error_crosses_the_process_boundary(self, monkeypatch, ordered_corpus):
+    def test_worker_half_os_error_as_one_process(self, monkeypatch, ordered_corpus):
         # A directory named like a profile: reading it is an OSError, which
         # keeps its class, errno and filename.
         (ordered_corpus / "p4-0.xml").unlink()
@@ -1126,25 +1167,46 @@ class TestCorpusWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
-    @pytest.mark.parametrize(
-        "death, how", [("exit-0", "exit status 0"), ("exit-3", "exit status 3"), ("kill", "killed by signal 9")]
-    )
-    def test_worker_dies_without_result(self, capsys, monkeypatch, ordered_corpus, command, death, how):
+    @pytest.mark.parametrize("broken", [None, "p4-0"])
+    @pytest.mark.parametrize("death", ["exit-0", "exit-3", "kill"])
+    def test_worker_dies_without_result(self, capsys, monkeypatch, ordered_corpus, command, death, broken):
+        # A worker that ends without sending a result leaves its half to
+        # this process: the command prints what it prints without a fork.
+        if broken:
+            (ordered_corpus / f"{broken}.xml").write_text("<Profile><Meta>")
+        _fork(monkeypatch, False)
+        expected = _run(capsys, [command, str(ordered_corpus)])
         _fork(monkeypatch, True)
         parent = os.getpid()
+        died = ordered_corpus.parent / "worker-died"
 
         def read_or_die(path, parse):
             if os.getpid() != parent:
+                died.touch()
                 if death == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 os._exit(int(death[-1]))
             return read_input(path, parse)
 
         monkeypatch.setattr("malbehave.cli.read_input", read_or_die)
-        code, out, err = _run(capsys, [command, str(ordered_corpus)])
-        assert (code, out) == (1, "")
-        expected = f"error: {ordered_corpus / 'p3-0.xml'}..p5-0.xml: worker process ended without a result ({how})"
-        assert _single_error_line(err) == expected
+        assert _run(capsys, [command, str(ordered_corpus)]) == expected
+        assert expected[0] == (1 if broken else 0)
+        assert died.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpicklable_worker_error_raised_here(self, monkeypatch):
+        # The worker's error cannot be sent back; its half, worked here,
+        # raises the same error.
+        _fork(monkeypatch, True)
+
+        def work(chunk):
+            if "c" in chunk:
+                raise _Unpicklable(f"{chunk[0]}: fails")
+            return list(chunk)
+
+        with pytest.raises(_Unpicklable, match="^c: fails$"):
+            cli._map_corpus(work, ["a", "b", "c", "d"])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -228,6 +228,24 @@ class TestGenerateFamily:
         inter = mean_distance(fam_labels, other_labels, sets)
         assert intra < inter
 
+    def test_every_event_dropped_keeps_the_first(self):
+        # At rate 1.0 drop_event drops every base event: each variant after
+        # 0 then holds the first base event alone, stamped once (the first
+        # tick is 10,000 to 99,999 after 300,000,000).
+        template = family_template("fam", motif_count=2, ops=("drop_event",))
+        profiles = generate_family(template, 5, 1.0, 19)
+        assert len(profiles) == 5
+        assert len(profiles[0].events) == len(template.base_events)
+        first = template.base_events[0]
+        for profile in profiles[1:]:
+            [event] = profile.events
+            assert (event.api_name, event.attributes, event.return_value) == (
+                first.api_name,
+                first.attributes,
+                first.return_value,
+            )
+            assert 300_010_000 <= event.timestamp < 300_100_000
+
     def test_bad_rate_and_count(self):
         template = family_template("fam", motif_count=1)
         with pytest.raises(ValueError):
