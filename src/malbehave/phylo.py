@@ -16,15 +16,15 @@ arXiv:1109.2378): the smallest distance right of the diagonal and the
 first column that holds it. A merge takes the first row whose cached
 distance is smallest and that row's cached column. The matrix is
 symmetric, so that is the first minimum in row-major order, and the tie
-rule above holds. Only rows whose cache a merge may have changed are
-rescanned, which makes a tree cost about O(n^2) on typical matrices
-instead of O(n^3).
+rule above holds. The pass that updates the live rows after a merge also
+repairs their caches, rescanning only a row whose minimum sat in a
+column the merge changed. That makes a tree cost about O(n^2) on typical
+matrices instead of O(n^3).
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from math import inf
@@ -138,7 +138,8 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     nodes = [PhyloNode(i, 0.0, None, label) for i, label in enumerate(matrix.labels)]
     # Row s of the working matrix d holds the cluster whose smallest label
     # has rank s: a merge keeps the lower row, so row order is tie order.
-    # Retired rows and the diagonal hold inf, which every update keeps.
+    # Retired columns and the diagonal hold inf, which every update keeps;
+    # a retired row is never read again.
     order = sorted(range(n), key=matrix.labels.__getitem__)
     d = [[matrix.entries[a][b] if a != b else inf for b in order] for a in order]
     node_of = list(order)
@@ -156,8 +157,7 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     for s in range(n - 1):
         rescan(s)
 
-    # The rows not yet merged away, in order. A retired row and column
-    # hold inf, which an update would keep, so the loops below skip them.
+    # The rows not yet merged away, in order: the only rows a merge visits.
     live = list(range(n))
     last_height = 0.0
     for _ in range(n - 1):
@@ -171,8 +171,13 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
         nodes.append(PhyloNode(len(nodes), height, (a, b)))
         wi, wj = sizes[i], sizes[j]
         live.remove(j)
-        # Row i's own turn (x == i) keeps its inf diagonal and retires its
-        # cell in column j: (inf + d[i][j]) / 2 is inf.
+        # One pass updates every live row x and repairs its cache. Row i's
+        # own turn keeps its inf diagonal and retires its cell in column j
+        # ((inf + d[i][j]) / 2 is inf); row i rescans after the pass. Right
+        # of its diagonal, a row above i changed in columns i and j: it
+        # rescans if its minimum sat there, and otherwise keeps it unless
+        # the new d[x][i] beats it or ties it further left. A row between
+        # i and j lost only column j; rows below j see no change there.
         for x in live:
             row = d[x]
             if size_weighted:
@@ -181,30 +186,19 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
                 merged = (row[i] + row[j]) / 2
             row[i] = d[i][x] = merged
             row[j] = inf
-        d[j] = [inf] * n
+            if x < i:
+                c = col[x]
+                if c == i or c == j:
+                    rescan(x)
+                elif merged < near[x] or (merged == near[x] and i < c):
+                    near[x] = merged
+                    col[x] = i
+            elif i < x < j and col[x] == j:
+                rescan(x)
         near[j] = inf
         node_of[i] = len(nodes) - 1
         sizes[i] = wi + wj
-
-        # Row i changed right of the diagonal and column j is gone. A row
-        # above i whose minimum sat in column i or j rescans; any other
-        # row above i keeps its minimum unless the new d[x][i] beats it
-        # or ties it further left. A row between i and j loses only
-        # column j; rows below j see no change right of their diagonal.
         rescan(i)
-        at_i = bisect_left(live, i)
-        for x in live[:at_i]:
-            c = col[x]
-            if c == i or c == j:
-                rescan(x)
-            else:
-                value = d[x][i]
-                if value < near[x] or (value == near[x] and i < c):
-                    near[x] = value
-                    col[x] = i
-        for x in live[at_i + 1 : bisect_left(live, j)]:
-            if col[x] == j:
-                rescan(x)
 
     return PhyloTree(tuple(nodes), len(nodes) - 1)
 
@@ -233,7 +227,7 @@ def _format_length(value: float) -> str:
 
 
 def _quote_label(label: str) -> str:
-    if any(ch in label for ch in "(),:;'\" \t\n"):
+    if any(ch in label for ch in "()[],:;'\" \t\n"):
         return "'" + label.replace("'", "''") + "'"
     return label
 

@@ -463,6 +463,9 @@ def _read_text(path: str | Path) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProfileParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    # A byte order mark is not text: a label or a JSON document starts
+    # after it.
+    text = text.removeprefix("\ufeff")
     if "\r" in text:  # universal newlines, as Path.read_text reads text
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

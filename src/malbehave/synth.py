@@ -154,7 +154,9 @@ class CorpusSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "families", tuple((t, int(c)) for t, c in self.families))
+        object.__setattr__(self, "families", tuple((t, typed(c, "variants", int)) for t, c in self.families))
+        object.__setattr__(self, "mutation_rate", typed_float(self.mutation_rate, "mutation_rate"))
+        typed(self.seed, "seed", int)
         if not self.families:
             raise ValueError("corpus spec needs at least one family")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -172,11 +174,12 @@ class CorpusSpec:
     def from_json(cls, text: str) -> "CorpusSpec":
         data = typed(json.loads(text), "corpus spec", dict)
         entries = [typed(entry, "family", dict) for entry in typed(data.get("families"), "families", list)]
+        # Each count is checked as its family is read, so a file's first bad
+        # family is the one reported; the constructor checks every field.
         families = tuple(
             (_template_from_dict(entry), typed(entry.get("variants"), "variants", int)) for entry in entries
         )
-        rate = typed_float(data.get("mutation_rate"), "mutation_rate")
-        return cls(families, rate, typed(data.get("seed"), "seed", int))
+        return cls(families, data.get("mutation_rate"), data.get("seed"))
 
 
 def _template_from_dict(entry: Mapping) -> FamilyTemplate:

@@ -880,6 +880,13 @@ class TestStreamedCorpus:
         assert outputs[0][0] == 0 and outputs[0][1]
         assert outputs[1] == outputs[0]
 
+    def test_byte_order_mark_matrix_csv(self, capsys, tmp_path):
+        # A UTF-8 BOM is not part of the first label, so it changes neither
+        # the label nor its tie rank.
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n0,0.5\n0.5,0\n")
+        assert _run(capsys, ["tree", str(path)]) == (0, "(a:0.5,b:0.5);\n", "")
+
     @pytest.fixture
     def corpora(self, tmp_path):
         """A missing directory, an empty one, and three files whose second

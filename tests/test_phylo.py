@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from malbehave import DistanceMatrix, Grouping, cut_tree, rand_index, to_newick, upgma
+from malbehave import DistanceMatrix, Grouping, cut_tree, jaccard_matrix, rand_index, to_newick, upgma
 from _oracles import naive_upgma_merges, tree_merges
 from _pipeline import TIE_GRID, ZERO_TIE_GRID, random_matrix
 
@@ -92,6 +92,24 @@ class TestUpgma:
                 for (height, a, b), (exp_height, exp_a, exp_b) in zip(merges, expected):
                     assert height == exp_height
                     assert {a, b} == {exp_a, exp_b}
+
+    @pytest.mark.parametrize("size_weighted", [False, True])
+    def test_planted_duplicates_match_naive_oracle(self, size_weighted):
+        # Spawned children repeat their parent's token set, so a corpus
+        # matrix holds equal rows and chains of distance-0 merges (the
+        # cluster-many shape). Each matrix draws its sets with repeats from
+        # at most half as many distinct ones, under shuffled labels.
+        rng = random.Random(1109)
+        for _ in range(80):
+            n = rng.randint(2, 30)
+            vocab = [f"t{k}" for k in range(rng.randint(1, 8))]
+            distinct = [frozenset(rng.sample(vocab, rng.randint(0, len(vocab)))) for _ in range(rng.randint(1, n // 2))]
+            labels = [f"s{k}" for k in range(n)]
+            rng.shuffle(labels)
+            matrix = jaccard_matrix([rng.choice(distinct) for _ in range(n)], labels)
+            merges = tree_merges(upgma(matrix, size_weighted=size_weighted))
+            expected = naive_upgma_merges(matrix.labels, matrix.entries, size_weighted=size_weighted)
+            assert [(height, {a, b}) for height, a, b in merges] == [(height, {a, b}) for height, a, b in expected]
 
     def test_golden_newick(self):
         # Tie-heavy, with 0.0 distances and shuffled labels; the Newick text
@@ -212,6 +230,9 @@ class TestNewick:
     def test_label_quoting(self):
         tree = upgma(_matrix(["a b", "c:d"], {("a b", "c:d"): 0.4}))
         assert to_newick(tree) == "('a b':0.4,'c:d':0.4);"
+        # Newick readers take [...] as a comment.
+        tree = upgma(_matrix(["a[1]", "b]"], {("a[1]", "b]"): 0.4}))
+        assert to_newick(tree) == "('a[1]':0.4,'b]':0.4);"
 
 
 class TestGrouping:

@@ -362,6 +362,33 @@ class TestInputBoundary:
         path.write_text('{"a": [1, "\u00e9"]}', encoding="utf-8")
         assert read_input(path, json.loads) == {"a": [1, "\u00e9"]}
 
+    def test_read_input_drops_one_byte_order_mark(self, tmp_path):
+        # A BOM is not part of the document: JSON after it is read (the
+        # json module refuses a str that starts with one), and only one
+        # leading mark is dropped.
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xef\xbb\xbf" + '{"a": "\u00e9"}'.encode())
+        assert read_input(path, json.loads) == {"a": "\u00e9"}
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + b"{}")
+        with pytest.raises(json.JSONDecodeError, match="BOM"):
+            read_input(path, json.loads)
+
+    def test_byte_order_mark_positions(self, tmp_path):
+        # XML error columns count from the first character after the BOM;
+        # a decode error keeps its byte position in the file.
+        path = tmp_path / "doc.xml"
+        document = b"<Profile><Meta></Profile>"
+        path.write_bytes(document)
+        with pytest.raises(ProfileParseError) as plain:
+            read_input(path, parse_profile)
+        path.write_bytes(b"\xef\xbb\xbf" + document)
+        with pytest.raises(ProfileParseError) as marked:
+            read_input(path, parse_profile)
+        assert (marked.value.line, marked.value.column) == (plain.value.line, plain.value.column) == (1, 17)
+        path.write_bytes(b"\xef\xbb\xbf<\xff")
+        with pytest.raises(ProfileParseError, match="in position 4: invalid start byte"):
+            read_input(path, parse_profile)
+
     @pytest.mark.parametrize(
         "value, kinds",
         [(True, (int,)), (False, (int, float)), (1.0, (int,)), ("1", (int, float)), (None, (str,)), (1, (bool,))],

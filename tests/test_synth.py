@@ -263,6 +263,29 @@ class TestCorpusSpecBound:
             CorpusSpec(((template, MAX_CORPUS_VARIANTS), (other, 1)), 0.1, 1)
 
 
+class TestCorpusSpecTypes:
+    # Fields are type-checked, not coerced, with the spec file's messages.
+    @pytest.mark.parametrize(
+        "count, rate, seed, message",
+        [
+            (2.7, 0.1, 1, "variants must be an integer, got 2.7"),
+            (True, 0.1, 1, "variants must be an integer, got True"),
+            ("3", 0.1, 1, "variants must be an integer, got '3'"),
+            (1, True, 1, "mutation_rate must be an integer or a float, got True"),
+            (1, 0.1, 1.0, "seed must be an integer, got 1.0"),
+        ],
+    )
+    def test_rejects(self, count, rate, seed, message):
+        template = family_template("fam", motif_count=1)
+        with pytest.raises(ValueError) as err:
+            CorpusSpec(((template, count),), rate, seed)
+        assert str(err.value) == message
+
+    def test_integer_rate_is_a_float(self):
+        spec = CorpusSpec(((family_template("fam", motif_count=1), 2),), 0, 1)
+        assert spec.mutation_rate == 0.0 and type(spec.mutation_rate) is float
+
+
 class TestGenerateCorpus:
     def test_single_family_single_variant(self):
         spec = CorpusSpec(((family_template("fam", motif_count=1), 1),), 0.0, 3)
