@@ -20,6 +20,18 @@ rule above holds. The pass that updates the live rows after a merge also
 repairs their caches, rescanning only a row whose minimum sat in a
 column the merge changed. That makes a tree cost about O(n^2) on typical
 matrices instead of O(n^3).
+
+Equal rows form a class (spawned children replay their parent's calls,
+so a corpus holds many equal token sets). Under the plain rule a full run
+makes all its distance-0 merges first: class by class in the order of
+their smallest labels, each chaining its members in label order, and the
+merged row equals the class row, because (d + d) / 2 == d. So upgma
+emits those chains and runs the loop above on one row per class, which
+gives the same nodes, ids and height bits. That holds only when every
+zero cell of a class row lies in a member column and none is -0.0
+(DistanceMatrix.from_csv admits -0.000000). Otherwise, and under
+size_weighted, whose running mean of equal values drifts in the last
+bits, every row is its own class and the loop runs on all n rows.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from math import inf
+from math import copysign, inf
 from typing import Iterable
 
 from .profile import typed, typed_float
@@ -128,6 +140,17 @@ class Grouping:
         return cls(threshold, typed(data.get("groups"), "groups", [[str]]))
 
 
+def _collapsible(entries: tuple[tuple[float, ...], ...], group: list[int]) -> bool:
+    """Whether a class of equal rows can stand as one row of the tree: its
+    zero cells are exactly its member columns (a zero elsewhere joins two
+    unequal rows) and none of them is -0.0, whose sign a height would keep."""
+    if entries[group[0]].count(0.0) != len(group):
+        return False
+    # Each distinct row object once: jaccard_matrix shares one per class.
+    rows = {id(entries[a]): entries[a] for a in group}.values()
+    return all(copysign(1.0, row[b]) > 0 for row in rows for b in group)
+
+
 def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     """Build the merge tree for a distance matrix.
 
@@ -135,32 +158,56 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     with the average update rule this holds by construction.
     """
     n = matrix.size
+    entries = matrix.entries
     nodes = [PhyloNode(i, 0.0, None, label) for i, label in enumerate(matrix.labels)]
+    order = sorted(range(n), key=matrix.labels.__getitem__)
+    # A class is a set of equal rows, its members in label order; dict
+    # order puts the classes in the order of their smallest labels.
+    classes: dict[tuple[float, ...], list[int]] = {}
+    for a in order:
+        classes.setdefault(entries[a], []).append(a)
+    if size_weighted or not all(_collapsible(entries, group) for group in classes.values()):
+        groups = [[a] for a in order]
+    else:
+        groups = list(classes.values())
+    # Each class is chained in label order at its representative's cells
+    # (the merges a full run makes first, at distance 0), and its first
+    # member's row stands for the chain top in the working matrix.
+    reps = []
+    node_of = []
+    for first, *rest in groups:
+        top = first
+        for b in rest:
+            nodes.append(PhyloNode(len(nodes), entries[first][b], (top, b)))
+            top = len(nodes) - 1
+        reps.append(first)
+        node_of.append(top)
+    k = len(reps)
     # Row s of the working matrix d holds the cluster whose smallest label
     # has rank s: a merge keeps the lower row, so row order is tie order.
     # Retired columns and the diagonal hold inf, which every update keeps;
     # a retired row is never read again.
-    order = sorted(range(n), key=matrix.labels.__getitem__)
-    d = [[matrix.entries[a][b] if a != b else inf for b in order] for a in order]
-    node_of = list(order)
-    sizes = [1] * n
+    d = [[entries[a][b] if a != b else inf for b in reps] for a in reps]
+    # A class holds more than one row only under the plain rule, which
+    # reads no sizes.
+    sizes = [1] * k
     # near[s] is the minimum of d[s][s+1:] and col[s] the first column
     # holding it (the last row has no such cells).
-    near = [inf] * n
-    col = [n] * n
+    near = [inf] * k
+    col = [k] * k
 
     def rescan(s: int) -> None:
         row = d[s]
         near[s] = value = min(row[s + 1 :])
         col[s] = row.index(value, s + 1)
 
-    for s in range(n - 1):
+    for s in range(k - 1):
         rescan(s)
 
     # The rows not yet merged away, in order: the only rows a merge visits.
-    live = list(range(n))
+    live = list(range(k))
     last_height = 0.0
-    for _ in range(n - 1):
+    for _ in range(k - 1):
         height = min(near)
         i = near.index(height)
         j = col[i]

@@ -184,6 +184,21 @@ class Profile:
         _check_order(map(_event_timestamp, self.events))
 
 
+def _checked_profile(
+    sample_hash: str, process_id: int, duration_seconds: int, events: tuple[ApiEvent, ...], parent_hash: str | None
+) -> Profile:
+    """A Profile built without running __post_init__. Only for a caller
+    whose fields, and whose events' strictly increasing timestamps, are
+    checked by construction, as synth's are."""
+    profile = object.__new__(Profile)
+    object.__setattr__(profile, "hash", sample_hash)
+    object.__setattr__(profile, "process_id", process_id)
+    object.__setattr__(profile, "duration_seconds", duration_seconds)
+    object.__setattr__(profile, "events", events)
+    object.__setattr__(profile, "parent_hash", parent_hash)
+    return profile
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """Controls how API events fold into behavior-element tokens.

@@ -33,7 +33,12 @@ def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric pairwise distance matrix with zero diagonal, values in [0, 1]."""
+    """Symmetric pairwise distance matrix with zero diagonal, values in [0, 1].
+
+    Rows may be shared: jaccard_matrix gives every member of a class of
+    equal element sets one row object, so a matrix over k distinct sets
+    holds k row objects, however many labels it has.
+    """
 
     labels: tuple[str, ...]
     entries: tuple[tuple[float, ...], ...]
@@ -83,9 +88,12 @@ class DistanceMatrix:
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerow(self.labels)
         # A distance formatted as %.6f (the same text as f"{value:.6f}")
-        # never needs CSV quoting, so each row is one format operation.
+        # never needs CSV quoting, so each row is one format operation,
+        # made once per distinct row object.
         line = ",".join(["%.6f"] * self.size) + "\n"
-        out.writelines(line % row for row in self.entries)
+        distinct = {id(row): row for row in self.entries}
+        text = {key: line % row for key, row in distinct.items()}
+        out.writelines(text[id(row)] for row in self.entries)
         return out.getvalue()
 
     @classmethod
@@ -117,6 +125,8 @@ def distance_matrix(
 def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) -> DistanceMatrix:
     """Pairwise Jaccard distance matrix over element sets, one per label.
 
+    Equal sets form one class: only the k(k-1)/2 pairs of the k distinct
+    sets are compared, and the members of a class share one row object.
     Tokens are numbered once, so each set becomes a Python-int bitmask and
     a cell needs one AND and one popcount: |x & y| = popcount(a & b) and
     |x | y| = |x| + |y| - |x & y|, the same integers jaccard_distance
@@ -129,31 +139,35 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
         raise ValueError(f"got {len(labels)} labels for {len(element_sets)} profiles")
     labels = _checked_labels(labels)
 
+    # Each distinct set is numbered once, in order of first appearance.
+    class_ids: dict[ElementSet, int] = {}
+    class_of = [class_ids.setdefault(elements, len(class_ids)) for elements in element_sets]
     token_ids = {}
     masks = []
-    for elements in element_sets:
+    for elements in class_ids:
         mask = 0
         for token in elements:
             mask |= 1 << token_ids.setdefault(token, len(token_ids))
         masks.append(mask)
-    sizes = [len(elements) for elements in element_sets]
-    n = len(masks)
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        a, size_a, row = masks[i], sizes[i], rows[i]
-        for j in range(i + 1, n):
-            inter = (a & masks[j]).bit_count()
-            union = size_a + sizes[j] - inter
+    sizes = [len(elements) for elements in class_ids]
+    k = len(masks)
+    rows = [[0.0] * k for _ in range(k)]
+    for p in range(k):
+        a, size_a, row = masks[p], sizes[p], rows[p]
+        for q in range(p + 1, k):
+            inter = (a & masks[q]).bit_count()
+            union = size_a + sizes[q] - inter
             d = 1.0 - inter / union if union else 0.0
-            row[j] = d
-            rows[j][i] = d
-        # Earlier passes filled the row's lower half, so it is complete;
-        # each row becomes a tuple in place, so the matrix is never held twice.
-        rows[i] = tuple(row)
+            row[q] = d
+            rows[q][p] = d
+        # Earlier passes filled the row's lower half, so it is complete: it
+        # becomes the class's n-cell row in place, so the k x k cells are
+        # never held beside it.
+        rows[p] = tuple(map(row.__getitem__, class_of))
     # Every cell is in [0, 1], the rows are symmetric and the diagonal is
     # 0 by construction, so the matrix skips the O(n^2) checks that
     # DistanceMatrix runs on values from outside.
     matrix = object.__new__(DistanceMatrix)
     object.__setattr__(matrix, "labels", labels)
-    object.__setattr__(matrix, "entries", tuple(rows))
+    object.__setattr__(matrix, "entries", tuple(map(rows.__getitem__, class_of)))
     return matrix

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import ApiEvent, Profile, _checked_event, serialize_profile, typed, typed_float
+from .profile import ApiEvent, Profile, _checked_event, _checked_profile, serialize_profile, typed, typed_float
 
 _MASK64 = (1 << 64) - 1
 
@@ -207,6 +207,9 @@ def _name_seed(name: str) -> int:
 # Every event below is built unchecked (_checked_event): its fields come
 # from a checked base event or pool (FamilyTemplate), a hooked API name or
 # "SUCCESS", and its timestamp is a base event's, 0, or a positive tick.
+# So is every profile (_checked_profile): an md5 hex hash, a positive
+# process id, and events that _assign_timestamps stamps in strictly
+# increasing order.
 
 
 def _assign_timestamps(events: Sequence[ApiEvent], rng: Xorshift64Star) -> tuple[ApiEvent, ...]:
@@ -301,12 +304,10 @@ def generate_family(
             f"{template.name}:{variant}:{seed & _MASK64}".encode("utf-8")
         ).hexdigest()
         pid = 1000 + variant
-        profiles.append(Profile(sample_hash, pid, 300, _assign_timestamps(events, rng)))
+        profiles.append(_checked_profile(sample_hash, pid, 300, _assign_timestamps(events, rng), None))
         for child in range(spawns):
             child_events = _assign_timestamps(template.base_events, rng)
-            profiles.append(
-                Profile(sample_hash, pid * 100 + child + 1, 300, child_events, sample_hash)
-            )
+            profiles.append(_checked_profile(sample_hash, pid * 100 + child + 1, 300, child_events, sample_hash))
     return profiles
 
 

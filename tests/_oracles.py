@@ -7,9 +7,12 @@ pair enumeration) instead of sharing code with the package.
 from __future__ import annotations
 
 from collections import Counter
+from math import inf
 from xml.sax.saxutils import escape, quoteattr
 
+from malbehave.phylo import PhyloNode, PhyloTree
 from malbehave.profile import PATH_LIKE_KEYS
+from malbehave.similarity import DistanceMatrix
 
 
 def per_event_xml(profile):
@@ -105,6 +108,85 @@ def naive_upgma_merges(labels, entries, *, size_weighted: bool = False):
         clusters = [clusters[x] for x in keep] + [merged_cluster]
         sizes = [sizes[x] for x in keep] + [merged_size]
     return merges
+
+
+# The package's tree builder before it collapsed classes of equal rows:
+# every leaf is a row of the working matrix, so each duplicate is merged
+# through the full n-row loop. Node ids, child order and height bits of
+# the collapsed builder must equal this one's.
+def dense_upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
+    """Build the merge tree for a distance matrix.
+
+    Merge heights are checked to be non-decreasing while the tree is built;
+    with the average update rule this holds by construction.
+    """
+    n = matrix.size
+    nodes = [PhyloNode(i, 0.0, None, label) for i, label in enumerate(matrix.labels)]
+    # Row s of the working matrix d holds the cluster whose smallest label
+    # has rank s: a merge keeps the lower row, so row order is tie order.
+    # Retired columns and the diagonal hold inf, which every update keeps;
+    # a retired row is never read again.
+    order = sorted(range(n), key=matrix.labels.__getitem__)
+    d = [[matrix.entries[a][b] if a != b else inf for b in order] for a in order]
+    node_of = list(order)
+    sizes = [1] * n
+    # near[s] is the minimum of d[s][s+1:] and col[s] the first column
+    # holding it (the last row has no such cells).
+    near = [inf] * n
+    col = [n] * n
+
+    def rescan(s: int) -> None:
+        row = d[s]
+        near[s] = value = min(row[s + 1 :])
+        col[s] = row.index(value, s + 1)
+
+    for s in range(n - 1):
+        rescan(s)
+
+    # The rows not yet merged away, in order: the only rows a merge visits.
+    live = list(range(n))
+    last_height = 0.0
+    for _ in range(n - 1):
+        height = min(near)
+        i = near.index(height)
+        j = col[i]
+        assert height >= last_height - 1e-12, "merge heights must be non-decreasing"
+        last_height = height
+
+        a, b = node_of[i], node_of[j]
+        nodes.append(PhyloNode(len(nodes), height, (a, b)))
+        wi, wj = sizes[i], sizes[j]
+        live.remove(j)
+        # One pass updates every live row x and repairs its cache. Row i's
+        # own turn keeps its inf diagonal and retires its cell in column j
+        # ((inf + d[i][j]) / 2 is inf); row i rescans after the pass. Right
+        # of its diagonal, a row above i changed in columns i and j: it
+        # rescans if its minimum sat there, and otherwise keeps it unless
+        # the new d[x][i] beats it or ties it further left. A row between
+        # i and j lost only column j; rows below j see no change there.
+        for x in live:
+            row = d[x]
+            if size_weighted:
+                merged = (wi * row[i] + wj * row[j]) / (wi + wj)
+            else:
+                merged = (row[i] + row[j]) / 2
+            row[i] = d[i][x] = merged
+            row[j] = inf
+            if x < i:
+                c = col[x]
+                if c == i or c == j:
+                    rescan(x)
+                elif merged < near[x] or (merged == near[x] and i < c):
+                    near[x] = merged
+                    col[x] = i
+            elif i < x < j and col[x] == j:
+                rescan(x)
+        near[j] = inf
+        node_of[i] = len(nodes) - 1
+        sizes[i] = wi + wj
+        rescan(i)
+
+    return PhyloTree(tuple(nodes), len(nodes) - 1)
 
 
 def tree_merges(tree):

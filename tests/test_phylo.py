@@ -6,7 +6,8 @@ import random
 import pytest
 
 from malbehave import DistanceMatrix, Grouping, cut_tree, jaccard_matrix, rand_index, to_newick, upgma
-from _oracles import naive_upgma_merges, tree_merges
+from malbehave.phylo import _collapsible
+from _oracles import dense_upgma, naive_upgma_merges, tree_merges
 from _pipeline import TIE_GRID, ZERO_TIE_GRID, random_matrix
 
 
@@ -175,6 +176,88 @@ class TestUpgma:
         tree = upgma(WORKED)
         assert tree.leaf_count == 3
         assert len(tree.nodes) == 5
+
+
+def _planted(rng, n):
+    """A jaccard_matrix over n sets drawn with repeats from at most n // 2
+    distinct ones, under shuffled labels."""
+    vocab = [f"t{k}" for k in range(rng.randint(1, 8))]
+    distinct = [frozenset(rng.sample(vocab, rng.randint(0, len(vocab)))) for _ in range(rng.randint(1, max(1, n // 2)))]
+    labels = [f"s{k}" for k in range(n)]
+    rng.shuffle(labels)
+    return jaccard_matrix([rng.choice(distinct) for _ in range(n)], labels)
+
+
+def _negative_zeros(rng, matrix):
+    """The matrix read back from its CSV, with about a third of its zero
+    cells written as -0.000000 (which DistanceMatrix admits)."""
+    header, *lines = matrix.to_csv().splitlines()
+    rows = [
+        ",".join("-0.000000" if cell == "0.000000" and rng.random() < 0.3 else cell for cell in line.split(","))
+        for line in lines
+    ]
+    return DistanceMatrix.from_csv("\n".join([header, *rows]) + "\n")
+
+
+def _assert_dense(matrix):
+    # Node ids, height bits, child order and labels, and the Newick text.
+    for size_weighted in (False, True):
+        tree = upgma(matrix, size_weighted=size_weighted)
+        dense = dense_upgma(matrix, size_weighted=size_weighted)
+        assert [(n.id, n.height.hex(), n.children, n.label) for n in tree.nodes] == [
+            (n.id, n.height.hex(), n.children, n.label) for n in dense.nodes
+        ]
+        assert to_newick(tree) == to_newick(dense)
+
+
+# Rows a and b are unequal but 0 apart, and rank before the equal rows c
+# and d: the full run merges a with b first, so c and d must not be
+# chained ahead of it.
+UNEQUAL_ZERO_CSV = (
+    "a,b,c,d,e\n"
+    "0,0,0.5,0.5,0.3\n"
+    "0,0,0.5,0.5,0.6\n"
+    "0.5,0.5,0,0,0.8\n"
+    "0.5,0.5,0,0,0.8\n"
+    "0.3,0.6,0.8,0.8,0\n"
+)
+
+
+class TestCollapsedClasses:
+    # upgma chains each class of equal rows and builds the rest on one row
+    # per class; dense_upgma gives every leaf its own row.
+
+    def test_planted_duplicates_match_dense(self):
+        rng = random.Random(4548)
+        for _ in range(120):
+            _assert_dense(_planted(rng, rng.randint(1, 40)))
+
+    def test_negative_zero_round_trips_match_dense(self):
+        rng = random.Random(139)
+        for _ in range(120):
+            _assert_dense(_negative_zeros(rng, _planted(rng, rng.randint(2, 40))))
+
+    def test_zero_between_unequal_rows_matches_dense(self):
+        matrix = DistanceMatrix.from_csv(UNEQUAL_ZERO_CSV)
+        assert not _collapsible(matrix.entries, [0])
+        _assert_dense(matrix)
+        assert to_newick(upgma(matrix)) == "(((a:0,b:0):0.45,e:0.45):0.2,(c:0,d:0):0.65);"
+
+    def test_all_equal_and_single_leaf(self):
+        for n in (1, 2, 7):
+            labels = [f"s{k}" for k in range(n)]
+            random.Random(n).shuffle(labels)
+            matrix = jaccard_matrix([frozenset({"x"})] * n, labels)
+            assert len({id(row) for row in matrix.entries}) == 1
+            _assert_dense(matrix)
+        _assert_dense(DistanceMatrix(("A",), ((0.0,),)))
+
+    def test_which_classes_collapse(self):
+        matrix = jaccard_matrix([frozenset("ab"), frozenset("c"), frozenset("ab")], ["x", "y", "z"])
+        assert _collapsible(matrix.entries, [0, 2])
+        assert _collapsible(matrix.entries, [1])
+        negative = DistanceMatrix(("x", "y"), ((0.0, -0.0), (-0.0, 0.0)))
+        assert not _collapsible(negative.entries, [0, 1])
 
 
 class TestCutTree:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -17,7 +18,9 @@ from malbehave import (
     jaccard_distance,
     jaccard_matrix,
     serialize_profile,
+    write_corpus,
 )
+from malbehave.cli import main
 from malbehave.profile import _call_elements, _profile_calls
 from _oracles import escaped_token
 from _pipeline import MALFORMED_MATRIX_CSV, family_template, four_family_spec, mean_distance
@@ -212,6 +215,40 @@ class TestCorpusTokenizationOracle:
     def test_two_empty_profiles_are_identical(self):
         matrix = distance_matrix([Profile("a", 1, 10), Profile("b", 1, 10)], FeatureConfig())
         assert matrix.entries == ((0.0, 0.0), (0.0, 0.0))
+
+
+# sha256 of `malbehave distmat` on the four_family_spec(variants=12,
+# seed=19) corpus (211 profiles, 48 distinct token sets), written by the
+# matrix builder that compared every pair of profiles.
+DUPLICATE_CORPUS_DISTMAT = "3248dd6045c3bc03bdacb32c3c2871266a7d9f3585b143912de675353ab19fff"
+
+
+class TestSharedRows:
+    def test_one_row_object_per_class(self):
+        rng = random.Random(58)
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            vocab = [f"t{k}" for k in range(rng.randint(1, 8))]
+            distinct = [frozenset(rng.sample(vocab, rng.randint(0, len(vocab)))) for _ in range(rng.randint(1, n))]
+            sets = [rng.choice(distinct) for _ in range(n)]
+            labels = [f"s{k}" for k in range(n)]
+            rng.shuffle(labels)
+            matrix = jaccard_matrix(sets, labels)
+            row_of = {}
+            for elements, row in zip(sets, matrix.entries):
+                assert row_of.setdefault(elements, row) is row
+            assert len({id(row) for row in matrix.entries}) == len(set(sets))
+            cells = [[jaccard_distance(x, y) for y in sets] for x in sets]
+            assert matrix.entries == tuple(map(tuple, cells))
+            expected = ",".join(labels) + "\n" + "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in cells)
+            assert matrix.to_csv() == expected
+
+    def test_distmat_bytes_on_duplicate_corpus(self, tmp_path):
+        labeled, truth = generate_corpus(four_family_spec(variants=12, seed=19))
+        write_corpus(tmp_path / "corpus", labeled, truth)
+        out = tmp_path / "d.csv"
+        assert main(["distmat", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DUPLICATE_CORPUS_DISTMAT
 
 
 class TestCsv:
