@@ -15,7 +15,8 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .characteristics import (
     EnduranceConfig,
@@ -106,7 +107,7 @@ def _settings(values, what: str, keys: set[str] = _CONFIG_FIELDS) -> dict:
     return values
 
 
-def _resolve_config(args: argparse.Namespace, overrides: dict | None = None) -> RunConfig:
+def _resolve_config(args: argparse.Namespace, overrides: Mapping | None = None) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(read_input(args.config, lambda text: _settings(json.loads(text), "config file")))
@@ -314,12 +315,20 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_characteristics(text: str) -> tuple[dict, dict]:
+# A process that classifies many profiles against one model (a service
+# calling main per request) decodes and checks the file once: the memo keeps
+# the last text read and its result. The file is still read on every call,
+# so a changed file is parsed and checked again; an error is never kept.
+# Both mappings are shared by every call with that text, so they are
+# read-only views.
+@functools.lru_cache(maxsize=1)
+def _read_characteristics(text: str) -> tuple[Mapping, Mapping]:
     """The training settings a characteristics file echoes, and its groups."""
     document = typed(json.loads(text), "characteristics file", dict)
     feature = _settings(document.get("feature"), "feature block", _FEATURE_KEYS)
     settings = {"alpha": document.get("alpha"), "min_score": document.get("min_score"), **feature}
-    return _settings(settings, "characteristics file"), characteristics_from_report(document.get("groups"))
+    settings = _settings(settings, "characteristics file")
+    return MappingProxyType(settings), MappingProxyType(characteristics_from_report(document.get("groups")))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

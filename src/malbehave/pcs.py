@@ -47,12 +47,13 @@ def normalize_family(detection_string: str) -> str | None:
     """Family name for a detection string, or None when nothing usable remains.
 
     Lowercase, split on non-alphanumeric runs (underscores stay), drop stop
-    words and pure-hex / pure-numeric tokens, keep the longest token left.
+    words and pure-hex tokens (all-digit ones among them), keep the longest
+    token left.
     """
     kept = [
         token
         for token in _tokenize(detection_string)
-        if token not in _STOP_WORDS and not _HEX_RE.match(token) and not token.isdigit()
+        if token not in _STOP_WORDS and not _HEX_RE.match(token)
     ]
     if not kept:
         return None

@@ -301,7 +301,8 @@ def _walk_profile(xml_text: str) -> _Walk:
             for key in attrib:
                 _check_attribute_key(key)
                 names.add(key)
-        _check_timestamp(timestamp)
+        if timestamp < 0:  # int() gives an int, never a bool: only the sign is left
+            _check_timestamp(timestamp)
         calls.append((tag, tuple(attrib.items()), return_value))
         timestamps.append(timestamp)
     _check_positive(process_id, "Process_id")

@@ -1419,3 +1419,84 @@ class TestSharedParser:
     def test_grammar_built_once(self):
         assert cli._shared_parser() is cli._shared_parser()
         assert cli.build_parser() is not cli.build_parser()
+
+
+class TestCharacteristicsMemo:
+    """main keeps the last characteristics file it parsed, keyed by its exact
+    text, so every call still answers for the file as it reads it now."""
+
+    @pytest.fixture
+    def trained(self, two_family_corpus, tmp_path):
+        chars = tmp_path / "chars.json"
+        assert main(["characterize", str(two_family_corpus), "--alpha", "0", "--out", str(chars)]) == 0
+        # Two of the three tokens of group 1's distinct set: a score of 2/3.
+        partial = tmp_path / "partial.xml"
+        partial.write_text(serialize_profile(_profile("pp", ["Quince", "Rowan", "WinExec"])))
+        return chars, partial
+
+    def test_rewritten_file_is_read_again(self, capsys, trained):
+        chars, partial = trained
+        argv = ["classify", str(chars), str(partial)]
+        text = chars.read_text()
+        document = json.loads(text)
+        stricter = dict(document, min_score=0.99)
+        first, second = document["groups"]
+        swapped = dict(document, groups=[dict(first, id=1), dict(second, id=0)])
+        answers = []
+        for written in (text, json.dumps(stricter), text, json.dumps(swapped), text):
+            chars.write_text(written)
+            answers.append(_run(capsys, argv))
+        assert answers == [(0, "1\n", ""), (0, "none\n", ""), (0, "1\n", ""), (0, "0\n", ""), (0, "1\n", "")]
+
+    def test_error_on_every_call_then_good_file_answers(self, capsys, trained):
+        chars, partial = trained
+        argv = ["classify", str(chars), str(partial)]
+        good = chars.read_text()
+        assert _run(capsys, argv) == (0, "1\n", "")
+        for bad in ("{", json.dumps(dict(json.loads(good), min_score=2))):
+            chars.write_text(bad)
+            for _ in range(2):
+                code, out, err = _run(capsys, argv)
+                assert (code, out) == (1, "")
+                assert _single_error_line(err).startswith(f"error: {chars}: ")
+        chars.write_text(good)
+        assert _run(capsys, argv) == (0, "1\n", "")
+
+    def test_same_text_at_two_paths(self, capsys, trained, tmp_path):
+        chars, partial = trained
+        copy_ = tmp_path / "copy.json"
+        copy_.write_text(chars.read_text())
+        for path in (chars, copy_, chars):
+            assert _run(capsys, ["classify", str(path), str(partial)]) == (0, "1\n", "")
+        assert cli._read_characteristics.cache_info().currsize == 1
+        for path in (chars, copy_):
+            path.write_text('{"feature": 5}')
+        for path in (chars, copy_, chars):
+            code, out, err = _run(capsys, ["classify", str(path), str(partial)])
+            assert (code, out) == (1, "")
+            assert _single_error_line(err) == f"error: {path}: feature block must be an object, got 5"
+
+    def test_second_call_rebuilds_no_groups(self, capsys, monkeypatch, trained):
+        chars, partial = trained
+        rebuild = cli.characteristics_from_report
+        rebuilt = []
+
+        def counted(rows):
+            rebuilt.append(rows)
+            return rebuild(rows)
+
+        monkeypatch.setattr(cli, "characteristics_from_report", counted)
+        cli._read_characteristics.cache_clear()
+        argv = ["classify", str(chars), str(partial)]
+        assert _run(capsys, argv) == (0, "1\n", "")
+        assert len(rebuilt) == 1
+        assert _run(capsys, argv) == (0, "1\n", "")
+        assert len(rebuilt) == 1
+
+    def test_kept_model_is_read_only(self, trained):
+        chars, _ = trained
+        settings, groups = read_input(chars, cli._read_characteristics)
+        with pytest.raises(TypeError):
+            settings["min_score"] = 0.0
+        with pytest.raises(TypeError):
+            del groups[0]

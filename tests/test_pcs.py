@@ -47,6 +47,11 @@ class TestNormalizeFamily:
             ("TROJ_GEN.R002C0DGR21", "r002c0dgr21"),
             ("Solimba Installer", "installer"),
             ("deadbeef.1234", None),
+            # All-digit tokens are pure hex, so the hex rule drops them.
+            ("Win32/Agent.2019", "agent"),
+            ("Worm.12345678", "worm"),
+            # Non-ASCII digits split tokens, as any other non-[a-z0-9_] character does.
+            ("Worm.١٢", "worm"),
         ],
     )
     def test_examples(self, raw, expected):
