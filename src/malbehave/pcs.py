@@ -60,6 +60,15 @@ def normalize_family(detection_string: str) -> str | None:
     return max(kept, key=len)
 
 
+def _first_repeat(values: Sequence[str]) -> str | None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
 @dataclass(frozen=True)
 class EngineLabelTable:
     """n samples x m engines of optional family names (None = not detected)."""
@@ -72,10 +81,9 @@ class EngineLabelTable:
         object.__setattr__(self, "malware_ids", tuple(self.malware_ids))
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "labels", tuple(tuple(row) for row in self.labels))
-        if len(set(self.malware_ids)) != len(self.malware_ids):
-            raise ValueError("malware ids must be unique")
-        if len(set(self.engines)) != len(self.engines):
-            raise ValueError("engine names must be unique")
+        for values, what in ((self.malware_ids, "malware id"), (self.engines, "engine name")):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {what} {_first_repeat(values)!r}: {what}s must be unique")
         if len(self.labels) != len(self.malware_ids):
             raise ValueError(
                 f"expected {len(self.malware_ids)} label rows, got {len(self.labels)}"
@@ -159,40 +167,36 @@ class EngineLabelTable:
         return cls(tuple(ids), engines, tuple(labels))
 
 
-def _label_masks(column: Sequence[str | None]) -> tuple[int, int]:
-    """One label engine's pair verdicts as two bitmasks, (same, diff), over
-    the (i<j) row-major pairs of samples: a bit is set where both samples
-    are detected with the same / with different families.
+def _verdict_masks(verdicts: bytes) -> tuple[int, int]:
+    """One engine's joined signed verdicts (-1/0/+1 held as bytes
+    0xff/0x00/0x01) over the (i<j) row-major pairs of samples, as two
+    bitmasks, (same, diff): a bit is set where the verdict is +1 / -1."""
+    return int(verdicts.translate(_SAME_BIT), 2), int(verdicts.translate(_DIFF_BIT), 2)
 
-    Each family f has two '0'/'1' strings over the samples: same[f] marks
-    the samples labelled f, diff[f] those detected with another family. Row
-    i's bits are then same[c][i+1:] / diff[c][i+1:] for its cell c, and all
-    '0' for an undetected cell.
+
+def _label_masks(column: Sequence[str | None]) -> tuple[int, int]:
+    """One label engine's pair verdicts as (same, diff) bitmasks.
+
+    Each family f has one signed verdict row over the samples: +1 at the
+    samples labelled f, -1 at those detected with another family, 0 at
+    missed ones. Row i's verdicts are then its cell's row from i + 1 on,
+    and all 0 for an undetected cell.
     """
     n = len(column)
-    zeros = b"0" * n
     samples_of = defaultdict(list)
     for i, cell in enumerate(column):
         samples_of[cell].append(i)
-    detected = bytearray(b"1" * n)
+    detected = bytearray(b"\xff" * n)
     for i in samples_of.pop(None, ()):
-        detected[i] = ord("0")
-    same = {None: zeros}
-    diff = {None: zeros}
+        detected[i] = 0
+    # Slices of memoryviews share the rows' bytes: only the join copies.
+    rows = {None: memoryview(bytes(n))}
     for family, samples in samples_of.items():
-        same[family] = bytearray(zeros)
-        diff[family] = bytearray(detected)
+        row = bytearray(detected)
         for i in samples:
-            same[family][i] = ord("1")
-            diff[family][i] = ord("0")
-    return (
-        int(b"".join([same[cell][i + 1 :] for i, cell in enumerate(column)]), 2),
-        int(b"".join([diff[cell][i + 1 :] for i, cell in enumerate(column)]), 2),
-    )
-
-
-def _bit_counts(masks: tuple[int, int]) -> tuple[int, int]:
-    return masks[0].bit_count(), masks[1].bit_count()
+            row[i] = 1
+        rows[family] = memoryview(row)
+    return _verdict_masks(b"".join([rows[cell][i + 1 :] for i, cell in enumerate(column)]))
 
 
 def _approval_from_masks(x: tuple[int, int], y: tuple[int, int], x_counts: tuple[int, int]) -> float:
@@ -203,24 +207,6 @@ def _approval_from_masks(x: tuple[int, int], y: tuple[int, int], x_counts: tuple
         if den:
             value += (mask_x & mask_y).bit_count() / den
     return value
-
-
-def _require_pairs(table: EngineLabelTable) -> None:
-    if table.sample_count < 2:
-        raise ValueError("pair scoring needs at least 2 malware samples")
-
-
-def approval(table: EngineLabelTable, engine_x: str, engine_y: str) -> float:
-    """Approval rate of engine_x by engine_y, in [0, 2].
-
-    Sum of two conditional agreement probabilities over all sample pairs:
-    P(y says same | x says same) + P(y says different | x says different).
-    Pairs where y failed to detect stay in the denominator; a conditional
-    whose condition never occurs contributes 0.
-    """
-    _require_pairs(table)
-    x = _label_masks(table.column(engine_x))
-    return _approval_from_masks(x, _label_masks(table.column(engine_y)), _bit_counts(x))
 
 
 def pcs_score(table: EngineLabelTable, engine: str) -> float:
@@ -237,8 +223,8 @@ def pcs_score(table: EngineLabelTable, engine: str) -> float:
 class PairwiseIndicator:
     """Same-family indicator backed by description similarity.
 
-    Callable with two malware ids; returns +1 / 0 / -1. Ids whose
-    description is empty (or all stop words) behave as not detected:
+    pair_masks gives the +1 / 0 / -1 verdicts over every pair of ids. Ids
+    whose description is empty (or all stop words) behave as not detected:
     any pair touching them scores 0.
     """
 
@@ -284,16 +270,10 @@ class PairwiseIndicator:
         rows.reverse()
         return rows
 
-    def __call__(self, i: str, j: str) -> int:
-        if i == j:
-            raise ValueError("indicator requires two distinct malware ids")
-        return self._rows((i, j))[0][0]
-
     def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:
         """The verdicts over the (i<j) row-major pairs of ids as two
         bitmasks, (same, diff): a bit is set where the verdict is +1 / -1."""
-        verdicts = b"".join(self._rows(ids))
-        return int(verdicts.translate(_SAME_BIT), 2), int(verdicts.translate(_DIFF_BIT), 2)
+        return _verdict_masks(b"".join(self._rows(ids)))
 
 
 def text_mining_grouping(descriptions: Mapping[str, str], threshold: float = 0.7) -> PairwiseIndicator:
@@ -329,11 +309,11 @@ def pcs_report(
     """Score every engine (and any extra pairwise-indicator engines, which
     participate as peers too). Rows {engine, detected, weight, pcs} sorted
     by descending score."""
-    _require_pairs(table)
+    if table.sample_count < 2:
+        raise ValueError("pair scoring needs at least 2 malware samples")
     names = list(table.engines) + [name for name, _ in extra_indicators]
     if len(set(names)) != len(names):
-        duplicate = next(name for k, name in enumerate(names) if name in names[:k])
-        raise ValueError(f"duplicate engine name {duplicate!r} in report")
+        raise ValueError(f"duplicate engine name {_first_repeat(names)!r} in report")
     n = table.sample_count
     ids = table.malware_ids
 
@@ -348,7 +328,7 @@ def pcs_report(
         detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))
 
     m = len(masks)
-    counts = [_bit_counts(mask) for mask in masks]
+    counts = [(same.bit_count(), diff.bit_count()) for same, diff in masks]
     rows = []
     for x in range(m):
         weight = detected[x] / n

@@ -569,6 +569,34 @@ class TestUntrustedInput:
         assert out == ""
         assert message in _single_error_line(err)
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            (
+                "t.csv",
+                "malware_id,x\nm0,f\nm1,f\nm2,g\nm1,g\n",
+                "duplicate malware id 'm1': malware ids must be unique",
+            ),
+            ("t.csv", "malware_id,w,x,x\nm1,f,f,f\nm2,g,g,g\n", "duplicate engine name 'x': engine names must be unique"),
+            (
+                "t.json",
+                json.dumps({"malwares": ["m0", "m1", "m1"], "engines": ["x"], "labels": [["f"], ["f"], ["g"]]}),
+                "duplicate malware id 'm1': malware ids must be unique",
+            ),
+            (
+                "t.json",
+                json.dumps({"malwares": ["m1", "m2"], "engines": ["x", "x"], "labels": [["f", "f"], ["g", "g"]]}),
+                "duplicate engine name 'x': engine names must be unique",
+            ),
+        ],
+        ids=["csv-id", "csv-engine", "json-id", "json-engine"],
+    )
+    def test_duplicate_in_label_table_named(self, capsys, tmp_path, name, text, message):
+        table = tmp_path / name
+        table.write_text(text)
+        code, out, err = _run(capsys, ["pcs", str(table)])
+        assert (code, out, _single_error_line(err)) == (1, "", f"error: {table}: {message}")
+
     def test_non_string_description(self, capsys, tmp_path):
         table = tmp_path / "table.json"
         table.write_text(json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["f"]]}))

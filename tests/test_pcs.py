@@ -8,14 +8,13 @@ import pytest
 from malbehave import (
     EngineLabelTable,
     Grouping,
-    approval,
     grouping_to_labels,
     normalize_family,
     pcs_report,
     pcs_score,
     text_mining_grouping,
 )
-from malbehave.pcs import _label_masks
+from malbehave.pcs import _approval_from_masks, _label_masks
 from _oracles import brute_force_pcs, cosine_verdict, label_verdict
 
 
@@ -118,20 +117,28 @@ class TestWeight:
         assert (row["detected"], row["weight"]) == (2, 0.5)
 
 
+def _approval(table, engine_x, engine_y):
+    """Approval rate of engine_x by engine_y, from the masks and the
+    approval term that pcs_report sums."""
+    x = _label_masks(table.column(engine_x))
+    y = _label_masks(table.column(engine_y))
+    return _approval_from_masks(x, y, (x[0].bit_count(), x[1].bit_count()))
+
+
 class TestApproval:
     def test_self_approval_with_both_pair_kinds(self):
-        assert approval(THREE_BY_TWO, "x", "x") == 2.0
+        assert _approval(THREE_BY_TWO, "x", "x") == 2.0
 
     def test_hand_worked_half(self):
-        assert approval(THREE_BY_TWO, "x", "y") == 0.5
+        assert _approval(THREE_BY_TWO, "x", "y") == 0.5
 
     def test_all_same_labels(self):
         table = _table(["m1", "m2", "m3"], ["x", "y"], [["f", "a"], ["f", "a"], ["f", "a"]])
-        assert approval(table, "x", "y") == 1.0
+        assert _approval(table, "x", "y") == 1.0
 
     def test_null_peer_counts_as_disagreement(self):
         table = _table(["m1", "m2"], ["x", "y"], [["f", None], ["f", "a"]])
-        assert approval(table, "x", "y") == 0.0
+        assert _approval(table, "x", "y") == 0.0
 
     def test_range(self):
         rng = random.Random(3)
@@ -139,7 +146,7 @@ class TestApproval:
             table = _random_table(rng, rng.randint(2, 7), rng.randint(1, 4), 0.25)
             for a in table.engines:
                 for b in table.engines:
-                    assert 0.0 <= approval(table, a, b) <= 2.0
+                    assert 0.0 <= _approval(table, a, b) <= 2.0
 
 
 class TestPcsScore:
@@ -162,10 +169,6 @@ class TestPcsScore:
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine 'zz'"):
             pcs_score(THREE_BY_TWO, "zz")
-        with pytest.raises(ValueError, match="unknown engine 'zz'"):
-            approval(THREE_BY_TWO, "zz", "x")
-        with pytest.raises(ValueError, match="unknown engine 'zz'"):
-            approval(THREE_BY_TWO, "x", "zz")
 
     def test_matches_brute_force(self):
         rng = random.Random(90125)
@@ -178,7 +181,7 @@ class TestPcsScore:
                 )
                 score = pcs_score(table, engine)
                 assert 0.0 <= score <= 2.0
-                assert abs(score - expected) <= 1e-12
+                assert score == expected
 
     def test_label_bijection_invariance(self):
         rng = random.Random(404)
@@ -224,30 +227,37 @@ class TestGroupingLabels:
         assert set(grouping_to_labels(grouping).values()) == {"g0"}
 
 
+def _pair_verdict(indicator, a, b):
+    """The verdict that indicator.pair_masks((a, b)) holds for its one
+    pair: +1 from its same bit, -1 from its diff bit, 0 when neither is set."""
+    same, diff = indicator.pair_masks((a, b))
+    return same - diff
+
+
 class TestTextMining:
     def test_identical_descriptions(self):
         grouping = text_mining_grouping({"a": "adware installer", "b": "adware installer"})
-        assert grouping("a", "b") == 1
+        assert _pair_verdict(grouping, "a", "b") == 1
 
     def test_disjoint_vocabulary(self):
         grouping = text_mining_grouping({"a": "adware installer", "b": "worm dropper"})
-        assert grouping("a", "b") == -1
+        assert _pair_verdict(grouping, "a", "b") == -1
 
     def test_hand_worked_cosine(self):
         # dot=2, norms sqrt(3)*sqrt(2) -> cosine ~0.816 above 0.7
         grouping = text_mining_grouping(
             {"a": "adware installer bundle", "b": "adware installer"}, threshold=0.7
         )
-        assert grouping("a", "b") == 1
+        assert _pair_verdict(grouping, "a", "b") == 1
 
     def test_empty_description_behaves_as_null(self):
         grouping = text_mining_grouping({"a": "adware", "b": ""})
-        assert grouping("a", "b") == 0
+        assert _pair_verdict(grouping, "a", "b") == 0
         assert "b" not in grouping.detected
 
     def test_stop_words_removed(self):
         grouping = text_mining_grouping({"a": "Win32 adware", "b": "variant adware"})
-        assert grouping("a", "b") == 1
+        assert _pair_verdict(grouping, "a", "b") == 1
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -255,7 +265,7 @@ class TestTextMining:
 
     def test_exact_threshold_one_on_identical(self):
         grouping = text_mining_grouping({"a": "adware installer", "b": "adware installer"}, threshold=1.0)
-        assert grouping("a", "b") == 1
+        assert _pair_verdict(grouping, "a", "b") == 1
 
 
 def _literal_masks(verdict, items):
@@ -302,27 +312,34 @@ class TestPairMasks:
             cases.append((descriptions, rng.choice([0.0, 0.5, 0.7, 1.0])))
         for descriptions, threshold in cases:
             grouping = text_mining_grouping(descriptions, threshold=threshold)
+            # Verdicts recomputed by the oracle from the indicator's token
+            # counts, as brute_force_pcs reads them.
+            vectors = {key: Counter(vector or {}) for key, vector in grouping._vectors.items()}
+
+            def verdict(a, b):
+                return cosine_verdict(vectors[a], vectors[b], grouping.threshold)
+
             ids = list(descriptions)
             rng.shuffle(ids)
-            assert grouping.pair_masks(ids) == _literal_masks(grouping, ids)
+            assert grouping.pair_masks(ids) == _literal_masks(verdict, ids)
 
     def test_exact_cosine_ties_at_threshold_one(self):
         descriptions = {"a": "a a b b", "b": "a b", "c": "b a", "d": "a b b"}
         grouping = text_mining_grouping(descriptions, threshold=1.0)
-        assert grouping("a", "b") == grouping("b", "a") == grouping("b", "c") == 1
-        assert grouping("a", "d") == grouping("d", "a") == -1
+        assert [_pair_verdict(grouping, *pair) for pair in ("ab", "ba", "bc")] == [1, 1, 1]
+        assert [_pair_verdict(grouping, *pair) for pair in ("ad", "da")] == [-1, -1]
         vectors = {key: Counter(text.split()) for key, text in descriptions.items()}
         for i in descriptions:
             for j in descriptions:
                 if i != j:
-                    assert grouping(i, j) == cosine_verdict(vectors[i], vectors[j], 1.0)
+                    assert _pair_verdict(grouping, i, j) == cosine_verdict(vectors[i], vectors[j], 1.0)
 
     def test_unknown_id_rejected_before_scoring(self):
         grouping = text_mining_grouping({"a": "worm", "b": "worm"})
         with pytest.raises(ValueError, match="unknown malware id 'zz'"):
             grouping.pair_masks(["a", "b", "zz"])
         with pytest.raises(ValueError, match="unknown malware id 'zz'"):
-            grouping("zz", "a")
+            _pair_verdict(grouping, "zz", "a")
         with pytest.raises(ValueError, match="unknown malware id 'zz'"):
             pcs_report(_table(["a", "zz"], ["x"], [["f"], ["f"]]), [("Text_Mining", grouping)])
 
