@@ -22,21 +22,25 @@ column the merge changed. That makes a tree cost about O(n^2) on typical
 matrices instead of O(n^3).
 
 Equal rows form a class (spawned children replay their parent's calls,
-so a corpus holds many equal token sets). Under the plain rule a full run
-makes all its distance-0 merges first: class by class in the order of
-their smallest labels, each chaining its members in label order, and the
-merged row equals the class row, because (d + d) / 2 == d. So upgma
-emits those chains and runs the loop above on one row per class, which
-gives the same nodes, ids and height bits. That holds only when every
-zero cell of a class row lies in a member column and none is -0.0
-(DistanceMatrix.from_csv admits -0.000000). Otherwise, and under
-size_weighted, whose running mean of equal values drifts in the last
-bits, every row is its own class and the loop runs on all n rows.
+so a corpus holds many equal token sets). A full run makes all its
+distance-0 merges first: class by class in the order of their smallest
+labels, each chaining its members in label order. Under the plain rule
+the merged row equals the class row, because (d + d) / 2 == d. Under
+size_weighted the running mean of equal values drifts in the last bits:
+a chain of s rows turns a value v they all hold into drift(v, s), where
+w_1 = v and w_{t+1} = (t * w_t + v) / (t + 1), so the cell between
+classes p < q ends at drift(drift(v, |p|), |q|). So upgma emits those
+chains and runs the loop above on one row per class, starting from those
+cells, which gives the same nodes, ids and height bits. That holds only
+when every zero cell of a class row lies in a member column and none is
+-0.0 (DistanceMatrix.from_csv admits -0.000000). Otherwise every row is
+its own class and the loop runs on all n rows.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from math import copysign, inf
@@ -151,6 +155,15 @@ def _collapsible(entries: tuple[tuple[float, ...], ...], group: list[int]) -> bo
     return all(copysign(1.0, row[b]) > 0 for row in rows for b in group)
 
 
+def _drift(value: float, size: int) -> float:
+    """The size-weighted cell a chain of `size` equal rows leaves where each
+    held value: w_1 = value, w_{t+1} = (t * w_t + value) / (t + 1)."""
+    w = value
+    for t in range(1, size):
+        w = (t * w + value) / (t + 1)
+    return w
+
+
 def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     """Build the merge tree for a distance matrix.
 
@@ -166,10 +179,10 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     classes: dict[tuple[float, ...], list[int]] = {}
     for a in order:
         classes.setdefault(entries[a], []).append(a)
-    if size_weighted or not all(_collapsible(entries, group) for group in classes.values()):
-        groups = [[a] for a in order]
-    else:
+    if all(_collapsible(entries, group) for group in classes.values()):
         groups = list(classes.values())
+    else:
+        groups = [[a] for a in order]
     # Each class is chained in label order at its representative's cells
     # (the merges a full run makes first, at distance 0), and its first
     # member's row stands for the chain top in the working matrix.
@@ -188,9 +201,23 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     # Retired columns and the diagonal hold inf, which every update keeps;
     # a retired row is never read again.
     d = [[entries[a][b] if a != b else inf for b in reps] for a in reps]
-    # A class holds more than one row only under the plain rule, which
-    # reads no sizes.
-    sizes = [1] * k
+    sizes = [len(group) for group in groups]
+    if size_weighted:
+        # Start from the cells the chains leave (module docstring). A cell
+        # between collapsible classes is never zero and DistanceMatrix
+        # checks symmetry with ==, so its triangles hold the same bits and
+        # one drift, written to both, is exact; no memo key is a zero,
+        # whose sign == would not tell apart.
+        drifted: dict[tuple[float, int], float] = {}
+        for p, s in enumerate(sizes):
+            if s > 1:
+                row = d[p]
+                for q in range(k):
+                    if q != p:
+                        key = (row[q], s)
+                        if key not in drifted:
+                            drifted[key] = _drift(*key)
+                        row[q] = d[q][p] = drifted[key]
     # near[s] is the minimum of d[s][s+1:] and col[s] the first column
     # holding it (the last row has no such cells).
     near = [inf] * k
@@ -273,8 +300,13 @@ def _format_length(value: float) -> str:
     return repr(rounded)
 
 
+# Newick punctuation, and any blank: in a str pattern \s matches exactly
+# the characters for which str.isspace() holds (\f, \r and \x1c too).
+_NEEDS_QUOTES = re.compile(r"[()\[\],:;'\"\s]")
+
+
 def _quote_label(label: str) -> str:
-    if any(ch in label for ch in "()[],:;'\" \t\n"):
+    if _NEEDS_QUOTES.search(label):
         return "'" + label.replace("'", "''") + "'"
     return label
 

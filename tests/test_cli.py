@@ -17,15 +17,21 @@ import pytest
 from malbehave import (
     MAX_INPUT_BYTES,
     ApiEvent,
+    FeatureConfig,
     Profile,
     ProfileError,
     cli,
+    distance_matrix,
+    generate_corpus,
     parse_profile,
     serialize_profile,
+    to_newick,
+    write_corpus,
 )
 from malbehave.cli import main
 from malbehave.profile import _profile_calls, _walk_profile, corpus_paths, read_input
-from _pipeline import MALFORMED_MATRIX_CSV, PARSER_REJECTIONS, profile_document
+from _oracles import dense_upgma
+from _pipeline import MALFORMED_MATRIX_CSV, PARSER_REJECTIONS, four_family_spec, profile_document
 
 
 def _write_corpus(directory, profiles_by_label):
@@ -126,6 +132,25 @@ class TestTree:
         code, out, _ = _run(capsys, ["tree", str(matrix_path)])
         assert code == 0
         assert out == "((p1-0:0.5,p2-0:0.5):0.5,p3-0:1);\n"
+
+    def test_size_weighted_corpus_matches_dense(self, capsys, tmp_path):
+        # Spawned children repeat their parent's token set (211 profiles, 48
+        # distinct sets), so the weighted tree chains classes of equal rows.
+        labeled, truth = generate_corpus(four_family_spec(variants=12, seed=19))
+        write_corpus(tmp_path / "corpus", labeled, truth)
+        labeled.sort()
+        matrix = distance_matrix([profile for _, profile in labeled], FeatureConfig(), [label for label, _ in labeled])
+        expected = to_newick(dense_upgma(matrix, size_weighted=True)) + "\n"
+        assert expected != to_newick(dense_upgma(matrix)) + "\n"
+        assert _run(capsys, ["tree", str(tmp_path / "corpus"), "--size-weighted"]) == (0, expected, "")
+
+    def test_whitespace_labels_quoted(self, capsys, tmp_path):
+        matrix_path = tmp_path / "matrix.csv"
+        matrix_path.write_text("a\fb,c\n0,0.5\n0.5,0\n")
+        assert _run(capsys, ["tree", str(matrix_path)]) == (0, "('a\fb':0.5,c:0.5);\n", "")
+        corpus = tmp_path / "corpus"
+        _write_corpus(corpus, {"x\ry": _profile("p1", ["Apple", "Berry"]), "z": _profile("p2", ["Berry"])})
+        assert _run(capsys, ["tree", str(corpus)]) == (0, "('x\ry':0.5,z:0.5);\n", "")
 
     def test_rejects_other_files(self, capsys, tmp_path):
         stray = tmp_path / "notes.txt"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -259,6 +260,21 @@ class TestCollapsedClasses:
         negative = DistanceMatrix(("x", "y"), ((0.0, -0.0), (-0.0, 0.0)))
         assert not _collapsible(negative.entries, [0, 1])
 
+    def test_weighted_working_matrix_has_one_row_per_class(self):
+        # 600 profiles in 3 classes: the weighted tree, like the plain one,
+        # works on a 3 x 3 matrix. One row per profile (a 600 x 600 working
+        # matrix) peaks at about 3.6 MB; one per class at about 0.25 MB.
+        sets = [frozenset({f"t{k % 3}", "shared"}) for k in range(600)]
+        matrix = jaccard_matrix(sets, [f"s{k:03d}" for k in range(600)])
+        tracemalloc.start()
+        try:
+            tree = upgma(matrix, size_weighted=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.leaf_count == 600
+        assert peak < 1024 * 1024, f"the weighted tree allocated {peak} bytes"
+
 
 class TestCutTree:
     def test_threshold_half(self):
@@ -316,6 +332,16 @@ class TestNewick:
         # Newick readers take [...] as a comment.
         tree = upgma(_matrix(["a[1]", "b]"], {("a[1]", "b]"): 0.4}))
         assert to_newick(tree) == "('a[1]':0.4,'b]':0.4);"
+
+    def test_any_whitespace_quoted(self):
+        # Newick forbids blanks in unquoted labels: every character for
+        # which str.isspace() holds, not only space, tab and newline.
+        for blank in "\f\r\v\x1c\x85\xa0\u2028\u3000":
+            label = f"a{blank}b"
+            tree = upgma(_matrix([label, "c"], {(label, "c"): 0.5}))
+            assert to_newick(tree) == f"('{label}':0.5,c:0.5);"
+        tree = upgma(_matrix(["a-b_c.d", "é"], {("a-b_c.d", "é"): 0.5}))
+        assert to_newick(tree) == "(a-b_c.d:0.5,é:0.5);"
 
 
 class TestGrouping:
