@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import typed
+from .profile import csv_rows, typed
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9_]+")
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
@@ -153,7 +153,7 @@ class EngineLabelTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "EngineLabelTable":
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        rows = list(csv_rows(text))
         if len(rows) < 2:
             raise ValueError("label table CSV needs a header row and at least one sample row")
         engines = tuple(rows[0][1:])

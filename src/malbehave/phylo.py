@@ -21,20 +21,20 @@ repairs their caches, rescanning only a row whose minimum sat in a
 column the merge changed. That makes a tree cost about O(n^2) on typical
 matrices instead of O(n^3).
 
-Equal rows form a class (spawned children replay their parent's calls,
-so a corpus holds many equal token sets). A full run makes all its
-distance-0 merges first: class by class in the order of their smallest
-labels, each chaining its members in label order. Under the plain rule
-the merged row equals the class row, because (d + d) / 2 == d. Under
-size_weighted the running mean of equal values drifts in the last bits:
-a chain of s rows turns a value v they all hold into drift(v, s), where
-w_1 = v and w_{t+1} = (t * w_t + v) / (t + 1), so the cell between
-classes p < q ends at drift(drift(v, |p|), |q|). So upgma emits those
-chains and runs the loop above on one row per class, starting from those
-cells, which gives the same nodes, ids and height bits. That holds only
-when every zero cell of a class row lies in a member column and none is
--0.0 (DistanceMatrix.from_csv admits -0.000000). Otherwise every row is
-its own class and the loop runs on all n rows.
+Equal rows form a class: the labels that share one row object of the
+DistanceMatrix (spawned children replay their parent's calls, so a corpus
+holds many equal token sets). A full run makes all its distance-0 merges
+first: class by class in the order of their smallest labels, each
+chaining its members in label order. Under the plain rule the merged row
+equals the class row, because (d + d) / 2 == d. Under size_weighted the
+running mean of equal values drifts in the last bits: a chain of s rows
+turns a value v they all hold into drift(v, s), where w_1 = v and
+w_{t+1} = (t * w_t + v) / (t + 1), so the cell between classes p < q ends
+at drift(drift(v, |p|), |q|). So upgma emits those chains and runs the
+loop above on one row per class, starting from those cells, which gives
+the same nodes, ids and height bits. That holds only when every zero cell
+of a class row lies in a member column; otherwise every row is its own
+class and the loop runs on all n rows.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import copysign, inf
+from functools import cache
+from math import inf
 from typing import Iterable
 
 from .profile import typed, typed_float
@@ -147,12 +148,8 @@ class Grouping:
 def _collapsible(entries: tuple[tuple[float, ...], ...], group: list[int]) -> bool:
     """Whether a class of equal rows can stand as one row of the tree: its
     zero cells are exactly its member columns (a zero elsewhere joins two
-    unequal rows) and none of them is -0.0, whose sign a height would keep."""
-    if entries[group[0]].count(0.0) != len(group):
-        return False
-    # Each distinct row object once: jaccard_matrix shares one per class.
-    rows = {id(entries[a]): entries[a] for a in group}.values()
-    return all(copysign(1.0, row[b]) > 0 for row in rows for b in group)
+    unequal rows)."""
+    return entries[group[0]].count(0.0) == len(group)
 
 
 def _drift(value: float, size: int) -> float:
@@ -174,14 +171,13 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     entries = matrix.entries
     nodes = [PhyloNode(i, 0.0, None, label) for i, label in enumerate(matrix.labels)]
     order = sorted(range(n), key=matrix.labels.__getitem__)
-    # A class is a set of equal rows, its members in label order; dict
-    # order puts the classes in the order of their smallest labels.
-    classes: dict[tuple[float, ...], list[int]] = {}
+    # A class is the rows of one row object, its members in label order;
+    # dict order puts the classes in the order of their smallest labels.
+    classes: dict[int, list[int]] = {}
     for a in order:
-        classes.setdefault(entries[a], []).append(a)
-    if all(_collapsible(entries, group) for group in classes.values()):
-        groups = list(classes.values())
-    else:
+        classes.setdefault(id(entries[a]), []).append(a)
+    groups = list(classes.values())
+    if not all(_collapsible(entries, group) for group in groups):
         groups = [[a] for a in order]
     # Each class is chained in label order at its representative's cells
     # (the merges a full run makes first, at distance 0), and its first
@@ -203,21 +199,17 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     d = [[entries[a][b] if a != b else inf for b in reps] for a in reps]
     sizes = [len(group) for group in groups]
     if size_weighted:
-        # Start from the cells the chains leave (module docstring). A cell
-        # between collapsible classes is never zero and DistanceMatrix
-        # checks symmetry with ==, so its triangles hold the same bits and
-        # one drift, written to both, is exact; no memo key is a zero,
-        # whose sign == would not tell apart.
-        drifted: dict[tuple[float, int], float] = {}
+        # Start from the cells the chains leave (module docstring).
+        # DistanceMatrix checks symmetry with == and holds no -0.0, so the
+        # two triangles hold the same bits and one drift, written to both,
+        # is exact; each (value, size) pair is drifted once.
+        drift = cache(_drift)
         for p, s in enumerate(sizes):
             if s > 1:
                 row = d[p]
                 for q in range(k):
                     if q != p:
-                        key = (row[q], s)
-                        if key not in drifted:
-                            drifted[key] = _drift(*key)
-                        row[q] = d[q][p] = drifted[key]
+                        row[q] = d[q][p] = drift(row[q], s)
     # near[s] is the minimum of d[s][s+1:] and col[s] the first column
     # holding it (the last row has no such cells).
     near = [inf] * k

@@ -27,9 +27,9 @@ import os
 import re
 import reprlib
 from dataclasses import dataclass
-from itertools import pairwise, repeat
+from itertools import chain, pairwise, repeat
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_quoteattr
@@ -453,6 +453,15 @@ def extract_elements(profile: Profile, config: FeatureConfig) -> ElementSet:
 # What parsing untrusted text may raise: a format or schema error, a CSV
 # field over the csv module's size limit, or JSON nested too deeply.
 INPUT_ERRORS = (ValueError, csv.Error, RecursionError)
+
+
+def csv_rows(text: str) -> Iterator[list[str]]:
+    r"""The non-empty rows of CSV text, read lazily from its lines split at
+    "\n" alone, each keeping its "\n" (io.StringIO copies the text at 4 bytes
+    a character; str.splitlines splits at \f, \u2028 and other breaks)."""
+    *lines, last = text.split("\n")  # last is "" after a final "\n": no row
+    return filter(None, csv.reader(chain(map("{}\n".format, lines), (last,))))
+
 
 _T = TypeVar("_T")
 

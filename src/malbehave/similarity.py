@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .profile import ElementSet, FeatureConfig, Profile, corpus_elements
+from .profile import ElementSet, FeatureConfig, Profile, corpus_elements, csv_rows
 
 
 def jaccard_distance(x: ElementSet, y: ElementSet) -> float:
@@ -35,9 +35,9 @@ def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
 class DistanceMatrix:
     """Symmetric pairwise distance matrix with zero diagonal, values in [0, 1].
 
-    Rows may be shared: jaccard_matrix gives every member of a class of
-    equal element sets one row object, so a matrix over k distinct sets
-    holds k row objects, however many labels it has.
+    Equal rows are one row object (jaccard_matrix builds them so, and the
+    constructor shares equal rows it is given), and no cell is -0.0: a
+    CSV's -0.000000 reads as 0.0.
     """
 
     labels: tuple[str, ...]
@@ -47,22 +47,23 @@ class DistanceMatrix:
         # The one place a matrix from outside is converted and checked:
         # rows are read one at a time (from_csv hands over its CSV reader),
         # each cell goes through float() once, and each off-diagonal pair
-        # is checked once, from the upper triangle.
+        # is checked once, from the upper triangle. 0.0 + -0.0 is 0.0.
         labels = _checked_labels(self.labels)
         n = len(labels)
         shape = f"matrix must be {n}x{n} to match its labels"
         entries = []
+        distinct: dict[tuple[float, ...], tuple[float, ...]] = {}
         for row in self.entries:
             i = len(entries)
             if i == n:
                 raise ValueError(f"{shape}: more than {n} rows")
             try:
-                row = tuple(map(float, row))
+                row = tuple(map((0.0).__add__, map(float, row)))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"non-numeric distance cell in row {i}: {exc}") from None
             if len(row) != n:
                 raise ValueError(f"{shape}: row {i} has {len(row)} cells")
-            entries.append(row)
+            entries.append(distinct.setdefault(row, row))
         if len(entries) != n:
             raise ValueError(f"{shape}: got {len(entries)} rows")
         # A lower cell (j, i) was checked as the mirror of (i, j), so this
@@ -100,7 +101,7 @@ class DistanceMatrix:
     def from_csv(cls, text: str) -> "DistanceMatrix":
         """Header row of labels, then one row of distances per label. The
         constructor converts and checks the rows as the reader yields them."""
-        rows = filter(None, csv.reader(io.StringIO(text)))
+        rows = csv_rows(text)
         labels = next(rows, None)
         if labels is None:
             raise ValueError("empty distance matrix CSV")
@@ -157,16 +158,14 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
         for q in range(p + 1, k):
             inter = (a & masks[q]).bit_count()
             union = size_a + sizes[q] - inter
-            d = 1.0 - inter / union if union else 0.0
-            row[q] = d
-            rows[q][p] = d
+            row[q] = rows[q][p] = 1.0 - inter / union if union else 0.0
         # Earlier passes filled the row's lower half, so it is complete: it
         # becomes the class's n-cell row in place, so the k x k cells are
         # never held beside it.
         rows[p] = tuple(map(row.__getitem__, class_of))
-    # Every cell is in [0, 1], the rows are symmetric and the diagonal is
-    # 0 by construction, so the matrix skips the O(n^2) checks that
-    # DistanceMatrix runs on values from outside.
+    # By construction every cell is in [0, 1] and not -0.0, the rows are
+    # symmetric with a 0 diagonal, and unequal sets give unequal rows: the
+    # matrix skips the O(n^2) work DistanceMatrix does on values from outside.
     matrix = object.__new__(DistanceMatrix)
     object.__setattr__(matrix, "labels", labels)
     object.__setattr__(matrix, "entries", tuple(map(rows.__getitem__, class_of)))

@@ -131,6 +131,12 @@ def random_matrix(rng: random.Random, n: int, grid=None, *, shuffled: bool = Fal
     return DistanceMatrix(tuple(labels), tuple(tuple(row) for row in rows))
 
 
+# Labels a CSV must quote or keep whole: a line feed, a comma and a quote,
+# which the writer quotes, and \f and U+2028, which it does not but which
+# str.splitlines would split at.
+CSV_AWKWARD_LABELS = ("a\nb", "c\x0cd", "e\u2028f", "g,h", 'i"j', "k")
+
+
 # name -> (matrix CSV text, the error DistanceMatrix.from_csv raises). Each
 # is one fault in a valid 3x3 matrix, except the last four, whose several
 # faults must be reported in order: labels, then rows from the top (a row's

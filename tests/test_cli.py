@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ from malbehave import (
     cli,
     distance_matrix,
     generate_corpus,
+    jaccard_matrix,
     parse_profile,
     serialize_profile,
     to_newick,
@@ -143,6 +145,29 @@ class TestTree:
         expected = to_newick(dense_upgma(matrix, size_weighted=True)) + "\n"
         assert expected != to_newick(dense_upgma(matrix)) + "\n"
         assert _run(capsys, ["tree", str(tmp_path / "corpus"), "--size-weighted"]) == (0, expected, "")
+
+    def test_negative_zero_cells_print_the_same_tree(self, tmp_path):
+        # 30 labels over 12 distinct sets, so equal rows hold zero cells off
+        # the diagonal; every third zero cell is written as -0.000000, so a
+        # cell and its mirror may differ in sign.
+        sets = [frozenset({f"t{k % 6}", f"u{k % 4}", "shared"}) for k in range(30)]
+        header, *lines = jaccard_matrix(sets, [f"s{k:02d}" for k in range(30)]).to_csv().splitlines()
+        zeros = itertools.count()
+        signed = [
+            ",".join("-0.000000" if cell == "0.000000" and next(zeros) % 3 == 0 else cell for cell in line.split(","))
+            for line in lines
+        ]
+        assert sum(line.count("-0.000000") for line in signed) == 26
+        for name, rows in (("plain.csv", lines), ("signed.csv", signed)):
+            (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
+        for rule in ([], ["--size-weighted"]):
+            newick = []
+            for name in ("plain.csv", "signed.csv"):
+                out = tmp_path / f"{name}.nwk"
+                assert main(["tree", str(tmp_path / name), *rule, "--out", str(out)]) == 0
+                newick.append(out.read_bytes())
+            assert newick[0] == newick[1]
+            assert newick[0].count(b"s") == 30
 
     def test_whitespace_labels_quoted(self, capsys, tmp_path):
         matrix_path = tmp_path / "matrix.csv"

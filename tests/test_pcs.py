@@ -16,6 +16,7 @@ from malbehave import (
 )
 from malbehave.pcs import _approval_from_masks, _label_masks
 from _oracles import brute_force_pcs, cosine_verdict, label_verdict
+from _pipeline import CSV_AWKWARD_LABELS
 
 
 def _table(ids, engines, rows):
@@ -353,6 +354,16 @@ class TestTableFormats:
         table = _table(["m1", "m2"], ["x", "y"], [["f", None], [None, "g"]])
         parsed = EngineLabelTable.from_csv(table.to_csv())
         assert parsed == table
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_csv_round_trip_awkward_names(self, final_newline):
+        names = CSV_AWKWARD_LABELS
+        n = len(names)
+        cells = [[names[(i + j) % n] if (i + j) % 3 else None for j in range(n)] for i in range(n)]
+        table = _table(names, names, cells)
+        text = table.to_csv()
+        assert text.endswith("\n")
+        assert EngineLabelTable.from_csv(text if final_newline else text[:-1]) == table
 
     def test_csv_shape_error(self):
         with pytest.raises(ValueError, match="cells"):

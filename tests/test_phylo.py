@@ -191,7 +191,7 @@ def _planted(rng, n):
 
 def _negative_zeros(rng, matrix):
     """The matrix read back from its CSV, with about a third of its zero
-    cells written as -0.000000 (which DistanceMatrix admits)."""
+    cells written as -0.000000 (which DistanceMatrix reads as 0.0)."""
     header, *lines = matrix.to_csv().splitlines()
     rows = [
         ",".join("-0.000000" if cell == "0.000000" and rng.random() < 0.3 else cell for cell in line.split(","))
@@ -257,8 +257,10 @@ class TestCollapsedClasses:
         matrix = jaccard_matrix([frozenset("ab"), frozenset("c"), frozenset("ab")], ["x", "y", "z"])
         assert _collapsible(matrix.entries, [0, 2])
         assert _collapsible(matrix.entries, [1])
+        # -0.0 is stored as 0.0, so the two rows are one and collapse.
         negative = DistanceMatrix(("x", "y"), ((0.0, -0.0), (-0.0, 0.0)))
-        assert not _collapsible(negative.entries, [0, 1])
+        assert negative.entries[0] is negative.entries[1]
+        assert _collapsible(negative.entries, [0, 1])
 
     def test_weighted_working_matrix_has_one_row_per_class(self):
         # 600 profiles in 3 classes: the weighted tree, like the plain one,

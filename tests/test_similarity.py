@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
+import math
 import random
 
 import pytest
@@ -21,9 +24,9 @@ from malbehave import (
     write_corpus,
 )
 from malbehave.cli import main
-from malbehave.profile import _call_elements, _profile_calls
+from malbehave.profile import _call_elements, _profile_calls, csv_rows
 from _oracles import escaped_token
-from _pipeline import MALFORMED_MATRIX_CSV, family_template, four_family_spec, mean_distance
+from _pipeline import CSV_AWKWARD_LABELS, MALFORMED_MATRIX_CSV, family_template, four_family_spec, mean_distance
 from conftest import make_random_event
 
 
@@ -270,7 +273,7 @@ class TestCsv:
         assert "0.333333" in matrix.to_csv()
 
     def test_cells_match_per_value_format(self):
-        # Rounding edges, a negative zero read from a CSV, and labels that
+        # Rounding edges, a negative zero (stored as 0.0), and labels that
         # need quoting, against the per-cell f-string rendering.
         values = (0.0, -0.0, 1.0, 1e-7, 0.0000005, 0.1234565, 2 / 3, 0.9999995)
         n = len(values) + 1
@@ -282,7 +285,44 @@ class TestCsv:
         expected = '"a,b","q""x",' + ",".join(labels[2:]) + "\n"
         expected += "".join(",".join(f"{value:.6f}" for value in row) + "\n" for row in matrix.entries)
         assert matrix.to_csv() == expected
-        assert "-0.000000" in expected
+        assert "-0.000000" not in expected
+
+    def test_no_negative_zero_and_one_row_per_distinct_row(self):
+        rows = ((0.0, -0.0, 0.5), (-0.0, -0.0, 0.5), (0.5, 0.5, 0))
+        text = "a,b,c\n0.000000,-0.000000,0.5\n-0.000000,-0.000000,0.500000\n0.5,0.5,-0\n"
+        for matrix in (DistanceMatrix(("a", "b", "c"), rows), DistanceMatrix.from_csv(text)):
+            assert [[math.copysign(1.0, cell) for cell in row] for row in matrix.entries] == [[1.0] * 3] * 3
+            assert matrix.entries == ((0.0, 0.0, 0.5), (0.0, 0.0, 0.5), (0.5, 0.5, 0.0))
+            assert matrix.entries[0] is matrix.entries[1]
+            assert matrix.to_csv() == "a,b,c\n" + "0.000000,0.000000,0.500000\n" * 2 + "0.500000,0.500000,0.000000\n"
+        # A CSV of 60 labels over 7 distinct sets reads back as 7 row objects,
+        # every label of a set on the same one.
+        rng = random.Random(23)
+        distinct = [frozenset(rng.sample("abcdefgh", rng.randint(0, 8))) for _ in range(7)]
+        sets = [distinct[k % 7] for k in range(60)]
+        rng.shuffle(sets)
+        parsed = DistanceMatrix.from_csv(jaccard_matrix(sets, [f"s{k}" for k in range(60)]).to_csv())
+        assert len({id(row) for row in parsed.entries}) == len(set(sets))
+        row_of = {}
+        for elements, row in zip(sets, parsed.entries):
+            assert row_of.setdefault(elements, row) is row
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_round_trip_awkward_labels(self, final_newline):
+        n = len(CSV_AWKWARD_LABELS)
+        rows = [[abs(i - j) / n for j in range(n)] for i in range(n)]
+        matrix = DistanceMatrix(CSV_AWKWARD_LABELS, rows)
+        text = matrix.to_csv()
+        assert text.endswith("\n")
+        parsed = DistanceMatrix.from_csv(text if final_newline else text[:-1])
+        assert parsed.labels == CSV_AWKWARD_LABELS
+        assert parsed.entries == tuple(tuple(float(f"{v:.6f}") for v in row) for row in rows)
+
+    def test_rows_match_a_text_stream(self):
+        # The lines csv_rows hands the reader are those of io.StringIO, so
+        # an open quote at the end of the text keeps the same cell.
+        for text in ('a,"b\n', 'a,"b', 'x\n\n"y\x0cz",w\n', '"p\u2028q",r', '"s\nt', "", "\n\n"):
+            assert list(csv_rows(text)) == [row for row in csv.reader(io.StringIO(text)) if row], text
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX_CSV))
     def test_malformed(self, case):
