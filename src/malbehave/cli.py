@@ -6,6 +6,7 @@ Newick) and byte-identical across reruns."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -118,10 +119,10 @@ def _resolve_config(args: argparse.Namespace, overrides: Mapping | None = None) 
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # In slices, so that no encoded copy of the whole text is made.
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as stream:
+        for start in range(0, len(text), 1 << 20):
+            stream.write(text[start : start + (1 << 20)])
 
 
 # A fork, its worker's exit and the copy-on-write faults it causes cost about

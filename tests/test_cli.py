@@ -120,6 +120,20 @@ class TestDistmat:
         assert out == ""
         assert target.read_text().startswith("p1-0,")
 
+    def test_out_encoded_in_slices(self, tmp_path):
+        # Output is encoded 1 Mi characters at a time: a 16 MB text costs
+        # about 2 MB, where encoding it whole made a 16 MB copy.
+        text = "0123456789abcdef" * (1 << 20)
+        target = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            cli._emit(text, str(target))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert target.read_text() == text
+        assert peak < 4 * 1024 * 1024, f"writing the text allocated {peak} bytes"
+
 
 class TestTree:
     def test_from_corpus(self, capsys, small_corpus):

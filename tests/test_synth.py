@@ -112,6 +112,11 @@ class TestRng:
             3767188687873256562,
         ]
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_randrange_needs_positive_bound(self, bound):
+        with pytest.raises(ValueError, match="^randrange needs a positive bound$"):
+            Xorshift64Star(1).randrange(bound)
+
     def test_every_draw_is_one_step(self):
         # Interleaved draws each take one next_u64 of the same stream.
         rng = Xorshift64Star(5)
