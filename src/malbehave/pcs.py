@@ -60,13 +60,12 @@ def normalize_family(detection_string: str) -> str | None:
     return max(kept, key=len)
 
 
-def _first_repeat(values: Sequence[str]) -> str | None:
+def _first_repeat(values: Sequence[str]) -> str:
     seen = set()
     for value in values:
         if value in seen:
             return value
         seen.add(value)
-    return None
 
 
 @dataclass(frozen=True)

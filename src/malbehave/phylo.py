@@ -21,20 +21,19 @@ repairs their caches, rescanning only a row whose minimum sat in a
 column the merge changed. That makes a tree cost about O(n^2) on typical
 matrices instead of O(n^3).
 
-Equal rows form a class: the labels that share one row object of the
-DistanceMatrix (spawned children replay their parent's calls, so a corpus
-holds many equal token sets). A full run makes all its distance-0 merges
-first: class by class in the order of their smallest labels, each
-chaining its members in label order. Under the plain rule the merged row
-equals the class row, because (d + d) / 2 == d. Under size_weighted the
-running mean of equal values drifts in the last bits: a chain of s rows
-turns a value v they all hold into drift(v, s), where w_1 = v and
-w_{t+1} = (t * w_t + v) / (t + 1), so the cell between classes p < q ends
-at drift(drift(v, |p|), |q|). So upgma emits those chains and runs the
-loop above on one row per class, starting from those cells, which gives
-the same nodes, ids and height bits. That holds only when every zero cell
-of a class row lies in a member column; otherwise every row is its own
-class and the loop runs on all n rows.
+Equal rows form a class, and the DistanceMatrix holds one row per class
+(spawned children replay their parent's calls, so a corpus holds many
+equal token sets). A full run makes all its distance-0 merges first: class
+by class in the order of their smallest labels, each chaining its members
+in label order. Under the plain rule the merged row equals the class row,
+because (d + d) / 2 == d. Under size_weighted the running mean of equal
+values drifts in the last bits: a chain of s rows turns a value v they all
+hold into drift(v, s), where w_1 = v and w_{t+1} = (t * w_t + v) / (t + 1),
+so the cell between classes p < q ends at drift(drift(v, |p|), |q|). So
+upgma emits those chains and runs the loop above on one row per class,
+starting from those cells, which gives the same nodes, ids and height bits.
+That holds only when each class row holds one zero, its own; otherwise
+every label is its own class and the loop runs on all n rows.
 """
 
 from __future__ import annotations
@@ -145,11 +144,9 @@ class Grouping:
         return cls(threshold, typed(data.get("groups"), "groups", [[str]]))
 
 
-def _collapsible(entries: tuple[tuple[float, ...], ...], group: list[int]) -> bool:
-    """Whether a class of equal rows can stand as one row of the tree: its
-    zero cells are exactly its member columns (a zero elsewhere joins two
-    unequal rows)."""
-    return entries[group[0]].count(0.0) == len(group)
+def _collapsible(row: tuple[float, ...]) -> bool:
+    """Whether a class row holds one zero, its own, so it can stand as one tree row."""
+    return row.count(0.0) == 1
 
 
 def _drift(value: float, size: int) -> float:
@@ -167,36 +164,29 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
     Merge heights are checked to be non-decreasing while the tree is built;
     with the average update rule this holds by construction.
     """
-    n = matrix.size
-    entries = matrix.entries
+    rows, classes = matrix.rows, matrix.classes
     nodes = [PhyloNode(i, 0.0, None, label) for i, label in enumerate(matrix.labels)]
-    order = sorted(range(n), key=matrix.labels.__getitem__)
-    # A class is the rows of one row object, its members in label order;
-    # dict order puts the classes in the order of their smallest labels.
-    classes: dict[int, list[int]] = {}
+    order = sorted(range(matrix.size), key=matrix.labels.__getitem__)
+    # Members in label order; dict order lists the classes by their smallest label.
+    members: dict[int, list[int]] = {}
     for a in order:
-        classes.setdefault(id(entries[a]), []).append(a)
-    groups = list(classes.values())
-    if not all(_collapsible(entries, group) for group in groups):
-        groups = [[a] for a in order]
-    # Each class is chained in label order at its representative's cells
-    # (the merges a full run makes first, at distance 0), and its first
-    # member's row stands for the chain top in the working matrix.
-    reps = []
-    node_of = []
+        members.setdefault(classes[a], []).append(a)
+    groups = list(members.values()) if all(map(_collapsible, rows)) else [[a] for a in order]
+    # Chain each class at distance 0 (a full run's first merges); its class row stands for the top.
+    reps, node_of = [], []
     for first, *rest in groups:
         top = first
         for b in rest:
-            nodes.append(PhyloNode(len(nodes), entries[first][b], (top, b)))
+            nodes.append(PhyloNode(len(nodes), 0.0, (top, b)))
             top = len(nodes) - 1
-        reps.append(first)
+        reps.append(classes[first])
         node_of.append(top)
     k = len(reps)
     # Row s of the working matrix d holds the cluster whose smallest label
     # has rank s: a merge keeps the lower row, so row order is tie order.
     # Retired columns and the diagonal hold inf, which every update keeps;
     # a retired row is never read again.
-    d = [[entries[a][b] if a != b else inf for b in reps] for a in reps]
+    d = [[rows[a][b] if s != t else inf for t, b in enumerate(reps)] for s, a in enumerate(reps)]
     sizes = [len(group) for group in groups]
     if size_weighted:
         # Start from the cells the chains leave (module docstring).
@@ -272,8 +262,6 @@ def upgma(matrix: DistanceMatrix, *, size_weighted: bool = False) -> PhyloTree:
 def cut_tree(tree: PhyloTree, threshold: float) -> Grouping:
     """Split leaves into groups: two leaves share a group iff their lowest
     common ancestor sits strictly below the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     groups: list[tuple[str, ...]] = []
     stack = [tree.root]
     while stack:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .profile import ElementSet, FeatureConfig, Profile, corpus_elements, csv_rows
@@ -31,54 +33,67 @@ def _checked_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistanceMatrix:
     """Symmetric pairwise distance matrix with zero diagonal, values in [0, 1].
 
-    Equal rows are one row object (jaccard_matrix builds them so, and the
-    constructor shares equal rows it is given), and no cell is -0.0: a
-    CSV's -0.000000 reads as 0.0.
+    Labels with equal rows form a class: classes numbers each label's class
+    in order of first appearance, and rows holds the k x k distances between
+    the k classes. No cell is -0.0: a CSV's -0.000000 reads as 0.0.
     """
 
     labels: tuple[str, ...]
-    entries: tuple[tuple[float, ...], ...]
+    classes: tuple[int, ...]
+    rows: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, labels: Iterable[str], entries: Iterable[Iterable[float]]):
         # The one place a matrix from outside is converted and checked:
-        # rows are read one at a time (from_csv hands over its CSV reader),
-        # each cell goes through float() once, and each off-diagonal pair
-        # is checked once, from the upper triangle. 0.0 + -0.0 is 0.0.
-        labels = _checked_labels(self.labels)
+        # rows are read one at a time (from_csv hands over its CSV reader)
+        # and kept once per class, each cell goes through float() once, and
+        # each off-diagonal pair is checked once, from the upper triangle.
+        labels = _checked_labels(labels)
         n = len(labels)
         shape = f"matrix must be {n}x{n} to match its labels"
-        entries = []
-        distinct: dict[tuple[float, ...], tuple[float, ...]] = {}
-        for row in self.entries:
-            i = len(entries)
+        classes = []
+        distinct: dict[tuple[float, ...], int] = {}
+        for i, row in enumerate(entries):
             if i == n:
                 raise ValueError(f"{shape}: more than {n} rows")
             try:
-                row = tuple(map((0.0).__add__, map(float, row)))
+                row = tuple(map((0.0).__add__, map(float, row)))  # 0.0 + -0.0 is 0.0
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"non-numeric distance cell in row {i}: {exc}") from None
             if len(row) != n:
                 raise ValueError(f"{shape}: row {i} has {len(row)} cells")
-            entries.append(distinct.setdefault(row, row))
-        if len(entries) != n:
-            raise ValueError(f"{shape}: got {len(entries)} rows")
+            classes.append(distinct.setdefault(row, len(distinct)))
+        if len(classes) != n:
+            raise ValueError(f"{shape}: got {len(classes)} rows")
         # A lower cell (j, i) was checked as the mirror of (i, j), so this
         # walk reports the same first error as one over the full square.
-        for i, row in enumerate(entries):
+        shared = list(distinct)
+        for i, row in enumerate(map(shared.__getitem__, classes)):
             if row[i] != 0.0:
                 raise ValueError(f"diagonal entry ({i},{i}) must be 0, got {row[i]!r}")
             for j in range(i + 1, n):
                 value = row[j]
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"entry ({i},{j}) out of range [0,1]: {value!r}")
-                if value != entries[j][i]:
+                if value != shared[classes[j]][i]:
                     raise ValueError(f"matrix is asymmetric at ({i},{j})")
+        # A class's columns are equal (the matrix is symmetric): keep its last, cutting in place.
+        columns = dict(zip(classes, range(n))).values()
+        distinct.clear()
+        for c, row in enumerate(shared):
+            shared[c] = tuple(map(row.__getitem__, columns))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "rows", tuple(shared))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[float, ...], ...]:
+        """The n x n cells; the labels of a class share one row object."""
+        cells = [tuple(map(row.__getitem__, self.classes)) for row in self.rows]
+        return tuple(map(cells.__getitem__, self.classes))
 
     @property
     def size(self) -> int:
@@ -90,11 +105,11 @@ class DistanceMatrix:
         csv.writer(out, lineterminator="\n").writerow(self.labels)
         # A distance formatted as %.6f (the same text as f"{value:.6f}")
         # never needs CSV quoting, so each row is one format operation,
-        # made once per distinct row object.
+        # made once per class on its cells spread by one itemgetter (a tuple
+        # built at its size, or the one cell when n is 1).
         line = ",".join(["%.6f"] * self.size) + "\n"
-        distinct = {id(row): row for row in self.entries}
-        text = {key: line % row for key, row in distinct.items()}
-        out.writelines(text[id(row)] for row in self.entries)
+        text = list(map(line.__mod__, map(itemgetter(*self.classes), self.rows)))
+        out.writelines(map(text.__getitem__, self.classes))
         return out.getvalue()
 
     @classmethod
@@ -127,11 +142,11 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
     """Pairwise Jaccard distance matrix over element sets, one per label.
 
     Equal sets form one class: only the k(k-1)/2 pairs of the k distinct
-    sets are compared, and the members of a class share one row object.
-    Tokens are numbered once, so each set becomes a Python-int bitmask and
-    a cell needs one AND and one popcount: |x & y| = popcount(a & b) and
+    sets are compared, and the matrix keeps those k x k cells. Tokens are
+    numbered once, so each set becomes a Python-int bitmask and a cell
+    needs one AND and one popcount: |x & y| = popcount(a & b) and
     |x | y| = |x| + |y| - |x & y|, the same integers jaccard_distance
-    divides, so the same floats.
+    divides (two distinct sets are never both empty), so the same floats.
     """
     labels = list(labels)
     if not element_sets:
@@ -157,16 +172,14 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
         a, size_a, row = masks[p], sizes[p], rows[p]
         for q in range(p + 1, k):
             inter = (a & masks[q]).bit_count()
-            union = size_a + sizes[q] - inter
-            row[q] = rows[q][p] = 1.0 - inter / union if union else 0.0
-        # Earlier passes filled the row's lower half, so it is complete: it
-        # becomes the class's n-cell row in place, so the k x k cells are
-        # never held beside it.
-        rows[p] = tuple(map(row.__getitem__, class_of))
+            row[q] = rows[q][p] = 1.0 - inter / (size_a + sizes[q] - inter)
+        # Earlier passes filled the row's lower half, so it is complete.
+        rows[p] = tuple(row)
     # By construction every cell is in [0, 1] and not -0.0, the rows are
     # symmetric with a 0 diagonal, and unequal sets give unequal rows: the
     # matrix skips the O(n^2) work DistanceMatrix does on values from outside.
     matrix = object.__new__(DistanceMatrix)
     object.__setattr__(matrix, "labels", labels)
-    object.__setattr__(matrix, "entries", tuple(map(rows.__getitem__, class_of)))
+    object.__setattr__(matrix, "classes", tuple(class_of))
+    object.__setattr__(matrix, "rows", tuple(rows))
     return matrix

@@ -6,7 +6,7 @@ bounded_run, then checks its output with check_labels:
     PYTHONPATH=src:tests python - <<'EOF'
     from _scale import bounded_run, check_labels, corpus_labels
 
-    bounded_run(["groups", "corpus", "--out", "g.json"], seconds=10, mb=250)
+    bounded_run(["groups", "corpus", "--out", "g.json"], seconds=10, mb=95)
     check_labels("g.json", corpus_labels("corpus", 4548))
     EOF
 

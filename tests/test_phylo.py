@@ -238,9 +238,23 @@ class TestCollapsedClasses:
         for _ in range(120):
             _assert_dense(_negative_zeros(rng, _planted(rng, rng.randint(2, 40))))
 
+    def test_csv_round_trip_keeps_classes(self):
+        # A CSV reads back with the matrix's classes, and with its class rows
+        # to 6 decimal digits; every label of a class on one entries row.
+        rng = random.Random(25)
+        for _ in range(60):
+            matrix = _planted(rng, rng.randint(2, 40))
+            for source in (matrix, _negative_zeros(rng, matrix)):
+                parsed = DistanceMatrix.from_csv(source.to_csv())
+                assert parsed.classes == matrix.classes
+                assert parsed.rows == tuple(tuple(float(f"{v:.6f}") for v in row) for row in matrix.rows)
+                assert parsed.entries == tuple(tuple(float(f"{v:.6f}") for v in row) for row in matrix.entries)
+                first = dict(zip(parsed.classes, parsed.entries))
+                assert all(first[c] is row for c, row in zip(parsed.classes, parsed.entries))
+
     def test_zero_between_unequal_rows_matches_dense(self):
         matrix = DistanceMatrix.from_csv(UNEQUAL_ZERO_CSV)
-        assert not _collapsible(matrix.entries, [0])
+        assert not _collapsible(matrix.rows[matrix.classes[0]])
         _assert_dense(matrix)
         assert to_newick(upgma(matrix)) == "(((a:0,b:0):0.45,e:0.45):0.2,(c:0,d:0):0.65);"
 
@@ -255,12 +269,12 @@ class TestCollapsedClasses:
 
     def test_which_classes_collapse(self):
         matrix = jaccard_matrix([frozenset("ab"), frozenset("c"), frozenset("ab")], ["x", "y", "z"])
-        assert _collapsible(matrix.entries, [0, 2])
-        assert _collapsible(matrix.entries, [1])
+        assert _collapsible(matrix.rows[matrix.classes[0]])
+        assert _collapsible(matrix.rows[matrix.classes[1]])
         # -0.0 is stored as 0.0, so the two rows are one and collapse.
         negative = DistanceMatrix(("x", "y"), ((0.0, -0.0), (-0.0, 0.0)))
         assert negative.entries[0] is negative.entries[1]
-        assert _collapsible(negative.entries, [0, 1])
+        assert _collapsible(negative.rows[negative.classes[0]])
 
     def test_weighted_working_matrix_has_one_row_per_class(self):
         # 600 profiles in 3 classes: the weighted tree, like the plain one,

@@ -198,6 +198,19 @@ class TestValidation:
         with pytest.raises(ProfileSchemaError):
             Profile(**kwargs)
 
+    @pytest.mark.parametrize(
+        "args, message, field_name",
+        [
+            (("", 1, 1), "Hash must be non-empty text", "Hash"),
+            (("h", 1, 1, (object(),)), "events must be ApiEvent instances", None),
+        ],
+    )
+    def test_profile_fields_rejected(self, args, message, field_name):
+        with pytest.raises(ProfileSchemaError) as err:
+            Profile(*args)
+        assert str(err.value) == message
+        assert err.value.field_name == field_name
+
     def test_ngram_must_be_positive(self):
         with pytest.raises(ValueError):
             FeatureConfig(ngram_n=0)

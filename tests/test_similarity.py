@@ -261,6 +261,22 @@ class TestSharedRows:
             expected = ",".join(labels) + "\n" + "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in cells)
             assert matrix.to_csv() == expected
 
+    def test_matrix_keeps_class_rows(self):
+        # 2,000 labels over 10 distinct sets: the matrix keeps its labels,
+        # their classes and the 10 x 10 class rows, about 34 KB. One 2,000-cell
+        # row per class, shared by its labels, kept about 194 KB.
+        distinct = [frozenset({f"t{k}", f"u{k % 3}", "shared"}) for k in range(10)]
+        sets = [distinct[k % 10] for k in range(2000)]
+        labels = [f"s{k:04d}" for k in range(2000)]
+        tracemalloc.start()
+        try:
+            matrix = jaccard_matrix(sets, labels)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024, f"the matrix kept {kept} bytes"
+        assert len(matrix.rows) == 10
+
     def test_distmat_bytes_on_duplicate_corpus(self, tmp_path):
         labeled, truth = generate_corpus(four_family_spec(variants=12, seed=19))
         write_corpus(tmp_path / "corpus", labeled, truth)
@@ -321,6 +337,25 @@ class TestCsv:
         row_of = {}
         for elements, row in zip(sets, parsed.entries):
             assert row_of.setdefault(elements, row) is row
+
+    def test_read_holds_one_row_per_class(self):
+        # 600 labels over 3 distinct rows: while reading, the constructor
+        # holds one converted row per class (a peak about 0.2 MB above what
+        # the matrix keeps; keeping every converted row took 11.6 MB). 300
+        # distinct rows: each is cut to its class columns in place (0.06 MB;
+        # a second copy of the rows took 0.78 MB).
+        sets = [frozenset({f"t{k % 3}", "shared"}) for k in range(600)]
+        duplicated = jaccard_matrix(sets, [f"s{k:03d}" for k in range(600)]).to_csv()
+        n = 300
+        dense = DistanceMatrix([f"s{i}" for i in range(n)], [[abs(i - j) / n for j in range(n)] for i in range(n)]).to_csv()
+        for text, bound in ((duplicated, 1024 * 1024), (dense, 256 * 1024)):
+            tracemalloc.start()
+            try:
+                matrix = DistanceMatrix.from_csv(text)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - kept < bound, f"reading {matrix.size} labels peaked {peak - kept} bytes above what it kept"
 
     @pytest.mark.parametrize("final_newline", [True, False])
     def test_round_trip_awkward_labels(self, final_newline):
