@@ -60,18 +60,17 @@ _FEATURE_KEYS = {field.name for field in dataclasses.fields(FeatureConfig)}
 class RunConfig:
     """Resolved settings for one invocation.
 
-    Precedence: built-in defaults, then the --config file, then (for
-    classify) the training settings echoed in the characteristics file,
-    then explicit command-line flags.
+    Precedence: built-in defaults, then the --config file, then explicit
+    command-line flags. classify reads its settings from its model alone.
     """
 
-    with_params: bool = True
-    ngram_n: int = 1
-    normalize_paths: bool = True
-    include_return: bool = True
+    with_params: bool = FeatureConfig.with_params
+    ngram_n: int = FeatureConfig.ngram_n
+    normalize_paths: bool = FeatureConfig.normalize_paths
+    include_return: bool = FeatureConfig.include_return
     threshold: float = 0.5
-    alpha: float = 0.1
-    min_score: float = 0.5
+    alpha: float = EnduranceConfig.alpha
+    min_score: float = EnduranceConfig.min_score
     tm_threshold: float = 0.7
     size_weighted: bool = False
     seed: int | None = None
@@ -98,21 +97,20 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _settings(values, what: str, keys: set[str] = _CONFIG_FIELDS) -> dict:
-    """values, checked to be an object of valid settings under keys. Called
-    where a file is read, so that an error names the file."""
-    unknown = sorted(set(typed(values, what, dict)) - keys)
+def _settings(values, what: str) -> dict:
+    """values, checked to be an object of valid settings. Called where a
+    file is read, so that an error names the file."""
+    unknown = sorted(set(typed(values, what, dict)) - _CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
     RunConfig(**values)
     return values
 
 
-def _resolve_config(args: argparse.Namespace, overrides: Mapping | None = None) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(read_input(args.config, lambda text: _settings(json.loads(text), "config file")))
-    values.update(overrides or {})
     flags = vars(args)
     values.update((key, flags[key]) for key in _CONFIG_FIELDS & flags.keys() if flags[key] is not None)
     return RunConfig(**values)
@@ -320,21 +318,25 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 # calling main per request) decodes and checks the file once: the memo keeps
 # the last text read and its result. The file is still read on every call,
 # so a changed file is parsed and checked again; an error is never kept.
-# Both mappings are shared by every call with that text, so they are
-# read-only views.
+# Both results are shared by every call with that text, so the settings are
+# frozen and the groups a read-only view.
 @functools.lru_cache(maxsize=1)
-def _read_characteristics(text: str) -> tuple[Mapping, Mapping]:
+def _read_characteristics(text: str) -> tuple[RunConfig, Mapping]:
     """The training settings a characteristics file echoes, and its groups."""
     document = typed(json.loads(text), "characteristics file", dict)
-    feature = _settings(document.get("feature"), "feature block", _FEATURE_KEYS)
-    settings = {"alpha": document.get("alpha"), "min_score": document.get("min_score"), **feature}
-    settings = _settings(settings, "characteristics file")
-    return MappingProxyType(settings), MappingProxyType(characteristics_from_report(document.get("groups")))
+    feature = typed(document.get("feature"), "feature block", dict)
+    if feature.keys() != _FEATURE_KEYS:
+        raise ValueError(f"feature block must have the keys {sorted(_FEATURE_KEYS)}, got {sorted(feature)}")
+    # The feature values are checked before alpha and min_score.
+    endurance = {"alpha": document.get("alpha"), "min_score": document.get("min_score")}
+    config = dataclasses.replace(RunConfig(**feature), **endurance)
+    return config, MappingProxyType(characteristics_from_report(document.get("groups")))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    overrides, chars = read_input(args.characteristics, _read_characteristics)
-    config = _resolve_config(args, overrides)
+    config, chars = read_input(args.characteristics, _read_characteristics)
+    if args.min_score is not None:
+        config = dataclasses.replace(config, min_score=args.min_score)
     calls = read_input(args.profile, _profile_calls)
     [elements] = _call_elements((calls,), config.feature())
     result = classify(elements, chars, config.endurance())
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="validate profiles and print summaries")
     p.add_argument("paths", nargs="+", help="profile XML files or corpus directories")
-    _add_common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("distmat", help="corpus directory -> distance matrix CSV")
@@ -460,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("characteristics")
     p.add_argument("profile")
     p.add_argument("--min-score", dest="min_score", type=float, default=None)
-    _add_feature_flags(p)
-    _add_common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("pcs", help="engine label table -> pairwise classification score report")

@@ -7,7 +7,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .profile import ElementSet, FeatureConfig, Profile, corpus_elements, csv_rows
 
@@ -89,10 +89,17 @@ class DistanceMatrix:
         object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "rows", tuple(shared))
 
+    def _spread_rows(self) -> Iterator:
+        """Each class row spread to its n cells by one itemgetter: a tuple
+        built at its size, or the one cell when n is 1."""
+        return map(itemgetter(*self.classes), self.rows)
+
     @cached_property
     def entries(self) -> tuple[tuple[float, ...], ...]:
         """The n x n cells; the labels of a class share one row object."""
-        cells = [tuple(map(row.__getitem__, self.classes)) for row in self.rows]
+        if self.size == 1:
+            return self.rows
+        cells = list(self._spread_rows())
         return tuple(map(cells.__getitem__, self.classes))
 
     @property
@@ -105,10 +112,9 @@ class DistanceMatrix:
         csv.writer(out, lineterminator="\n").writerow(self.labels)
         # A distance formatted as %.6f (the same text as f"{value:.6f}")
         # never needs CSV quoting, so each row is one format operation,
-        # made once per class on its cells spread by one itemgetter (a tuple
-        # built at its size, or the one cell when n is 1).
+        # made once per class on its spread cells.
         line = ",".join(["%.6f"] * self.size) + "\n"
-        text = list(map(line.__mod__, map(itemgetter(*self.classes), self.rows)))
+        text = list(map(line.__mod__, self._spread_rows()))
         out.writelines(map(text.__getitem__, self.classes))
         return out.getvalue()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import json
 import os
@@ -1588,7 +1589,78 @@ class TestCharacteristicsMemo:
     def test_kept_model_is_read_only(self, trained):
         chars, _ = trained
         settings, groups = read_input(chars, cli._read_characteristics)
-        with pytest.raises(TypeError):
-            settings["min_score"] = 0.0
+        assert isinstance(settings, cli.RunConfig)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings.min_score = 0.0
         with pytest.raises(TypeError):
             del groups[0]
+
+
+class TestClassifySettings:
+    """classify tokenizes as its model was trained: the settings come from
+    the model's feature block, alpha and min_score, and --min-score is the
+    one flag that overrides them."""
+
+    @pytest.fixture
+    def model(self, two_family_corpus, tmp_path):
+        chars = tmp_path / "chars.json"
+        assert main(["characterize", str(two_family_corpus), "--ngram", "2", "--out", str(chars)]) == 0
+        return chars, two_family_corpus / "b2-0.xml"
+
+    def test_tokenizes_as_trained(self, capsys, model):
+        chars, profile = model
+        assert json.loads(chars.read_text())["feature"]["ngram_n"] == 2
+        assert _run(capsys, ["classify", str(chars), str(profile)]) == (0, "1\n", "")
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("classify", ["--config", "config.json"]),
+            ("classify", ["--ngram", "1"]),
+            ("classify", ["--no-params"]),
+            ("classify", ["--no-return"]),
+            ("parse", ["--config", "config.json"]),
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, model, tmp_path, command, extra):
+        chars, profile = model
+        (tmp_path / "config.json").write_text("{}")
+        inputs = [str(chars), str(profile)] if command == "classify" else [str(profile)]
+        argv = [command, *inputs, *[str(tmp_path / arg) if arg.endswith(".json") else arg for arg in extra]]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert err.startswith("usage: malbehave ")
+        assert f"malbehave: error: unrecognized arguments: {extra[0]}" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda feature: feature.pop("include_return"),
+            lambda feature: feature.update(window=3),
+            lambda feature: feature.clear(),
+        ],
+        ids=["missing-key", "unknown-key", "empty"],
+    )
+    def test_feature_block_names_exactly_the_four_keys(self, capsys, model, edit):
+        chars, profile = model
+        document = json.loads(chars.read_text())
+        edit(document["feature"])
+        chars.write_text(json.dumps(document))
+        code, out, err = _run(capsys, ["classify", str(chars), str(profile)])
+        assert (code, out) == (1, "")
+        keys = "['include_return', 'ngram_n', 'normalize_paths', 'with_params']"
+        assert _single_error_line(err) == (
+            f"error: {chars}: feature block must have the keys {keys}, got {sorted(document['feature'])}"
+        )
+
+    def test_min_score_flag_checked_after_the_model(self, capsys, model):
+        chars, profile = model
+        code, out, err = _run(capsys, ["classify", str(chars), str(profile), "--min-score", "1.5"])
+        assert (code, out) == (1, "")
+        assert _single_error_line(err) == "error: min_score must be in [0, 1], got 1.5"
+        chars.write_text(json.dumps(dict(json.loads(chars.read_text()), alpha=1)))
+        code, out, err = _run(capsys, ["classify", str(chars), str(profile), "--min-score", "1.5"])
+        assert (code, out) == (1, "")
+        assert _single_error_line(err) == f"error: {chars}: alpha must be in [0, 1), got 1"

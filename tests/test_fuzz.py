@@ -190,13 +190,13 @@ def _commands(kind: str, bad: str, inputs: dict, case: int) -> list[list[str]]:
     if kind == "profile":
         return [["parse", bad], ["characterize", corpus], ["classify", files["chars.json"], bad]]
     if kind == "config":
-        # The config file is read by every subcommand but parse; take each in turn.
+        # The config file is read by every subcommand but parse and classify;
+        # take each in turn.
         commands = [
             ["groups", corpus],
             ["distmat", corpus],
             ["tree", corpus],
             ["characterize", corpus],
-            ["classify", files["chars.json"], profile],
             ["pcs", files["table.json"]],
             ["synth", files["spec.json"], "--out", out],
         ]
