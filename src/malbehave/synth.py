@@ -63,6 +63,9 @@ class Xorshift64Star:
         if self._state == 0:
             self._state = 0x9E3779B97F4A7C15
 
+    # random and randrange repeat next_u64's step rather than call it: synth
+    # draws once or more per event, and the extra call cost as much as the
+    # step itself.
     def next_u64(self) -> int:
         s = self._state
         s ^= s >> 12
@@ -73,12 +76,22 @@ class Xorshift64Star:
 
     def random(self) -> float:
         """Float in [0, 1) with 53 bits of the next output."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        s = self._state
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK64
+        s ^= s >> 27
+        self._state = s
+        return (((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (2.0 ** -53)
 
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        return self.next_u64() % n
+        s = self._state
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK64
+        s ^= s >> 27
+        self._state = s
+        return ((s * 0x2545F4914F6CDD1D) & _MASK64) % n
 
     def choice(self, seq: Sequence):
         return seq[self.randrange(len(seq))]
