@@ -97,20 +97,18 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _settings(values, what: str) -> dict:
-    """values, checked to be an object of valid settings. Called where a
-    file is read, so that an error names the file."""
-    unknown = sorted(set(typed(values, what, dict)) - _CONFIG_FIELDS)
+def _config_file(text: str) -> dict:
+    """A --config file's settings, checked where it is read so that an error names it."""
+    values = typed(json.loads(text), "config file", dict)
+    unknown = sorted(set(values) - _CONFIG_FIELDS)
     if unknown:
-        raise ValueError(f"{what} has unknown keys {unknown}")
+        raise ValueError(f"config file has unknown keys {unknown}")
     RunConfig(**values)
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if args.config:
-        values.update(read_input(args.config, lambda text: _settings(json.loads(text), "config file")))
+    values = read_input(args.config, _config_file) if args.config else {}
     flags = vars(args)
     values.update((key, flags[key]) for key in _CONFIG_FIELDS & flags.keys() if flags[key] is not None)
     return RunConfig(**values)
@@ -327,9 +325,8 @@ def _read_characteristics(text: str) -> tuple[RunConfig, Mapping]:
     feature = typed(document.get("feature"), "feature block", dict)
     if feature.keys() != _FEATURE_KEYS:
         raise ValueError(f"feature block must have the keys {sorted(_FEATURE_KEYS)}, got {sorted(feature)}")
-    # The feature values are checked before alpha and min_score.
-    endurance = {"alpha": document.get("alpha"), "min_score": document.get("min_score")}
-    config = dataclasses.replace(RunConfig(**feature), **endurance)
+    config = RunConfig(**feature)  # checks the feature values before alpha and min_score
+    config = dataclasses.replace(config, alpha=document.get("alpha"), min_score=document.get("min_score"))
     return config, MappingProxyType(characteristics_from_report(document.get("groups")))
 
 

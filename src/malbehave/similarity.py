@@ -90,8 +90,7 @@ class DistanceMatrix:
         object.__setattr__(self, "rows", tuple(shared))
 
     def _spread_rows(self) -> Iterator:
-        """Each class row spread to its n cells by one itemgetter: a tuple
-        built at its size, or the one cell when n is 1."""
+        """Each class row's n cells by one itemgetter (the one cell when n is 1)."""
         return map(itemgetter(*self.classes), self.rows)
 
     @cached_property

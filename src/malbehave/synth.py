@@ -63,16 +63,11 @@ class Xorshift64Star:
         if self._state == 0:
             self._state = 0x9E3779B97F4A7C15
 
-    # random and randrange repeat next_u64's step rather than call it: synth
-    # draws once or more per event, and the extra call cost as much as the
-    # step itself.
+    # random and randrange each take the xorshift step inline rather than
+    # through a shared call: synth draws once or more per event, and the
+    # extra call cost as much as the step itself.
     def next_u64(self) -> int:
-        s = self._state
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK64
-        s ^= s >> 27
-        self._state = s
-        return (s * 0x2545F4914F6CDD1D) & _MASK64
+        return self.randrange(1 << 64)
 
     def random(self) -> float:
         """Float in [0, 1) with 53 bits of the next output."""
