@@ -413,6 +413,11 @@ def _add_tree_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_grammar()[0]
+
+
+def _build_grammar() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="malbehave",
         description="Group API-call behavior profiles into families and score groupings.",
@@ -479,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=_cmd_synth)
 
-    return parser
+    return parser, sub.choices
 
 
-# The grammar main parses with, built once per process: parse_args leaves a
+# The grammar main parses with, built once per process: parsing leaves a
 # parser unchanged (each call fills a new Namespace), so one serves every call.
-_shared_parser = functools.cache(build_parser)
+_grammar = functools.cache(_build_grammar)
 
 
 def _error_text(exc: Exception) -> str:
@@ -497,7 +502,11 @@ def _error_text(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser, commands = _grammar()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # As parse_args would, but with the subcommand's usage and name.
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (*INPUT_ERRORS, OSError) as exc:

@@ -15,10 +15,11 @@ the peer agrees with its different-family pairs. Scores live in [0, 2].
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 import re
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,6 +33,11 @@ _HEX_RE = re.compile(r"[0-9a-f]+\Z")
 # A pair verdict (-1, 0, +1) held as a signed byte -> its '0'/'1' mask bit.
 _SAME_BIT = bytes.maketrans(b"\xff\x00\x01", b"001")
 _DIFF_BIT = bytes.maketrans(b"\xff\x00\x01", b"100")
+# The top byte of a text-mining packed field -> its signed verdict byte:
+# [0x80, 0xa0) is +1, [0x60, 0x80) is -1, 0x00 (an undetected sample) is 0.
+_TOP_VERDICT = bytes(1 if 0x80 <= top < 0xA0 else 0xFF if 0x60 <= top < 0x80 else 0 for top in range(256))
+# Later samples per block of text-mining columns: bounds the columns' memory.
+_BLOCK = 256
 
 
 # Words that name no family: dropped from detection strings and descriptions.
@@ -224,7 +230,21 @@ class PairwiseIndicator:
 
     pair_masks gives the +1 / 0 / -1 verdicts over every pair of ids. Ids
     whose description is empty (or all stop words) behave as not detected:
-    any pair touching them scores 0.
+    any pair touching them scores 0. A pair (a, b), a before b, scores +1
+    when dot² >= threshold * threshold * norm_a * norm_b, with squared
+    norms (exact integers, since counts are), and -1 otherwise.
+
+    The verdicts come from packed columns: many small integers in the
+    fields of one Python int, added with one big-int add (SWAR). Each
+    field is w = 8 * width bits, the fewest whole bytes that hold
+    max_norm + 1 with 3 bits to spare. Later samples are taken in blocks
+    of _BLOCK; in a block, each token's column holds that token's count
+    for each sample of the block, one field per sample (0 for an
+    undetected one). Row i's block segment is then
+    base(norm_i) + sum(count_i[t] * column_t): a field reads
+    2^(w-1) - d* + dot, where d* is the smallest dot that scores +1 for
+    that pair of norms, so its top byte is in [0x80, 0xa0) for +1, in
+    [0x60, 0x80) for -1, and 0x00 for an undetected sample.
     """
 
     def __init__(self, vectors: Mapping[str, Mapping[str, int] | None], threshold: float):
@@ -235,44 +255,72 @@ class PairwiseIndicator:
         self._norms = {
             key: sum(count * count for count in self._vectors[key].values()) for key in self.detected
         }
+        for key, norm in self._norms.items():
+            if not isinstance(norm, int) or min(self._vectors[key].values()) < 0:
+                raise ValueError(f"token counts of {key!r} must be non-negative integers")
 
-    def _rows(self, ids: Sequence[str]) -> list[array]:
-        """Row i holds the verdicts of the pairs (ids[i], ids[j]) for j > i.
-
-        Rows are scored last to first, so that row i's dot products come
-        from an inverted index (token -> [(j, count)]) of the later ids only.
-        """
+    def _verdicts(self, ids: Sequence[str]) -> bytearray:
+        """The signed verdicts of the (i<j) row-major pairs of ids: row i's
+        pairs (ids[i], ids[j]), j > i, start at i*n - i*(i+1)/2."""
         for key in ids:
             if key not in self._vectors:
                 raise ValueError(f"unknown malware id {key!r}")
         n = len(ids)
-        threshold = self.threshold
+        verdicts = bytearray(n * (n - 1) // 2)
         norms = [self._norms.get(key) for key in ids]
-        postings: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
-        rows = []
-        for i in reversed(range(n)):
-            norm_a = norms[i]
-            if norm_a is None:
-                rows.append(array("b", bytes(n - i - 1)))
-                continue
-            dots = [0] * n
-            for token, count in self._vectors[ids[i]].items():
-                for j, count_b in postings[token]:
-                    dots[j] += count * count_b
-                postings[token].append((i, count))
-            # cosine >= threshold, compared without square roots (counts are ints)
-            verdicts = [
-                0 if norm_b is None else 1 if dot * dot >= threshold * threshold * norm_a * norm_b else -1
-                for dot, norm_b in zip(dots[i + 1 :], norms[i + 1 :])
-            ]
-            rows.append(array("b", verdicts))
-        rows.reverse()
-        return rows
+        # No dot product exceeds max_norm (Cauchy-Schwarz), so no d* needs to.
+        cap = max((norm for norm in norms if norm is not None), default=0) + 1
+        width = (cap.bit_length() + 3 + 7) // 8
+        bits = 8 * width
+        half = 1 << (bits - 1)
+        threshold = self.threshold
+
+        @functools.cache
+        def least_dot(norm_a: int, norm_b: int) -> int:
+            # The smallest d with d * d >= bound, capped at cap: d * d is an
+            # integer, so it reaches bound exactly when it reaches ceil(bound).
+            bound = threshold * threshold * norm_a * norm_b
+            if not bound <= cap * cap:
+                return cap
+            d = math.isqrt(math.ceil(bound))
+            return d if d * d >= bound else d + 1
+
+        vectors = [self._vectors[key] for key in ids]
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            columns: dict[str, int] = {}
+            ones: dict[int, int] = {}  # norm -> a 1 in the field of each sample with that norm
+            for field, norm in enumerate(norms[start:stop]):
+                if norm is None:
+                    continue
+                shift = bits * field
+                ones[norm] = ones.get(norm, 0) | 1 << shift
+                for token, count in vectors[start + field].items():
+                    columns[token] = columns.get(token, 0) | count << shift
+            bases: dict[int, int] = {}
+            size = width * (stop - start)
+            for i in range(stop - 1):
+                norm = norms[i]
+                if norm is None:
+                    continue
+                row = bases.get(norm)
+                if row is None:
+                    row = bases[norm] = sum((half - least_dot(norm, other)) * mask for other, mask in ones.items())
+                for token, count in vectors[i].items():
+                    column = columns.get(token)
+                    if column:
+                        row += count * column
+                first = max(start, i + 1)
+                # The top byte of each field from the first later sample on.
+                tops = row.to_bytes(size, "little")[width * (first - start + 1) - 1 :: width]
+                at = i * n - i * (i + 1) // 2 + first - i - 1
+                verdicts[at : at + stop - first] = tops.translate(_TOP_VERDICT)
+        return verdicts
 
     def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:
         """The verdicts over the (i<j) row-major pairs of ids as two
         bitmasks, (same, diff): a bit is set where the verdict is +1 / -1."""
-        return _verdict_masks(b"".join(self._rows(ids)))
+        return _verdict_masks(self._verdicts(ids))
 
 
 def text_mining_grouping(descriptions: Mapping[str, str], threshold: float = 0.7) -> PairwiseIndicator:

@@ -1510,7 +1510,7 @@ class TestSharedParser:
         assert outputs[0].out.startswith("usage: malbehave ")
 
     def test_grammar_built_once(self):
-        assert cli._shared_parser() is cli._shared_parser()
+        assert cli._grammar() is cli._grammar()
         assert cli.build_parser() is not cli.build_parser()
 
 
@@ -1631,8 +1631,8 @@ class TestClassifySettings:
             main(argv)
         out, err = capsys.readouterr()
         assert (exit_.value.code, out) == (2, "")
-        assert err.startswith("usage: malbehave ")
-        assert f"malbehave: error: unrecognized arguments: {extra[0]}" in err
+        assert err.startswith(f"usage: malbehave {command} ")
+        assert f"malbehave {command}: error: unrecognized arguments: {extra[0]}" in err
 
     @pytest.mark.parametrize(
         "edit",

@@ -14,7 +14,7 @@ from malbehave import (
     pcs_score,
     text_mining_grouping,
 )
-from malbehave.pcs import _approval_from_masks, _label_masks
+from malbehave.pcs import PairwiseIndicator, _approval_from_masks, _label_masks
 from _oracles import brute_force_pcs, cosine_verdict, label_verdict
 from _pipeline import CSV_AWKWARD_LABELS
 
@@ -268,6 +268,11 @@ class TestTextMining:
         grouping = text_mining_grouping({"a": "adware installer", "b": "adware installer"}, threshold=1.0)
         assert _pair_verdict(grouping, "a", "b") == 1
 
+    @pytest.mark.parametrize("count", [-1, 1.5])
+    def test_counts_must_be_non_negative_integers(self, count):
+        with pytest.raises(ValueError, match="token counts of 'b' must be non-negative integers"):
+            PairwiseIndicator({"a": {"worm": 1}, "b": {"worm": 2, "adware": count}}, 0.5)
+
 
 def _literal_masks(verdict, items):
     """(same, diff) bitmasks by literal enumeration of the (i<j) pairs, the
@@ -306,23 +311,50 @@ class TestPairMasks:
             ({"a": "", "b": "", "c": "worm"}, 0.7),
             ({"a": "adware worm", "b": "adware worm", "c": "adware worm"}, 1.0),
             ({"a": "a a b b", "b": "a b", "c": "b a", "d": "a b b"}, 1.0),
+            # Dots at both ends of a field's range: dot = max_norm against
+            # d* = 0, and dot = 0 against d* = max_norm.
+            ({"a": "worm " * 6, "b": "worm " * 6, "c": "adware " * 6}, 0.0),
+            ({"a": "worm " * 6, "b": "worm " * 6, "c": "adware " * 6}, 1.0),
         ]
         for _ in range(300):
             n = rng.randint(2, 40)
             descriptions = {f"m{i}": " ".join(rng.choices(words, k=rng.randint(0, 6))) for i in range(n)}
             cases.append((descriptions, rng.choice([0.0, 0.5, 0.7, 1.0])))
+        indicators = []
         for descriptions, threshold in cases:
-            grouping = text_mining_grouping(descriptions, threshold=threshold)
-            # Verdicts recomputed by the oracle from the indicator's token
-            # counts, as brute_force_pcs reads them.
-            vectors = {key: Counter(vector or {}) for key, vector in grouping._vectors.items()}
-
-            def verdict(a, b):
-                return cosine_verdict(vectors[a], vectors[b], grouping.threshold)
-
             ids = list(descriptions)
             rng.shuffle(ids)
-            assert grouping.pair_masks(ids) == _literal_masks(verdict, ids)
+            indicators.append((text_mining_grouping(descriptions, threshold=threshold), ids))
+        # Rows that cross the 256-sample column blocks, undetected ids at
+        # both ends of the order.
+        for n, threshold in zip((255, 256, 257, 513), (0.0, 0.1 + 0.2, 1.0, 0.7)):
+            descriptions = {f"m{i}": " ".join(rng.choices(words, k=rng.randint(1, 6))) for i in range(n)}
+            descriptions["m0"] = descriptions[f"m{n - 1}"] = "win32"
+            indicators.append((text_mining_grouping(descriptions, threshold=threshold), list(descriptions)))
+        # Counts up to 2**40 need fields wider than 8 bytes; scaled copies of
+        # one vector have a cosine of exactly 1.
+        for threshold in (0.0, 0.1 + 0.2, 1.0):
+            vectors = {"first": None}
+            for i in range(60):
+                vector = Counter({word: rng.randint(1, 2**rng.choice([1, 20, 40])) for word in rng.sample(words, 3)})
+                vectors[f"c{i}"] = vector
+                vectors[f"c{i}x"] = Counter({word: count * rng.randint(1, 3) for word, count in vector.items()})
+            vectors["last"] = Counter()
+            indicator = PairwiseIndicator(vectors, threshold)
+            assert max(indicator._norms.values()) >= 2**64  # fields wider than 8 bytes
+            indicators.append((indicator, list(vectors)))
+        # Above 1, a threshold asks for more than any dot: d* is capped.
+        twins = {"a": Counter(worm=6), "b": Counter(worm=6), "c": Counter(adware=6)}
+        indicators.append((PairwiseIndicator(twins, 1.5), list(twins)))
+        for indicator, ids in indicators:
+            # Verdicts recomputed by the oracle from the indicator's token
+            # counts, as brute_force_pcs reads them.
+            vectors = {key: Counter(vector or {}) for key, vector in indicator._vectors.items()}
+
+            def verdict(a, b):
+                return cosine_verdict(vectors[a], vectors[b], indicator.threshold)
+
+            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
 
     def test_exact_cosine_ties_at_threshold_one(self):
         descriptions = {"a": "a a b b", "b": "a b", "c": "b a", "d": "a b b"}
@@ -413,6 +445,7 @@ class TestReport:
         # equal the literal evaluation exactly.
         rng = random.Random(31337)
         words = ["adware", "installer", "worm", "dropper", "bundle", "win32"]
+        cases = []
         for _ in range(150):
             null_rate = rng.choice([0.0, 0.2, 0.5, 1.0])
             table = _random_table(rng, rng.randint(2, 9), rng.randint(1, 5), null_rate)
@@ -423,6 +456,12 @@ class TestReport:
                 }
                 threshold = rng.choice([0.0, 0.5, 0.7, 1.0])
                 extras.append(("Text_Mining", text_mining_grouping(descriptions, threshold=threshold)))
+            cases.append((table, extras))
+        # Text-mining rows that cross a 256-sample column block.
+        table = _random_table(rng, 257, 1, 0.2)
+        descriptions = {mid: " ".join(rng.choices(words, k=rng.randint(0, 4))) for mid in table.malware_ids}
+        cases.append((table, [("Text_Mining", text_mining_grouping(descriptions, threshold=0.5))]))
+        for table, extras in cases:
             ids = list(table.malware_ids)
             rows = [list(row) for row in table.labels]
             report = pcs_report(table, extras)
