@@ -15,11 +15,12 @@ the peer agrees with its different-family pairs. Scores live in [0, 2].
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
+import operator
 import re
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -36,8 +37,16 @@ _DIFF_BIT = bytes.maketrans(b"\xff\x00\x01", b"100")
 # The top byte of a text-mining packed field -> its signed verdict byte:
 # [0x80, 0xa0) is +1, [0x60, 0x80) is -1, 0x00 (an undetected sample) is 0.
 _TOP_VERDICT = bytes(1 if 0x80 <= top < 0xA0 else 0xFF if 0x60 <= top < 0x80 else 0 for top in range(256))
-# Later samples per block of text-mining columns: bounds the columns' memory.
+# Samples per block of text-mining fields: no big-int add spans more.
 _BLOCK = 256
+# Classes of squared norms that share text-mining thresholds: bounds each
+# block's threshold work however many distinct norms there are.
+_NORM_CLASSES = 32
+# About the bytes of one text-mining posting: a (sample, count) tuple and
+# its list slot.
+_POSTING_BYTES = 64
+# Field width in bytes -> the array typecode of an unsigned int that wide.
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 # Words that name no family: dropped from detection strings and descriptions.
@@ -232,19 +241,32 @@ class PairwiseIndicator:
     whose description is empty (or all stop words) behave as not detected:
     any pair touching them scores 0. A pair (a, b), a before b, scores +1
     when dot² >= threshold * threshold * norm_a * norm_b, with squared
-    norms (exact integers, since counts are), and -1 otherwise.
+    norms (exact integers, since counts are), and -1 otherwise. Token
+    counts must be non-negative integers: ints, or any type with
+    __index__ (a numpy integer, say).
 
     The verdicts come from packed columns: many small integers in the
     fields of one Python int, added with one big-int add (SWAR). Each
-    field is w = 8 * width bits, the fewest whole bytes that hold
-    max_norm + 1 with 3 bits to spare. Later samples are taken in blocks
-    of _BLOCK; in a block, each token's column holds that token's count
-    for each sample of the block, one field per sample (0 for an
-    undetected one). Row i's block segment is then
-    base(norm_i) + sum(count_i[t] * column_t): a field reads
-    2^(w-1) - d* + dot, where d* is the smallest dot that scores +1 for
-    that pair of norms, so its top byte is in [0x80, 0xa0) for +1, in
-    [0x60, 0x80) for -1, and 0x00 for an undetected sample.
+    field is w = 8 * width bits: the fewest whole bytes that hold
+    max_norm + 1 with 3 bits to spare, rounded up to 1, 2, 4 or 8 bytes
+    where that is enough. The samples are taken in blocks of _BLOCK, and
+    rows are scored last to first. A token starts in an inverted index of
+    the later samples, one Python step per pair of samples that hold it.
+    Once its postings would take the memory of packed columns (n * width
+    bytes), it moves to them: per block, its count for each sample, one
+    field per sample. Row i's segment of a block is then base +
+    sum(count_i[t] * column_t[block]) + the index's part of each dot,
+    packed through an array, and a field reads 2^(w-1) - d + dot. Its
+    top byte is in [0x80, 0xa0) when dot >= d, in [0x60, 0x80) when not,
+    and 0x00 for an undetected sample; one strided slice and one
+    translate turn them into signed verdicts.
+
+    d is the smallest dot that scores +1 (d*) for the lowest norms of the
+    pair's norm classes: the sorted distinct norms cut into at most
+    _NORM_CLASSES runs. While each class holds one norm, that is the
+    pair's own d*. Otherwise a second base, from the classes' highest
+    norms, marks the dots that score +1 for every norm of the classes,
+    and each pair whose dot lies between the two is tested on its own.
     """
 
     def __init__(self, vectors: Mapping[str, Mapping[str, int] | None], threshold: float):
@@ -252,12 +274,25 @@ class PairwiseIndicator:
         self.threshold = float(threshold)
         self.detected = frozenset(key for key, vec in self._vectors.items() if vec)
         # Squared norms, exact integers since counts are; computed once per id.
-        self._norms = {
-            key: sum(count * count for count in self._vectors[key].values()) for key in self.detected
-        }
-        for key, norm in self._norms.items():
-            if not isinstance(norm, int) or min(self._vectors[key].values()) < 0:
+        self._norms = {}
+        for key in self.detected:
+            counts = self._vectors[key].values()
+            try:
+                norm = sum(map(operator.mul, counts, counts))
+            except TypeError:
+                norm = None
+            if type(norm) is not int:
+                # Integer counts of another type (numpy's, say) become ints.
+                try:
+                    vector = {token: operator.index(count) for token, count in self._vectors[key].items()}
+                except TypeError:
+                    raise ValueError(f"token counts of {key!r} must be non-negative integers") from None
+                self._vectors[key] = vector
+                counts = vector.values()
+                norm = sum(map(operator.mul, counts, counts))
+            if min(counts) < 0:
                 raise ValueError(f"token counts of {key!r} must be non-negative integers")
+            self._norms[key] = norm
 
     def _verdicts(self, ids: Sequence[str]) -> bytearray:
         """The signed verdicts of the (i<j) row-major pairs of ids: row i's
@@ -268,14 +303,17 @@ class PairwiseIndicator:
         n = len(ids)
         verdicts = bytearray(n * (n - 1) // 2)
         norms = [self._norms.get(key) for key in ids]
+        vectors = [self._vectors[key] for key in ids]
+        distinct = sorted({norm for norm in norms if norm is not None})
         # No dot product exceeds max_norm (Cauchy-Schwarz), so no d* needs to.
-        cap = max((norm for norm in norms if norm is not None), default=0) + 1
+        cap = (distinct[-1] if distinct else 0) + 1
         width = (cap.bit_length() + 3 + 7) // 8
+        width = next((size for size in _ARRAY_CODES if size >= width), width)
+        code = _ARRAY_CODES.get(width)
         bits = 8 * width
         half = 1 << (bits - 1)
         threshold = self.threshold
 
-        @functools.cache
         def least_dot(norm_a: int, norm_b: int) -> int:
             # The smallest d with d * d >= bound, capped at cap: d * d is an
             # integer, so it reaches bound exactly when it reaches ceil(bound).
@@ -285,36 +323,102 @@ class PairwiseIndicator:
             d = math.isqrt(math.ceil(bound))
             return d if d * d >= bound else d + 1
 
-        vectors = [self._vectors[key] for key in ids]
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            columns: dict[str, int] = {}
-            ones: dict[int, int] = {}  # norm -> a 1 in the field of each sample with that norm
-            for field, norm in enumerate(norms[start:stop]):
-                if norm is None:
-                    continue
-                shift = bits * field
-                ones[norm] = ones.get(norm, 0) | 1 << shift
-                for token, count in vectors[start + field].items():
-                    columns[token] = columns.get(token, 0) | count << shift
-            bases: dict[int, int] = {}
-            size = width * (stop - start)
-            for i in range(stop - 1):
-                norm = norms[i]
-                if norm is None:
-                    continue
-                row = bases.get(norm)
-                if row is None:
-                    row = bases[norm] = sum((half - least_dot(norm, other)) * mask for other, mask in ones.items())
-                for token, count in vectors[i].items():
+        # Norm classes: the sorted distinct norms cut into at most
+        # _NORM_CLASSES runs. The bound grows with each norm, so a pair of
+        # classes' d* from their lowest norms and from their highest norms
+        # bracket the d* of every pair of norms they hold.
+        classes = min(len(distinct), _NORM_CLASSES)
+        class_of = {norm: rank * classes // len(distinct) for rank, norm in enumerate(distinct)}
+        lowest: dict[int, int] = {}
+        highest: dict[int, int] = {}
+        for norm in distinct:
+            lowest.setdefault(class_of[norm], norm)
+            highest[class_of[norm]] = norm
+
+        blocks = -(-n // _BLOCK)
+        # per block: class -> a 1 in the field of each sample of that class
+        ones: list[dict[int, int]] = [{} for _ in range(blocks)]
+        for j, norm in enumerate(norms):
+            if norm is not None:
+                held = ones[j // _BLOCK]
+                held[class_of[norm]] = held.get(class_of[norm], 0) | 1 << bits * (j % _BLOCK)
+        # (row class, block) -> its (low, high) base; high is None where it equals low
+        bases: dict[tuple[int, int], tuple[int, int | None]] = {}
+        # A token starts in the inverted index, postings of (j, count). Once
+        # it has as many postings as take the memory of its packed columns
+        # (n * width bytes at about _POSTING_BYTES each), it moves to them.
+        postings: dict[str, list[tuple[int, int]]] = {}
+        columns: dict[str, list[int]] = {}  # token -> its packed column in each block
+        limit = -(-n * width // _POSTING_BYTES)
+
+        # Rows last to first: the index and the columns hold the later samples.
+        for i in reversed(range(n)):
+            norm = norms[i]
+            if norm is None:
+                continue
+            common = []
+            spread = None  # j -> the inverted index's part of dot(i, j)
+            for token, count in vectors[i].items():
+                later = postings.get(token)
+                if later is None:
                     column = columns.get(token)
-                    if column:
-                        row += count * column
+                    if column is None:
+                        postings[token] = [(i, count)]
+                    else:
+                        common.append((column, count))
+                        # Row i's own field: its segments start after it.
+                        column[i // _BLOCK] |= count << bits * (i % _BLOCK)
+                    continue
+                if spread is None:
+                    spread = [0] * n
+                for j, other in later:
+                    spread[j] += count * other
+                later.append((i, count))
+                if len(later) >= limit:
+                    column = columns[token] = [0] * blocks
+                    for j, other in postings.pop(token):
+                        column[j // _BLOCK] |= other << bits * (j % _BLOCK)
+            if i == n - 1:
+                continue
+            for block in range((i + 1) // _BLOCK, blocks):
+                start = block * _BLOCK
+                stop = min(start + _BLOCK, n)
+                size = width * (stop - start)
+                pair = bases.get((class_of[norm], block))
+                if pair is None:
+                    low, high = (
+                        sum((half - least_dot(ends[class_of[norm]], ends[c])) * mask for c, mask in ones[block].items())
+                        for ends in (lowest, highest)
+                    )
+                    pair = bases[class_of[norm], block] = (low, None if high == low else high)
+                dots = 0
+                for column, count in common:
+                    dots += column[block] if count == 1 else count * column[block]
+                if spread is not None:
+                    part = spread[start:stop]
+                    if code:
+                        dots += int.from_bytes(array(code, part).tobytes(), "little")
+                    else:
+                        dots += int.from_bytes(b"".join([dot.to_bytes(width, "little") for dot in part]), "little")
                 first = max(start, i + 1)
-                # The top byte of each field from the first later sample on.
-                tops = row.to_bytes(size, "little")[width * (first - start + 1) - 1 :: width]
+                skip = width * (first - start)
                 at = i * n - i * (i + 1) // 2 + first - i - 1
-                verdicts[at : at + stop - first] = tops.translate(_TOP_VERDICT)
+                # The top byte of each field from the first later sample on.
+                found = (dots + pair[0]).to_bytes(size, "little")[skip + width - 1 :: width].translate(_TOP_VERDICT)
+                verdicts[at : at + stop - first] = found
+                if pair[1] is None or 1 not in found:
+                    continue
+                sure = (dots + pair[1]).to_bytes(size, "little")[skip + width - 1 :: width].translate(_TOP_VERDICT)
+                # The low base's +1 and the high base's -1 (xor 0xfe) mark the
+                # pairs whose dot lies between the bracket's ends: test each.
+                unsure = int.from_bytes(found, "little") ^ int.from_bytes(sure, "little")
+                fields = dots.to_bytes(size, "little")[skip:]
+                while unsure:
+                    f = ((unsure & -unsure).bit_length() - 1) >> 3
+                    unsure ^= 0xFE << (8 * f)
+                    dot = int.from_bytes(fields[width * f : width * (f + 1)], "little")
+                    same = dot * dot >= threshold * threshold * norm * norms[first + f]
+                    verdicts[at + f] = 1 if same else 0xFF
         return verdicts
 
     def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:

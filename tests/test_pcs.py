@@ -14,6 +14,7 @@ from malbehave import (
     pcs_score,
     text_mining_grouping,
 )
+from malbehave import pcs
 from malbehave.pcs import PairwiseIndicator, _approval_from_masks, _label_masks
 from _oracles import brute_force_pcs, cosine_verdict, label_verdict
 from _pipeline import CSV_AWKWARD_LABELS
@@ -273,6 +274,20 @@ class TestTextMining:
         with pytest.raises(ValueError, match="token counts of 'b' must be non-negative integers"):
             PairwiseIndicator({"a": {"worm": 1}, "b": {"worm": 2, "adware": count}}, 0.5)
 
+    def test_index_counts_score_as_ints(self):
+        class Count:  # an integer type other than int, as numpy's are
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        vectors = {"a": {"worm": 3, "adware": 1}, "b": {"worm": 2}, "c": {"adware": 5}}
+        indexed = {key: {token: Count(count) for token, count in vector.items()} for key, vector in vectors.items()}
+        ids = list(vectors)
+        expected = PairwiseIndicator(vectors, 0.5).pair_masks(ids)
+        assert PairwiseIndicator(indexed, 0.5).pair_masks(ids) == expected
+
 
 def _literal_masks(verdict, items):
     """(same, diff) bitmasks by literal enumeration of the (i<j) pairs, the
@@ -331,12 +346,29 @@ class TestPairMasks:
             descriptions = {f"m{i}": " ".join(rng.choices(words, k=rng.randint(1, 6))) for i in range(n)}
             descriptions["m0"] = descriptions[f"m{n - 1}"] = "win32"
             indicators.append((text_mining_grouping(descriptions, threshold=threshold), list(descriptions)))
+        # Common and rare words across blocks, and more distinct norms than
+        # norm classes: pairs whose dot lies inside a class's bracket are
+        # tested one by one, scaled copies (a cosine of exactly 1) among them.
+        rare = [f"r{k}" for k in range(400)]
+        for n, threshold in zip((260, 300), (0.1 + 0.2, 1.0)):
+            vectors = {}
+            for i in range(n):
+                vector = Counter(rng.choices(words[:4], k=rng.randint(0, 3)) + rng.choices(rare, k=rng.randint(1, 9)))
+                vectors[f"m{i}"] = vector
+                if rng.random() < 0.3:
+                    vectors[f"m{i}x"] = Counter({word: count * rng.randint(2, 5) for word, count in vector.items()})
+            indicator = PairwiseIndicator(vectors, threshold)
+            assert len(set(indicator._norms.values())) > pcs._NORM_CLASSES
+            ids = list(vectors)
+            rng.shuffle(ids)
+            indicators.append((indicator, ids))
         # Counts up to 2**40 need fields wider than 8 bytes; scaled copies of
-        # one vector have a cosine of exactly 1.
+        # one vector have a cosine of exactly 1. Each pair shares a rare word.
         for threshold in (0.0, 0.1 + 0.2, 1.0):
             vectors = {"first": None}
             for i in range(60):
                 vector = Counter({word: rng.randint(1, 2**rng.choice([1, 20, 40])) for word in rng.sample(words, 3)})
+                vector[f"r{i}"] = rng.randint(1, 2**40)
                 vectors[f"c{i}"] = vector
                 vectors[f"c{i}x"] = Counter({word: count * rng.randint(1, 3) for word, count in vector.items()})
             vectors["last"] = Counter()
