@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
 
 from .characteristics import (
     EnduranceConfig,
@@ -60,8 +60,9 @@ _FEATURE_KEYS = {field.name for field in dataclasses.fields(FeatureConfig)}
 class RunConfig:
     """Resolved settings for one invocation.
 
-    Precedence: built-in defaults, then the --config file, then explicit
-    command-line flags. classify reads its settings from its model alone.
+    Built-in defaults, overridden by the command-line flags that were
+    given. classify reads its settings from its model, whose min_score
+    --min-score overrides.
     """
 
     with_params: bool = FeatureConfig.with_params
@@ -76,7 +77,7 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        # Config files are untrusted: check types before any comparison.
+        # Model files are untrusted: check types before any comparison.
         for field in dataclasses.fields(self):
             typed(getattr(self, field.name), field.name, *_FIELD_TYPES[field.type])
         # Delegate range validation to the owning modules before any work starts.
@@ -97,21 +98,14 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _config_file(text: str) -> dict:
-    """A --config file's settings, checked where it is read so that an error names it."""
-    values = typed(json.loads(text), "config file", dict)
-    unknown = sorted(set(values) - _CONFIG_FIELDS)
-    if unknown:
-        raise ValueError(f"config file has unknown keys {unknown}")
-    RunConfig(**values)
-    return values
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = read_input(args.config, _config_file) if args.config else {}
     flags = vars(args)
-    values.update((key, flags[key]) for key in _CONFIG_FIELDS & flags.keys() if flags[key] is not None)
-    return RunConfig(**values)
+    return RunConfig(**{key: flags[key] for key in _CONFIG_FIELDS & flags.keys() if flags[key] is not None})
+
+
+def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
+    """Exit 2 under the subcommand's usage line, as argparse does for an option it refuses."""
+    _grammar()[1][args.command].error(message)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -274,14 +268,17 @@ def _cmd_distmat(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     source = Path(args.input)
-    if not _is_file(source, ".csv"):
-        _, matrix = _corpus_matrix(args.input, config)
-    elif source.suffix.lower() == ".csv":
+    matrix_csv = not source.is_dir() and source.suffix.lower() == ".csv"
+    if matrix_csv and any(vars(args).get(key) is not None for key in _FEATURE_KEYS):
+        _usage_error(args, "--ngram, --no-params and --no-return apply to a corpus directory, not a matrix .csv")
+    config = _resolve_config(args)
+    if matrix_csv:
         matrix = read_input(source, DistanceMatrix.from_csv)
-    else:
+    elif _is_file(source, ".csv"):
         raise ValueError(f"tree input must be a corpus directory or a .csv matrix, got {args.input}")
+    else:
+        _, matrix = _corpus_matrix(args.input, config)
     tree = upgma(matrix, size_weighted=config.size_weighted)
     _emit(to_newick(tree) + "\n", args.out)
     return 0
@@ -342,6 +339,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_pcs(args: argparse.Namespace) -> int:
+    if args.tm_threshold is not None and not args.text_mining:
+        _usage_error(args, "--tm-threshold applies only with --text-mining")
     config = _resolve_config(args)
     csv_table = Path(args.table).suffix.lower() == ".csv"
     table = read_input(args.table, EngineLabelTable.from_csv if csv_table else EngineLabelTable.from_json)
@@ -375,15 +374,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec = read_input(args.spec, CorpusSpec.from_json)
     if config.seed is not None:
         spec = dataclasses.replace(spec, seed=config.seed)
+    # Profiles already there would be grouped with the new corpus, unnamed by its ground truth.
+    if any(Path(args.out).glob("*.xml")):
+        raise ValueError(f"{args.out}: already holds *.xml profiles; synth writes to a directory without them")
     labeled, truth = generate_corpus(spec)
     write_corpus(args.out, labeled, truth)
     sys.stdout.write(f"wrote {len(labeled)} profiles to {args.out}\n")
     return 0
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file with RunConfig keys")
-    parser.add_argument("--out", help="output path (default: stdout)")
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
@@ -432,14 +429,14 @@ def _build_grammar() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p = sub.add_parser("distmat", help="corpus directory -> distance matrix CSV")
     p.add_argument("corpus", help="corpus directory of profile XML files")
     _add_feature_flags(p)
-    _add_common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_distmat)
 
     p = sub.add_parser("tree", help="corpus directory or matrix CSV -> Newick tree")
     p.add_argument("input", help="corpus directory or distance-matrix .csv")
     _add_feature_flags(p)
     _add_tree_flags(p)
-    _add_common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("groups", help="corpus + threshold -> grouping JSON")
@@ -447,7 +444,7 @@ def _build_grammar() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--threshold", type=float, default=None, help="tree cut distance (default 0.5)")
     _add_feature_flags(p)
     _add_tree_flags(p)
-    _add_common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_groups)
 
     p = sub.add_parser("characterize", help="corpus -> per-group characteristics JSON")
@@ -457,7 +454,7 @@ def _build_grammar() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--min-score", dest="min_score", type=float, default=None)
     _add_feature_flags(p)
     _add_tree_flags(p)
-    _add_common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("classify", help="characteristics JSON + profile XML -> group id or 'none'")
@@ -474,13 +471,12 @@ def _build_grammar() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--inject-name", default="grouping", help="engine name for the injected grouping")
     p.add_argument("--text-mining", help="JSON map of malware id -> text description")
     p.add_argument("--tm-threshold", dest="tm_threshold", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_pcs)
 
     p = sub.add_parser("synth", help="corpus spec JSON -> corpus directory + ground truth")
     p.add_argument("spec", help="corpus spec JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
-    p.add_argument("--config", help="JSON config file with RunConfig keys")
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=_cmd_synth)
 
@@ -502,11 +498,11 @@ def _error_text(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _grammar()
+    parser = _grammar()[0]
     args, extras = parser.parse_known_args(argv)
     if extras:
         # As parse_args would, but with the subcommand's usage and name.
-        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+        _usage_error(args, f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (*INPUT_ERRORS, OSError) as exc:

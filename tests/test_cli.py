@@ -207,26 +207,6 @@ class TestGroups:
         data = json.loads(out)
         assert data == {"threshold": 0.6, "groups": [["p1-0", "p2-0"], ["p3-0"]]}
 
-    def test_config_file_and_flag_precedence(self, capsys, small_corpus, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"threshold": 0.1}))
-        code, out, _ = _run(capsys, ["groups", str(small_corpus), "--config", str(config)])
-        assert code == 0
-        assert len(json.loads(out)["groups"]) == 3
-        code, out, _ = _run(
-            capsys,
-            ["groups", str(small_corpus), "--config", str(config), "--threshold", "0.6"],
-        )
-        assert code == 0
-        assert len(json.loads(out)["groups"]) == 2
-
-    def test_unknown_config_key(self, capsys, small_corpus, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"thresold": 0.1}))
-        code, _, err = _run(capsys, ["groups", str(small_corpus), "--config", str(config)])
-        assert code == 1
-        assert "thresold" in err
-
 
 class TestCharacterizeClassify:
     def test_classify_training_member(self, capsys, two_family_corpus, tmp_path):
@@ -436,6 +416,28 @@ class TestSynth:
         names_second = sorted(p.name for p in second.glob("*.xml"))
         assert names_first != names_second
 
+    def test_refuses_directory_with_profiles(self, capsys, tmp_path):
+        # A second corpus written into the first's directory would be
+        # grouped with it, while ground_truth.json named only its own.
+        first, second = copy.deepcopy(self.SPEC), copy.deepcopy(self.SPEC)
+        first["families"] = [dict(self.SPEC["families"][0], name=name, variants=4) for name in ("ant", "bee")]
+        second["families"] = [dict(self.SPEC["families"][0], name=name, variants=2) for name in ("cow", "dog")]
+        out_dir = tmp_path / "s"
+        for name, spec in (("first.json", first), ("second.json", second)):
+            (tmp_path / name).write_text(json.dumps(spec))
+        assert main(["synth", str(tmp_path / "first.json"), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        code, out, err = _run(capsys, ["synth", str(tmp_path / "second.json"), "--out", str(out_dir)])
+        assert (code, out) == (1, "")
+        assert _single_error_line(err).startswith(f"error: {out_dir}: already holds *.xml profiles")
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+        # A directory without profiles is written into as before.
+        (out_dir / "notes.txt").write_text("")
+        for path in out_dir.glob("*.xml"):
+            path.unlink()
+        assert main(["synth", str(tmp_path / "second.json"), "--out", str(out_dir)]) == 0
+
     @pytest.mark.parametrize(
         "pools, message",
         [
@@ -607,13 +609,30 @@ class TestUntrustedInput:
             "seed-bool",
         ],
     )
-    def test_malformed_config(self, capsys, two_family_corpus, tmp_path, config, key):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        code, out, err = _run(capsys, ["groups", str(two_family_corpus), "--config", str(path)])
-        assert code == 1
-        assert out == ""
-        assert key in _single_error_line(err)
+    def test_malformed_config(self, config, key):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            cli.RunConfig(**config)
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda model: model["feature"].update(with_params="no"), "with_params"),
+            (lambda model: model.update(alpha=None), "alpha"),
+        ],
+        ids=["with-params-str", "alpha-null"],
+    )
+    def test_malformed_model_settings(self, capsys, two_family_corpus, tmp_path, edit, key):
+        # A model file is the one outside source of settings: its values
+        # get RunConfig's type checks, and the error names the file.
+        chars = tmp_path / "chars.json"
+        assert main(["characterize", str(two_family_corpus), "--out", str(chars)]) == 0
+        model = json.loads(chars.read_text())
+        edit(model)
+        chars.write_text(json.dumps(model))
+        capsys.readouterr()
+        code, out, err = _run(capsys, ["classify", str(chars), str(two_family_corpus / "a1-0.xml")])
+        assert (code, out) == (1, "")
+        assert _single_error_line(err).startswith(f"error: {chars}: {key} must be ")
 
     @pytest.mark.parametrize(
         "document, message",
@@ -761,9 +780,6 @@ class TestUntrustedInput:
     # subcommand); the failing file is always the one named bad.*.
     _TABLE = json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}).encode()
     FAILING_FILES = {
-        "config-not-utf8": ({"bad.json": b"\xff{}"}, ["groups", "{corpus}", "--config", "bad.json"]),
-        "config-truncated": ({"bad.json": b"{"}, ["groups", "{corpus}", "--config", "bad.json"]),
-        "config-deep": ({"bad.json": b"[" * 100_000}, ["groups", "{corpus}", "--config", "bad.json"]),
         "matrix-one-row": ({"bad.csv": b"a,b\n0,1\n"}, ["tree", "bad.csv"]),
         "matrix-huge-field": ({"bad.csv": b"a\n" + b"0" * 200_000 + b"\n"}, ["tree", "bad.csv"]),
         "matrix-empty-label": ({"bad.csv": b",a\n0,0.5\n0.5,0\n"}, ["tree", "bad.csv"]),
@@ -782,6 +798,8 @@ class TestUntrustedInput:
             ["pcs", "t.json", "--text-mining", "bad.json"],
         ),
         "table-truncated": ({"bad.json": _TABLE[:20]}, ["pcs", "bad.json"]),
+        "table-not-utf8": ({"bad.json": b"\xff{}"}, ["pcs", "bad.json"]),
+        "table-deep": ({"bad.json": b"[" * 100_000}, ["pcs", "bad.json"]),
         "table-csv-huge-field": ({"bad.csv": b"malware_id,x\nm1," + b"f" * 200_000 + b"\n"}, ["pcs", "bad.csv"]),
         "spec-truncated": ({"bad.json": b'{"seed": 1, "fam'}, ["synth", "bad.json", "--out", "out"]),
         "spec-families-int": ({"bad.json": b'{"families": 5}'}, ["synth", "bad.json", "--out", "out"]),
@@ -1599,7 +1617,8 @@ class TestCharacteristicsMemo:
 class TestClassifySettings:
     """classify tokenizes as its model was trained: the settings come from
     the model's feature block, alpha and min_score, and --min-score is the
-    one flag that overrides them."""
+    one flag that overrides them. Every other command takes its settings
+    from its flags alone, and a flag that cannot take effect is refused."""
 
     @pytest.fixture
     def model(self, two_family_corpus, tmp_path):
@@ -1612,27 +1631,49 @@ class TestClassifySettings:
         assert json.loads(chars.read_text())["feature"]["ngram_n"] == 2
         assert _run(capsys, ["classify", str(chars), str(profile)]) == (0, "1\n", "")
 
+    CONFIG = ["--config", "{config}"]
+    TREE_CSV = "--ngram, --no-params and --no-return apply to a corpus directory, not a matrix .csv"
+    REFUSED = [
+        (["classify", "{chars}", "{profile}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["classify", "{chars}", "{profile}", "--ngram", "1"], "unrecognized arguments: --ngram 1"),
+        (["classify", "{chars}", "{profile}", "--no-params"], "unrecognized arguments: --no-params"),
+        (["classify", "{chars}", "{profile}", "--no-return"], "unrecognized arguments: --no-return"),
+        (["parse", "{profile}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["distmat", "{corpus}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["tree", "{corpus}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["groups", "{corpus}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["characterize", "{corpus}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["pcs", "{table}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["synth", "{spec}", "--out", "{out}", *CONFIG], "unrecognized arguments: --config {config}"),
+        (["tree", "{matrix}", "--ngram", "2"], TREE_CSV),
+        (["tree", "{matrix}", "--no-params"], TREE_CSV),
+        (["tree", "{matrix}", "--no-return", "--size-weighted"], TREE_CSV),
+        (["pcs", "{table}", "--tm-threshold", "0.3"], "--tm-threshold applies only with --text-mining"),
+    ]
+
     @pytest.mark.parametrize(
-        "command, extra",
-        [
-            ("classify", ["--config", "config.json"]),
-            ("classify", ["--ngram", "1"]),
-            ("classify", ["--no-params"]),
-            ("classify", ["--no-return"]),
-            ("parse", ["--config", "config.json"]),
-        ],
+        "argv, message", REFUSED, ids=["-".join(arg.strip("{}-") for arg in argv) for argv, _ in REFUSED]
     )
-    def test_removed_options_are_usage_errors(self, capsys, model, tmp_path, command, extra):
+    def test_removed_options_are_usage_errors(self, capsys, model, tmp_path, argv, message):
         chars, profile = model
-        (tmp_path / "config.json").write_text("{}")
-        inputs = [str(chars), str(profile)] if command == "classify" else [str(profile)]
-        argv = [command, *inputs, *[str(tmp_path / arg) if arg.endswith(".json") else arg for arg in extra]]
+        files = {
+            "config": "{}",
+            "matrix": "a,b\n0,0.5\n0.5,0\n",
+            "table": json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}),
+            "spec": json.dumps(TestSynth.SPEC),
+        }
+        paths = {name: tmp_path / f"{name}.{'csv' if name == 'matrix' else 'json'}" for name in files}
+        for name, text in files.items():
+            paths[name].write_text(text)
+        out_dir = tmp_path / "out"
+        names = dict(paths, chars=chars, profile=profile, corpus=profile.parent, out=out_dir)
         with pytest.raises(SystemExit) as exit_:
-            main(argv)
+            main([arg.format(**names) for arg in argv])
         out, err = capsys.readouterr()
         assert (exit_.value.code, out) == (2, "")
-        assert err.startswith(f"usage: malbehave {command} ")
-        assert f"malbehave {command}: error: unrecognized arguments: {extra[0]}" in err
+        assert err.startswith(f"usage: malbehave {argv[0]} ")
+        assert err.endswith(f"malbehave {argv[0]}: error: {message.format(**names)}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "edit",

@@ -56,18 +56,6 @@ TABLE = {
 }
 GROUPING = {"threshold": 0.5, "groups": [["m1", "m2"], ["m3", "m4"]]}
 DESCRIPTIONS = {"m1": "trojan agent downloader", "m2": "trojan agent", "m3": "worm spreading", "m4": "a worm"}
-CONFIG = {
-    "with_params": True,
-    "ngram_n": 1,
-    "normalize_paths": True,
-    "include_return": True,
-    "threshold": 0.5,
-    "alpha": 0.1,
-    "min_score": 0.5,
-    "tm_threshold": 0.7,
-    "size_weighted": False,
-    "seed": None,
-}
 
 # JSON values swapped in for every value of a document. The strings
 # starting with "@raw:" are replaced by their text after serializing, for
@@ -90,11 +78,10 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     corpus = root / "corpus"
     write_corpus(corpus, *generate_corpus(CorpusSpec.from_json(json.dumps(SPEC))))
-    files = {name: root / name for name in ("chars.json", "matrix.csv", "table.json", "spec.json")}
+    files = {name: root / name for name in ("chars.json", "matrix.csv", "table.json")}
     assert main(["characterize", str(corpus), "--out", str(files["chars.json"])]) == 0
     assert main(["distmat", str(corpus), "--out", str(files["matrix.csv"])]) == 0
     files["table.json"].write_text(json.dumps(TABLE))
-    files["spec.json"].write_text(json.dumps(SPEC))
     profile = sorted(corpus.glob("*.xml"))[0]
     return {
         "root": root,
@@ -108,7 +95,6 @@ def inputs(tmp_path_factory):
             "table-csv": EngineLabelTable.from_json(json.dumps(TABLE)).to_csv().encode(),
             "grouping": json.dumps(GROUPING).encode(),
             "descriptions": json.dumps(DESCRIPTIONS).encode(),
-            "config": json.dumps(CONFIG).encode(),
             "spec": json.dumps(SPEC).encode(),
             "matrix-csv": files["matrix.csv"].read_bytes(),
         },
@@ -186,21 +172,10 @@ def _mutations(kind: str, data: bytes):
 def _commands(kind: str, bad: str, inputs: dict, case: int) -> list[list[str]]:
     files = {name: str(path) for name, path in inputs["files"].items()}
     corpus, profile = str(inputs["corpus"]), str(inputs["profile"])
-    out = str(inputs["root"] / "synth-out")
+    # synth refuses a directory that holds profiles, so each case writes a new one.
+    out = str(inputs["root"] / f"synth-out-{case}")
     if kind == "profile":
         return [["parse", bad], ["characterize", corpus], ["classify", files["chars.json"], bad]]
-    if kind == "config":
-        # The config file is read by every subcommand but parse and classify;
-        # take each in turn.
-        commands = [
-            ["groups", corpus],
-            ["distmat", corpus],
-            ["tree", corpus],
-            ["characterize", corpus],
-            ["pcs", files["table.json"]],
-            ["synth", files["spec.json"], "--out", out],
-        ]
-        return [commands[case % len(commands)] + ["--config", bad]]
     return [
         {
             "characteristics": ["classify", bad, profile],
@@ -241,7 +216,6 @@ KINDS = [
     "table-csv",
     "grouping",
     "descriptions",
-    "config",
     "spec",
     "matrix-csv",
 ]
