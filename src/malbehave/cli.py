@@ -383,6 +383,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _path(value: str) -> str:
+    """The argparse type of every path argument: an empty one names no file."""
+    if not value:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return value
+
+
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
     # Each flag is stored under its RunConfig key, None when not given.
     parser.add_argument(
@@ -422,62 +429,62 @@ def _build_grammar() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate profiles and print summaries")
-    p.add_argument("paths", nargs="+", help="profile XML files or corpus directories")
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("paths", nargs="+", type=_path, help="profile XML files or corpus directories")
+    p.add_argument("--out", type=_path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("distmat", help="corpus directory -> distance matrix CSV")
-    p.add_argument("corpus", help="corpus directory of profile XML files")
+    p.add_argument("corpus", type=_path, help="corpus directory of profile XML files")
     _add_feature_flags(p)
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", type=_path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_distmat)
 
     p = sub.add_parser("tree", help="corpus directory or matrix CSV -> Newick tree")
-    p.add_argument("input", help="corpus directory or distance-matrix .csv")
+    p.add_argument("input", type=_path, help="corpus directory or distance-matrix .csv")
     _add_feature_flags(p)
     _add_tree_flags(p)
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", type=_path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("groups", help="corpus + threshold -> grouping JSON")
-    p.add_argument("corpus")
+    p.add_argument("corpus", type=_path)
     p.add_argument("--threshold", type=float, default=None, help="tree cut distance (default 0.5)")
     _add_feature_flags(p)
     _add_tree_flags(p)
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", type=_path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_groups)
 
     p = sub.add_parser("characterize", help="corpus -> per-group characteristics JSON")
-    p.add_argument("corpus")
+    p.add_argument("corpus", type=_path)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None, help="endurance fraction (default 0.1)")
     p.add_argument("--min-score", dest="min_score", type=float, default=None)
     _add_feature_flags(p)
     _add_tree_flags(p)
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", type=_path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("classify", help="characteristics JSON + profile XML -> group id or 'none'")
-    p.add_argument("characteristics")
-    p.add_argument("profile")
+    p.add_argument("characteristics", type=_path)
+    p.add_argument("profile", type=_path)
     p.add_argument("--min-score", dest="min_score", type=float, default=None)
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", type=_path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("pcs", help="engine label table -> pairwise classification score report")
-    p.add_argument("table", help="label table (.json or .csv; empty CSV cell = not detected)")
+    p.add_argument("table", type=_path, help="label table (.json or .csv; empty CSV cell = not detected)")
     p.add_argument("--normalize", action="store_true", help="normalize detection strings to family names")
-    p.add_argument("--inject-grouping", help="grouping JSON to add as a synthetic engine column")
+    p.add_argument("--inject-grouping", type=_path, help="grouping JSON to add as a synthetic engine column")
     p.add_argument("--inject-name", default="grouping", help="engine name for the injected grouping")
-    p.add_argument("--text-mining", help="JSON map of malware id -> text description")
+    p.add_argument("--text-mining", type=_path, help="JSON map of malware id -> text description")
     p.add_argument("--tm-threshold", dest="tm_threshold", type=float, default=None)
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", type=_path, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_pcs)
 
     p = sub.add_parser("synth", help="corpus spec JSON -> corpus directory + ground truth")
-    p.add_argument("spec", help="corpus spec JSON file")
+    p.add_argument("spec", type=_path, help="corpus spec JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
-    p.add_argument("--out", required=True, help="output corpus directory")
+    p.add_argument("--out", required=True, type=_path, help="output corpus directory")
     p.set_defaults(func=_cmd_synth)
 
     return parser, sub.choices

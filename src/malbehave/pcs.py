@@ -37,10 +37,8 @@ _DIFF_BIT = bytes.maketrans(b"\xff\x00\x01", b"100")
 # The top byte of a text-mining packed field -> its signed verdict byte:
 # [0x80, 0xa0) is +1, [0x60, 0x80) is -1, 0x00 (an undetected sample) is 0.
 _TOP_VERDICT = bytes(1 if 0x80 <= top < 0xA0 else 0xFF if 0x60 <= top < 0x80 else 0 for top in range(256))
-# Samples per block of text-mining fields: no big-int add spans more.
-_BLOCK = 256
-# Classes of squared norms that share text-mining thresholds: bounds each
-# block's threshold work however many distinct norms there are.
+# Classes of squared norms that share text-mining thresholds: bounds the
+# threshold work however many distinct norms there are.
 _NORM_CLASSES = 32
 # About the bytes of one text-mining posting: a (sample, count) tuple and
 # its list slot.
@@ -249,17 +247,20 @@ class PairwiseIndicator:
     fields of one Python int, added with one big-int add (SWAR). Each
     field is w = 8 * width bits: the fewest whole bytes that hold
     max_norm + 1 with 3 bits to spare, rounded up to 1, 2, 4 or 8 bytes
-    where that is enough. The samples are taken in blocks of _BLOCK, and
-    rows are scored last to first. A token starts in an inverted index of
+    where that is enough. A token held by at least ceil(n * width /
+    _POSTING_BYTES) detected samples, whose postings would take about the
+    memory of a column (n * width bytes), gets one: its count for each
+    sample, one field per sample. Any other stays in an inverted index of
     the later samples, one Python step per pair of samples that hold it.
-    Once its postings would take the memory of packed columns (n * width
-    bytes), it moves to them: per block, its count for each sample, one
-    field per sample. Row i's segment of a block is then base +
-    sum(count_i[t] * column_t[block]) + the index's part of each dot,
-    packed through an array, and a field reads 2^(w-1) - d + dot. Its
-    top byte is in [0x80, 0xa0) when dot >= d, in [0x60, 0x80) when not,
-    and 0x00 for an undetected sample; one strided slice and one
-    translate turn them into signed verdicts.
+    Rows are scored last to first. Row i is base + sum(count_i[t] *
+    column_t) + the index's part of each dot, packed from i + 1 on, and
+    its field j > i reads 2^(w-1) - d + dot(i, j). Its top byte is in
+    [0x80, 0xa0) when dot >= d, in [0x60, 0x80) when not, and 0x00 for an
+    undetected sample; one strided slice from i + 1 on and one translate
+    turn them into signed verdicts. The fields up to i are never read, and
+    no field carries into the next: a dot is at most max_norm
+    (Cauchy-Schwarz), and the 3 spare bits keep 2^(w-1) + max_norm below
+    2^w.
 
     d is the smallest dot that scores +1 (d*) for the lowest norms of the
     pair's norm classes: the sorted distinct norms cut into at most
@@ -312,6 +313,7 @@ class PairwiseIndicator:
         code = _ARRAY_CODES.get(width)
         bits = 8 * width
         half = 1 << (bits - 1)
+        size = n * width
         threshold = self.threshold
 
         def least_dot(norm_a: int, norm_b: int) -> int:
@@ -334,91 +336,83 @@ class PairwiseIndicator:
         for norm in distinct:
             lowest.setdefault(class_of[norm], norm)
             highest[class_of[norm]] = norm
-
-        blocks = -(-n // _BLOCK)
-        # per block: class -> a 1 in the field of each sample of that class
-        ones: list[dict[int, int]] = [{} for _ in range(blocks)]
+        # class -> a 1 in the field of each sample of that class
+        ones = [bytearray(size) for _ in range(classes)]
         for j, norm in enumerate(norms):
             if norm is not None:
-                held = ones[j // _BLOCK]
-                held[class_of[norm]] = held.get(class_of[norm], 0) | 1 << bits * (j % _BLOCK)
-        # (row class, block) -> its (low, high) base; high is None where it equals low
-        bases: dict[tuple[int, int], tuple[int, int | None]] = {}
-        # A token starts in the inverted index, postings of (j, count). Once
-        # it has as many postings as take the memory of its packed columns
-        # (n * width bytes at about _POSTING_BYTES each), it moves to them.
-        postings: dict[str, list[tuple[int, int]]] = {}
-        columns: dict[str, list[int]] = {}  # token -> its packed column in each block
-        limit = -(-n * width // _POSTING_BYTES)
+                ones[class_of[norm]][width * j] = 1
+        ones = [int.from_bytes(mask, "little") for mask in ones]
+        # class of row i -> its (low, high) base; high is None where it equals low
+        bases = []
+        for c in range(classes):
+            low, high = (
+                sum((half - least_dot(ends[c], ends[k])) * mask for k, mask in enumerate(ones))
+                for ends in (lowest, highest)
+            )
+            bases.append((low, None if high == low else high))
 
-        # Rows last to first: the index and the columns hold the later samples.
+        # Each token's store, chosen once: a packed column for one held by
+        # at least limit samples, else postings of (j, count) in the index.
+        limit = -(-size // _POSTING_BYTES)
+        held = Counter(token for vector in vectors if vector for token in vector)
+        columns = {token: bytearray(size) for token, count in held.items() if count >= limit}
+        del held  # every distinct token: not kept through the rows
+        for j, vector in enumerate(vectors):
+            for token, count in (vector or {}).items():
+                if token in columns:
+                    columns[token][width * j : width * (j + 1)] = count.to_bytes(width, "little")
+        for token, column in columns.items():
+            columns[token] = int.from_bytes(column, "little")
+        postings: dict[str, list[tuple[int, int]]] = {}
+
+        # Rows last to first: the index holds the later samples.
         for i in reversed(range(n)):
             norm = norms[i]
             if norm is None:
                 continue
-            common = []
+            dots = 0
             spread = None  # j -> the inverted index's part of dot(i, j)
             for token, count in vectors[i].items():
+                column = columns.get(token)
+                if column is not None:
+                    dots += column if count == 1 else count * column
+                    continue
                 later = postings.get(token)
                 if later is None:
-                    column = columns.get(token)
-                    if column is None:
-                        postings[token] = [(i, count)]
-                    else:
-                        common.append((column, count))
-                        # Row i's own field: its segments start after it.
-                        column[i // _BLOCK] |= count << bits * (i % _BLOCK)
+                    postings[token] = [(i, count)]
                     continue
                 if spread is None:
                     spread = [0] * n
                 for j, other in later:
                     spread[j] += count * other
                 later.append((i, count))
-                if len(later) >= limit:
-                    column = columns[token] = [0] * blocks
-                    for j, other in postings.pop(token):
-                        column[j // _BLOCK] |= other << bits * (j % _BLOCK)
-            if i == n - 1:
+            first = i + 1
+            if spread is not None:
+                part = spread[first:]
+                if code:
+                    packed = array(code, part).tobytes()
+                else:
+                    packed = b"".join([dot.to_bytes(width, "little") for dot in part])
+                dots += int.from_bytes(packed, "little") << bits * first
+            low, high = bases[class_of[norm]]
+            at = i * n - i * (i + 1) // 2
+            # The top byte of each field from the first later sample on.
+            top = width * first + width - 1
+            found = (dots + low).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
+            verdicts[at : at + n - first] = found
+            if high is None or 1 not in found:
                 continue
-            for block in range((i + 1) // _BLOCK, blocks):
-                start = block * _BLOCK
-                stop = min(start + _BLOCK, n)
-                size = width * (stop - start)
-                pair = bases.get((class_of[norm], block))
-                if pair is None:
-                    low, high = (
-                        sum((half - least_dot(ends[class_of[norm]], ends[c])) * mask for c, mask in ones[block].items())
-                        for ends in (lowest, highest)
-                    )
-                    pair = bases[class_of[norm], block] = (low, None if high == low else high)
-                dots = 0
-                for column, count in common:
-                    dots += column[block] if count == 1 else count * column[block]
-                if spread is not None:
-                    part = spread[start:stop]
-                    if code:
-                        dots += int.from_bytes(array(code, part).tobytes(), "little")
-                    else:
-                        dots += int.from_bytes(b"".join([dot.to_bytes(width, "little") for dot in part]), "little")
-                first = max(start, i + 1)
-                skip = width * (first - start)
-                at = i * n - i * (i + 1) // 2 + first - i - 1
-                # The top byte of each field from the first later sample on.
-                found = (dots + pair[0]).to_bytes(size, "little")[skip + width - 1 :: width].translate(_TOP_VERDICT)
-                verdicts[at : at + stop - first] = found
-                if pair[1] is None or 1 not in found:
-                    continue
-                sure = (dots + pair[1]).to_bytes(size, "little")[skip + width - 1 :: width].translate(_TOP_VERDICT)
-                # The low base's +1 and the high base's -1 (xor 0xfe) mark the
-                # pairs whose dot lies between the bracket's ends: test each.
-                unsure = int.from_bytes(found, "little") ^ int.from_bytes(sure, "little")
-                fields = dots.to_bytes(size, "little")[skip:]
-                while unsure:
-                    f = ((unsure & -unsure).bit_length() - 1) >> 3
-                    unsure ^= 0xFE << (8 * f)
-                    dot = int.from_bytes(fields[width * f : width * (f + 1)], "little")
-                    same = dot * dot >= threshold * threshold * norm * norms[first + f]
-                    verdicts[at + f] = 1 if same else 0xFF
+            sure = (dots + high).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
+            # The low base's +1 and the high base's -1 (xor 0xfe) mark the
+            # pairs whose dot lies between the bracket's ends: test each.
+            unsure = int.from_bytes(found, "little") ^ int.from_bytes(sure, "little")
+            fields = dots.to_bytes(size, "little")[width * first :]
+            while unsure:
+                f = ((unsure & -unsure).bit_length() - 1) >> 3
+                unsure ^= 0xFE << (8 * f)
+                dot = int.from_bytes(fields[width * f : width * (f + 1)], "little")
+                same = dot * dot >= threshold * threshold * norm * norms[first + f]
+                verdicts[at + f] = 1 if same else 0xFF
         return verdicts
 
     def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:

@@ -468,15 +468,66 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_invalid_threshold(self, capsys, small_corpus):
-        code, _, err = _run(capsys, ["groups", str(small_corpus), "--threshold", "3"])
-        assert code == 1
-        assert "threshold" in err
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["groups", "{corpus}", "--threshold", "3"], "error: threshold must be in [0, 1], got 3.0"),
+            # Checked before any file is read: neither t.json nor d.json exists.
+            (
+                ["pcs", "t.json", "--text-mining", "d.json", "--tm-threshold", "1.5"],
+                "error: tm_threshold must be in [0, 1], got 1.5",
+            ),
+        ],
+        ids=["threshold", "tm-threshold"],
+    )
+    def test_invalid_threshold(self, capsys, small_corpus, argv, line):
+        code, out, err = _run(capsys, [arg.format(corpus=small_corpus) for arg in argv])
+        assert (code, out) == (1, "")
+        assert _single_error_line(err) == line
 
     def test_unknown_flag_exits_two(self, small_corpus):
         with pytest.raises(SystemExit) as err:
             main(["groups", str(small_corpus), "--bogus"])
         assert err.value.code == 2
+
+    # Every path argument of every subcommand, given as "" with the others
+    # named (none of them exists).
+    EMPTY_PATHS = [
+        (["parse", ""], "paths"),
+        (["parse", "p.xml", ""], "paths"),
+        (["parse", "p.xml", "--out", ""], "--out"),
+        (["distmat", ""], "corpus"),
+        (["distmat", "corpus", "--out", ""], "--out"),
+        (["tree", ""], "input"),
+        (["tree", "m.csv", "--out", ""], "--out"),
+        (["groups", ""], "corpus"),
+        (["groups", "corpus", "--out", ""], "--out"),
+        (["characterize", ""], "corpus"),
+        (["characterize", "corpus", "--out", ""], "--out"),
+        (["classify", "", "p.xml"], "characteristics"),
+        (["classify", "chars.json", ""], "profile"),
+        (["classify", "chars.json", "p.xml", "--out", ""], "--out"),
+        (["pcs", ""], "table"),
+        (["pcs", "t.json", "--inject-grouping", ""], "--inject-grouping"),
+        (["pcs", "t.json", "--text-mining", ""], "--text-mining"),
+        (["pcs", "t.json", "--out", ""], "--out"),
+        (["synth", "", "--out", "corpus"], "spec"),
+        (["synth", "spec.json", "--out", ""], "--out"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, argument", EMPTY_PATHS, ids=[" ".join(arg or "''" for arg in argv) for argv, _ in EMPTY_PATHS]
+    )
+    def test_empty_path_is_usage_error(self, capsys, monkeypatch, tmp_path, argv, argument):
+        # Nothing is read from or written to the working directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert err.startswith(f"usage: malbehave {argv[0]} ")
+        assert err.endswith(f"malbehave {argv[0]}: error: argument {argument}: an empty path names no file\n")
+        assert not any(tmp_path.iterdir())
 
 
 def _single_error_line(err: str) -> str:

@@ -340,15 +340,16 @@ class TestPairMasks:
             ids = list(descriptions)
             rng.shuffle(ids)
             indicators.append((text_mining_grouping(descriptions, threshold=threshold), ids))
-        # Rows that cross the 256-sample column blocks, undetected ids at
-        # both ends of the order.
+        # Rows of 255 to 513 samples whose first and last ids are
+        # undetected, so their fields in every packed row stay 0.
         for n, threshold in zip((255, 256, 257, 513), (0.0, 0.1 + 0.2, 1.0, 0.7)):
             descriptions = {f"m{i}": " ".join(rng.choices(words, k=rng.randint(1, 6))) for i in range(n)}
             descriptions["m0"] = descriptions[f"m{n - 1}"] = "win32"
             indicators.append((text_mining_grouping(descriptions, threshold=threshold), list(descriptions)))
-        # Common and rare words across blocks, and more distinct norms than
-        # norm classes: pairs whose dot lies inside a class's bracket are
-        # tested one by one, scaled copies (a cosine of exactly 1) among them.
+        # Common words in packed columns, rare ones in the index, and more
+        # distinct norms than norm classes: pairs whose dot lies inside a
+        # class's bracket are tested one by one, scaled copies (a cosine of
+        # exactly 1) among them.
         rare = [f"r{k}" for k in range(400)]
         for n, threshold in zip((260, 300), (0.1 + 0.2, 1.0)):
             vectors = {}
@@ -385,6 +386,37 @@ class TestPairMasks:
 
             def verdict(a, b):
                 return cosine_verdict(vectors[a], vectors[b], indicator.threshold)
+
+            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_tokens_held_at_the_packing_limit(self, width):
+        # A token held by at least limit detected samples is packed into a
+        # column; one held by fewer stays in the inverted index. At 200
+        # samples the limit is 4 for 1-byte fields and 7 for 2-byte ones.
+        rng = random.Random(width)
+        n = 200
+        limit = -(-n * width // pcs._POSTING_BYTES)
+        assert limit >= 3
+        words = ["adware", "worm", "dropper"]
+        vectors = {f"m{i}": Counter(rng.choices(words, k=rng.randint(0, 3))) for i in range(n)}
+        held = {f"held{count}": count for count in (limit - 1, limit, limit + 1)}
+        for token, count in held.items():
+            for key in rng.sample(sorted(vectors), count):
+                vectors[key][token] = rng.randint(1, 2)
+        if width == 2:
+            vectors["m7"]["worm"] = 6
+        for threshold in (0.1 + 0.2, 0.7):
+            indicator = PairwiseIndicator(vectors, threshold)
+            # Squared norms up to 30 fit 1-byte fields (3 spare bits); 36 does not.
+            assert (max(indicator._norms.values()) > 30) == (width == 2)
+            holders = Counter(token for key in indicator.detected for token in vectors[key])
+            assert {token: holders[token] for token in held} == held
+            ids = sorted(vectors)
+            rng.shuffle(ids)
+
+            def verdict(a, b):
+                return cosine_verdict(vectors[a], vectors[b], threshold)
 
             assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
 
@@ -489,7 +521,7 @@ class TestReport:
                 threshold = rng.choice([0.0, 0.5, 0.7, 1.0])
                 extras.append(("Text_Mining", text_mining_grouping(descriptions, threshold=threshold)))
             cases.append((table, extras))
-        # Text-mining rows that cross a 256-sample column block.
+        # A 257-sample text-mining engine: rows of whole packed columns.
         table = _random_table(rng, 257, 1, 0.2)
         descriptions = {mid: " ".join(rng.choices(words, k=rng.randint(0, 4))) for mid in table.malware_ids}
         cases.append((table, [("Text_Mining", text_mining_grouping(descriptions, threshold=0.5))]))
