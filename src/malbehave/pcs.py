@@ -29,7 +29,9 @@ from .phylo import Grouping
 from .profile import csv_rows, typed
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9_]+")
-_HEX_RE = re.compile(r"[0-9a-f]+\Z")
+# The maximal [a-z0-9_] runs that are not pure hex: the ones holding a
+# character outside [0-9a-f].
+_NON_HEX_TOKEN = re.compile(r"[a-z0-9_]*[g-z_][a-z0-9_]*")
 
 # A pair verdict (-1, 0, +1) held as a signed byte -> its '0'/'1' mask bit.
 _SAME_BIT = bytes.maketrans(b"\xff\x00\x01", b"001")
@@ -63,11 +65,7 @@ def normalize_family(detection_string: str) -> str | None:
     words and pure-hex tokens (all-digit ones among them), keep the longest
     token left.
     """
-    kept = [
-        token
-        for token in _tokenize(detection_string)
-        if token not in _STOP_WORDS and not _HEX_RE.match(token)
-    ]
+    kept = [token for token in _NON_HEX_TOKEN.findall(detection_string.lower()) if token not in _STOP_WORDS]
     if not kept:
         return None
     return max(kept, key=len)
@@ -179,46 +177,78 @@ class EngineLabelTable:
         return cls(tuple(ids), engines, tuple(labels))
 
 
-def _verdict_masks(verdicts: bytes) -> tuple[int, int]:
-    """One engine's joined signed verdicts (-1/0/+1 held as bytes
-    0xff/0x00/0x01) over the (i<j) row-major pairs of samples, as two
-    bitmasks, (same, diff): a bit is set where the verdict is +1 / -1."""
-    return int(verdicts.translate(_SAME_BIT), 2), int(verdicts.translate(_DIFF_BIT), 2)
+# The padded pair layout of every engine's (same, diff) masks: the (i<j)
+# pairs of n samples in row-major order, the first pair in the highest bit,
+# each sample's row of n - 1 - i pairs followed by the 0 bits that pad it
+# to whole bytes. Row i then starts at byte sum(ceil((n - 1 - r) / 8) for
+# r < i), a mask holds at most n(n - 1)/2 + 7n bits, and since padding
+# bits are 0 in every mask, no count |x & y| changes.
 
 
-def _label_masks(column: Sequence[str | None]) -> tuple[int, int]:
-    """One label engine's pair verdicts as (same, diff) bitmasks.
+def _row_picks(n: int) -> tuple[list[int], list[slice]]:
+    """Where row i of the padded pair layout of n samples sits in a row of
+    n sample bits shifted left by (i + 1) % 8 bits: the slice from byte
+    (i + 1) // 8 on, ceil((n - 1 - i) / 8) bytes long."""
+    shifts = [(i + 1) % 8 for i in range(n)]
+    slices = [slice((i + 1) // 8, (i + 1) // 8 + (n - i + 6) // 8) for i in range(n)]
+    return shifts, slices
 
-    Each family f has one signed verdict row over the samples: +1 at the
-    samples labelled f, -1 at those detected with another family, 0 at
-    missed ones. Row i's verdicts are then its cell's row from i + 1 on,
-    and all 0 for an undetected cell.
+
+def _label_masks(
+    column: Sequence[str | None], picks: tuple[list[int], list[slice]] | None = None
+) -> tuple[int, int]:
+    """One label engine's pair verdicts as (same, diff) bitmasks in the
+    padded pair layout; picks is _row_picks(len(column)).
+
+    Each family f has two rows of n bits, sample k at the k-th bit from the
+    top: same marks the samples labelled f, diff the samples detected with
+    another family. Row i of a mask is its cell's row from bit i + 1 on,
+    and all 0 for an undetected cell; each row is kept shifted by the bits
+    (i + 1) % 8 that its samples need, so row i is a byte slice.
     """
     n = len(column)
+    shifts, slices = picks or _row_picks(n)
+    size = (n + 7) // 8
+    full = (1 << 8 * size) - 1
     samples_of = defaultdict(list)
-    for i, cell in enumerate(column):
-        samples_of[cell].append(i)
-    detected = bytearray(b"\xff" * n)
-    for i in samples_of.pop(None, ()):
-        detected[i] = 0
-    # Slices of memoryviews share the rows' bytes: only the join copies.
-    rows = {None: memoryview(bytes(n))}
+    for k, cell in enumerate(column):
+        samples_of[cell].append(k)
+    samples_of.pop(None, None)
+    rows = {}
     for family, samples in samples_of.items():
-        row = bytearray(detected)
-        for i in samples:
-            row[i] = 1
-        rows[family] = memoryview(row)
-    return _verdict_masks(b"".join([rows[cell][i + 1 :] for i, cell in enumerate(column)]))
+        bits = bytearray(size)
+        for k in samples:
+            bits[k // 8] |= 0x80 >> k % 8
+        rows[family] = int.from_bytes(bits, "big")
+    detected = sum(rows.values())  # the families' samples are disjoint
+    zero = [bytes(size)] * 8
+    same_of = {None: zero}
+    diff_of = {None: zero}
+    for family, same in rows.items():
+        # Only the shifts its own samples' rows are read from.
+        wanted = {shifts[k] for k in samples_of[family]}
+        for row, copies in ((same, same_of), (detected ^ same, diff_of)):
+            copies[family] = [((row << c) & full).to_bytes(size, "big") if c in wanted else None for c in range(8)]
+    masks = []
+    for copies in (same_of, diff_of):
+        shifted = map(operator.getitem, map(copies.__getitem__, column), shifts)
+        masks.append(int.from_bytes(b"".join(map(operator.getitem, shifted, slices)), "big"))
+    return masks[0], masks[1]
+
+
+def _approval(shared: tuple[int, int], x_counts: tuple[int, int]) -> float:
+    """Sum over (same, diff) of |x & y| / |x|, where shared holds the
+    |x & y| and x_counts the |x|; a term with |x| = 0 is 0."""
+    value = 0.0
+    for num, den in zip(shared, x_counts):
+        if den:
+            value += num / den
+    return value
 
 
 def _approval_from_masks(x: tuple[int, int], y: tuple[int, int], x_counts: tuple[int, int]) -> float:
-    """Sum over (same, diff) of |x & y| / |x|, where x_counts holds the
-    |x|; a term with |x| = 0 is 0."""
-    value = 0.0
-    for mask_x, mask_y, den in zip(x, y, x_counts):
-        if den:
-            value += (mask_x & mask_y).bit_count() / den
-    return value
+    """_approval of engine x by engine y, from their (same, diff) masks."""
+    return _approval(tuple((mask_x & mask_y).bit_count() for mask_x, mask_y in zip(x, y)), x_counts)
 
 
 def pcs_score(table: EngineLabelTable, engine: str) -> float:
@@ -257,10 +287,11 @@ class PairwiseIndicator:
     its field j > i reads 2^(w-1) - d + dot(i, j). Its top byte is in
     [0x80, 0xa0) when dot >= d, in [0x60, 0x80) when not, and 0x00 for an
     undetected sample; one strided slice from i + 1 on and one translate
-    turn them into signed verdicts. The fields up to i are never read, and
-    no field carries into the next: a dot is at most max_norm
-    (Cauchy-Schwarz), and the 3 spare bits keep 2^(w-1) + max_norm below
-    2^w.
+    turn them into signed verdicts, and one translate and one int(..., 2)
+    per mask turn those into the row's bits in the padded pair layout. The
+    fields up to i are never read, and no field carries into the next: a
+    dot is at most max_norm (Cauchy-Schwarz), and the 3 spare bits keep
+    2^(w-1) + max_norm below 2^w.
 
     d is the smallest dot that scores +1 (d*) for the lowest norms of the
     pair's norm classes: the sorted distinct norms cut into at most
@@ -295,14 +326,14 @@ class PairwiseIndicator:
                 raise ValueError(f"token counts of {key!r} must be non-negative integers")
             self._norms[key] = norm
 
-    def _verdicts(self, ids: Sequence[str]) -> bytearray:
-        """The signed verdicts of the (i<j) row-major pairs of ids: row i's
-        pairs (ids[i], ids[j]), j > i, start at i*n - i*(i+1)/2."""
+    def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:
+        """The verdicts over the (i<j) row-major pairs of ids as two
+        bitmasks in the padded pair layout, (same, diff): a bit is set where
+        the verdict is +1 / -1."""
         for key in ids:
             if key not in self._vectors:
                 raise ValueError(f"unknown malware id {key!r}")
         n = len(ids)
-        verdicts = bytearray(n * (n - 1) // 2)
         norms = [self._norms.get(key) for key in ids]
         vectors = [self._vectors[key] for key in ids]
         distinct = sorted({norm for norm in norms if norm is not None})
@@ -365,8 +396,15 @@ class PairwiseIndicator:
             columns[token] = int.from_bytes(column, "little")
         postings: dict[str, list[tuple[int, int]]] = {}
 
+        # Row i's mask bytes start at the sum of the earlier rows' lengths.
+        at = sum((n - i + 6) // 8 for i in range(n))
+        same_bytes = bytearray(at)
+        diff_bytes = bytearray(at)
         # Rows last to first: the index holds the later samples.
         for i in reversed(range(n)):
+            span = n - 1 - i
+            length = (span + 7) // 8
+            at -= length
             norm = norms[i]
             if norm is None:
                 continue
@@ -386,6 +424,8 @@ class PairwiseIndicator:
                 for j, other in later:
                     spread[j] += count * other
                 later.append((i, count))
+            if not span:  # the last row holds no pairs
+                continue
             first = i + 1
             if spread is not None:
                 part = spread[first:]
@@ -395,30 +435,27 @@ class PairwiseIndicator:
                     packed = b"".join([dot.to_bytes(width, "little") for dot in part])
                 dots += int.from_bytes(packed, "little") << bits * first
             low, high = bases[class_of[norm]]
-            at = i * n - i * (i + 1) // 2
             # The top byte of each field from the first later sample on.
             top = width * first + width - 1
             found = (dots + low).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
-            verdicts[at : at + n - first] = found
-            if high is None or 1 not in found:
-                continue
-            sure = (dots + high).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
-            # The low base's +1 and the high base's -1 (xor 0xfe) mark the
-            # pairs whose dot lies between the bracket's ends: test each.
-            unsure = int.from_bytes(found, "little") ^ int.from_bytes(sure, "little")
-            fields = dots.to_bytes(size, "little")[width * first :]
-            while unsure:
-                f = ((unsure & -unsure).bit_length() - 1) >> 3
-                unsure ^= 0xFE << (8 * f)
-                dot = int.from_bytes(fields[width * f : width * (f + 1)], "little")
-                same = dot * dot >= threshold * threshold * norm * norms[first + f]
-                verdicts[at + f] = 1 if same else 0xFF
-        return verdicts
-
-    def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:
-        """The verdicts over the (i<j) row-major pairs of ids as two
-        bitmasks, (same, diff): a bit is set where the verdict is +1 / -1."""
-        return _verdict_masks(self._verdicts(ids))
+            if high is not None and 1 in found:
+                sure = (dots + high).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
+                # The low base's +1 and the high base's -1 (xor 0xfe) mark the
+                # pairs whose dot lies between the bracket's ends: test each.
+                unsure = int.from_bytes(found, "little") ^ int.from_bytes(sure, "little")
+                fields = dots.to_bytes(size, "little")[width * first :]
+                found = bytearray(found)
+                while unsure:
+                    f = ((unsure & -unsure).bit_length() - 1) >> 3
+                    unsure ^= 0xFE << (8 * f)
+                    dot = int.from_bytes(fields[width * f : width * (f + 1)], "little")
+                    same = dot * dot >= threshold * threshold * norm * norms[first + f]
+                    found[f] = 1 if same else 0xFF
+            # The row's signed verdicts as its own bits, the padding bits 0.
+            pad = 8 * length - span
+            same_bytes[at : at + length] = (int(found.translate(_SAME_BIT), 2) << pad).to_bytes(length, "big")
+            diff_bytes[at : at + length] = (int(found.translate(_DIFF_BIT), 2) << pad).to_bytes(length, "big")
+        return int.from_bytes(same_bytes, "big"), int.from_bytes(diff_bytes, "big")
 
 
 def text_mining_grouping(descriptions: Mapping[str, str], threshold: float = 0.7) -> PairwiseIndicator:
@@ -464,22 +501,28 @@ def pcs_report(
 
     masks = []
     detected: list[int] = []
-    for engine in table.engines:
-        column = table.column(engine)
-        masks.append(_label_masks(column))
-        detected.append(len(column) - column.count(None))
+    picks = _row_picks(n)
+    for column in zip(*table.labels):
+        masks.append(_label_masks(column, picks))
+        detected.append(n - column.count(None))
     for _, indicator_fn in extra_indicators:
         masks.append(indicator_fn.pair_masks(ids))
         detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))
 
     m = len(masks)
     counts = [(same.bit_count(), diff.bit_count()) for same, diff in masks]
+    # |x & y| is symmetric: each unordered pair of engines is intersected once.
+    shared = [[None] * m for _ in range(m)]
+    for x, (same_x, diff_x) in enumerate(masks):
+        for y in range(x, m):
+            same_y, diff_y = masks[y]
+            shared[x][y] = shared[y][x] = ((same_x & same_y).bit_count(), (diff_x & diff_y).bit_count())
     rows = []
     for x in range(m):
         weight = detected[x] / n
         total = 0.0
         for y in range(m):
-            total += _approval_from_masks(masks[x], masks[y], counts[x])
+            total += _approval(shared[x][y], counts[x])
         rows.append(
             {
                 "engine": names[x],

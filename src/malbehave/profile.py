@@ -28,6 +28,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from itertools import pairwise, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from xml.etree import ElementTree
@@ -561,7 +562,8 @@ def corpus_paths(directory: str | Path) -> list[Path]:
     path = Path(directory)
     if not path.is_dir():
         raise ProfileError(f"corpus directory not found: {path}")
-    paths = sorted(path.glob("*.xml"))
+    # One directory: ordering by name is ordering by path, without PurePath.__lt__.
+    paths = sorted(path.glob("*.xml"), key=attrgetter("name"))
     if not paths:
         raise ProfileError(f"no profile XML files in {path}")
     return paths

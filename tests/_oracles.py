@@ -6,6 +6,7 @@ pair enumeration) instead of sharing code with the package.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from math import inf
 from xml.sax.saxutils import escape, quoteattr
@@ -231,6 +232,19 @@ def brute_force_characteristics(tree, groups, sets, alpha):
             parent = min((leaves for leaves in leaf_sets if root < leaves), key=len)
             out[index] = (group_common, group_common - common(parent))
     return out
+
+
+def split_normalize_family(detection_string):
+    """Family name by the original rule: lowercase, split on runs of
+    characters outside [a-z0-9_], drop empty tokens, the stop words win32,
+    variant and troj_gen, and pure-hex tokens ([0-9a-f]+, all-digit ones
+    among them), then keep the first longest token; None when none is left."""
+    kept = [
+        token
+        for token in re.split(r"[^a-z0-9_]+", detection_string.lower())
+        if token and token not in ("win32", "variant", "troj_gen") and not re.fullmatch(r"[0-9a-f]+", token)
+    ]
+    return max(kept, key=len) if kept else None
 
 
 def label_verdict(a, b):

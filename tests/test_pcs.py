@@ -16,7 +16,7 @@ from malbehave import (
 )
 from malbehave import pcs
 from malbehave.pcs import PairwiseIndicator, _approval_from_masks, _label_masks
-from _oracles import brute_force_pcs, cosine_verdict, label_verdict
+from _oracles import brute_force_pcs, cosine_verdict, label_verdict, split_normalize_family
 from _pipeline import CSV_AWKWARD_LABELS
 
 
@@ -58,6 +58,18 @@ class TestNormalizeFamily:
     def test_examples(self, raw, expected):
         assert normalize_family(raw) == expected
 
+    def test_equals_split_and_filter_rule(self):
+        # Random text over both cases of hex and other letters, digits (so
+        # all-digit tokens), '_', separators, stop words and non-ASCII
+        # characters, the Kelvin sign and dotted capital I (whose lowercase
+        # forms are ASCII k and i plus a combining dot) among them.
+        rng = random.Random(2027)
+        pieces = list("abcdefgxyzABFGXZ0123456789_._/-: ")
+        pieces += ["win32", "Variant", "TROJ_GEN", "é", "ß", "İ", "\u212a", "١", "Ⅻ", "ǅ", "\u00a0"]
+        for _ in range(3000):
+            raw = "".join(rng.choices(pieces, k=rng.randint(0, 16)))
+            assert normalize_family(raw) == split_normalize_family(raw)
+
     def test_idempotent(self):
         rng = random.Random(8)
         samples = ["Win32.Morstar.ba", "APPL/Firseria.A.15", "Gen:Adware.Heur.1", "TROJAN x99"]
@@ -69,9 +81,12 @@ class TestNormalizeFamily:
 
 def _mask_verdict(column, i, j):
     """The verdict that _label_masks(column) holds for samples i < j: +1
-    from its same bit, -1 from its diff bit, 0 when neither is set."""
+    from its same bit, -1 from its diff bit, 0 when neither is set. Each
+    sample's row of pairs is padded to whole bytes, the first pair in the
+    highest bit."""
     n = len(column)
-    bit = n * (n - 1) // 2 - 1 - (i * (2 * n - i - 1) // 2 + j - i - 1)
+    row_bytes = [(n - 1 - r + 7) // 8 for r in range(n)]
+    bit = 8 * sum(row_bytes) - 1 - (8 * sum(row_bytes[:i]) + j - i - 1)
     same, diff = _label_masks(column)
     return (same >> bit & 1) - (diff >> bit & 1)
 
@@ -233,7 +248,7 @@ def _pair_verdict(indicator, a, b):
     """The verdict that indicator.pair_masks((a, b)) holds for its one
     pair: +1 from its same bit, -1 from its diff bit, 0 when neither is set."""
     same, diff = indicator.pair_masks((a, b))
-    return same - diff
+    return (same != 0) - (diff != 0)
 
 
 class TestTextMining:
@@ -291,13 +306,17 @@ class TestTextMining:
 
 def _literal_masks(verdict, items):
     """(same, diff) bitmasks by literal enumeration of the (i<j) pairs, the
-    first pair in the highest bit."""
+    first pair in the highest bit, each row of pairs followed by the 0 bits
+    that pad it to whole bytes."""
     same = diff = 0
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             value = verdict(items[i], items[j])
             same = same << 1 | (value == 1)
             diff = diff << 1 | (value == -1)
+        pad = -(len(items) - 1 - i) % 8
+        same <<= pad
+        diff <<= pad
     return same, diff
 
 
@@ -318,6 +337,28 @@ class TestPairMasks:
             columns.append(column)
         for column in columns:
             assert _label_masks(column) == _literal_masks(label_verdict, column)
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 10, 16, 17, 24, 25])
+    def test_rows_at_byte_boundaries(self, n):
+        # Rows of pairs that fill whole bytes, or end just past or just
+        # short of one, with and without undetected first and last samples.
+        rng = random.Random(n)
+        words = ["adware", "installer", "worm", "dropper"]
+        for ends_missed in (True, False, True, False):
+            column = [rng.choice(self.FAMILIES[:3]) for _ in range(n)]
+            descriptions = {f"m{i}": " ".join(rng.choices(words, k=rng.randint(1, 4))) for i in range(n)}
+            if ends_missed:
+                column[0] = column[-1] = None
+                descriptions["m0"] = descriptions[f"m{n - 1}"] = "win32"
+            assert _label_masks(column) == _literal_masks(label_verdict, column)
+            indicator = text_mining_grouping(descriptions, threshold=0.5)
+            vectors = {key: Counter(vector or {}) for key, vector in indicator._vectors.items()}
+
+            def verdict(a, b):
+                return cosine_verdict(vectors[a], vectors[b], 0.5)
+
+            ids = list(descriptions)
+            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
 
     def test_indicator_masks_equal_literal_enumeration(self):
         rng = random.Random(1618)

@@ -13,6 +13,7 @@ from malbehave import (
     Profile,
     ProfileParseError,
     ProfileSchemaError,
+    corpus_paths,
     extract_elements,
     generate_corpus,
     parse_profile,
@@ -327,6 +328,17 @@ class TestCorpusIO:
         (tmp_path / "aa-0.xml").write_text(serialize_profile(profile))
         labels = [label for label, _ in read_corpus(tmp_path)]
         assert labels == ["aa-0", "bb-0"]
+
+    def test_corpus_paths_in_name_order(self, tmp_path):
+        stems = ["a-10", "a-9", "A-1", "a_1", "B-0", "a-1", "_x-0", "Z9-2", "z-0", "9-0"]
+        for stem in stems:
+            (tmp_path / f"{stem}.xml").write_text("")
+        (tmp_path / "0-0.txt").write_text("")
+        paths = corpus_paths(tmp_path)
+        assert [path.name for path in paths] == [
+            "9-0.xml", "A-1.xml", "B-0.xml", "Z9-2.xml", "_x-0.xml", "a-1.xml", "a-10.xml", "a-9.xml", "a_1.xml", "z-0.xml"
+        ]
+        assert paths == sorted(tmp_path.glob("*.xml"))
 
     def test_read_corpus_names_bad_file(self, tmp_path):
         (tmp_path / "bad-0.xml").write_text("<Profile><Meta>")
