@@ -15,6 +15,7 @@ the peer agrees with its different-family pairs. Scores live in [0, 2].
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -27,11 +28,6 @@ from typing import Mapping, Sequence
 
 from .phylo import Grouping
 from .profile import csv_rows, typed
-
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9_]+")
-# The maximal [a-z0-9_] runs that are not pure hex: the ones holding a
-# character outside [0-9a-f].
-_NON_HEX_TOKEN = re.compile(r"[a-z0-9_]*[g-z_][a-z0-9_]*")
 
 # A pair verdict (-1, 0, +1) held as a signed byte -> its '0'/'1' mask bit.
 _SAME_BIT = bytes.maketrans(b"\xff\x00\x01", b"001")
@@ -52,23 +48,25 @@ _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 # Words that name no family: dropped from detection strings and descriptions.
 _STOP_WORDS = frozenset({"win32", "variant", "troj_gen"})
 
-
-def _tokenize(text: str) -> list[str]:
-    # Underscores stay in tokens, so multi-word stop words like troj_gen survive.
-    return [token for token in _TOKEN_SPLIT.split(text.lower()) if token]
+# A word is a maximal run of [a-z0-9_] in lowercased text, so troj_gen is
+# one word. The guard matches only at the start of a word that is not a
+# stop word; no later position of a word can start a match.
+_GUARD = rf"(?<![a-z0-9_])(?!(?:{'|'.join(sorted(_STOP_WORDS))})(?![a-z0-9_]))"
+_WORD = re.compile(_GUARD + r"[a-z0-9_]+")  # a description word
+# A word that is not pure hex: one holding a character outside [0-9a-f].
+_FAMILY_WORD = re.compile(_GUARD + r"[0-9a-f]*[g-z_][a-z0-9_]*")
+# The first longest of some words, None when there are none.
+_longest = functools.partial(max, key=len, default=None)
 
 
 def normalize_family(detection_string: str) -> str | None:
     """Family name for a detection string, or None when nothing usable remains.
 
     Lowercase, split on non-alphanumeric runs (underscores stay), drop stop
-    words and pure-hex tokens (all-digit ones among them), keep the longest
-    token left.
+    words and pure-hex words (all-digit ones among them), keep the first
+    longest word left.
     """
-    kept = [token for token in _NON_HEX_TOKEN.findall(detection_string.lower()) if token not in _STOP_WORDS]
-    if not kept:
-        return None
-    return max(kept, key=len)
+    return _longest(_FAMILY_WORD.findall(detection_string.lower()))
 
 
 def _first_repeat(values: Sequence[str]) -> str:
@@ -132,9 +130,10 @@ class EngineLabelTable:
 
     def normalized(self) -> "EngineLabelTable":
         """Run every cell through normalize_family."""
-        # normalize_family is pure: one call per distinct string.
-        cells = {cell for row in self.labels for cell in row if cell is not None}
-        family = {cell: normalize_family(cell) for cell in cells}
+        # normalize_family is pure: once per distinct string, as one map chain.
+        cells = set().union(*self.labels)
+        cells.discard(None)
+        family = dict(zip(cells, map(_longest, map(_FAMILY_WORD.findall, map(str.lower, cells)))))
         rows = tuple(tuple(map(family.get, row)) for row in self.labels)
         return EngineLabelTable(self.malware_ids, self.engines, rows)
 
@@ -466,12 +465,12 @@ def text_mining_grouping(descriptions: Mapping[str, str], threshold: float = 0.7
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
-    vectors: dict[str, Counter | None] = {}
     for malware_id, text in descriptions.items():
-        words = _tokenize(typed(text, f"description of {malware_id!r}", str))
-        tokens = [token for token in words if token not in _STOP_WORDS]
-        vectors[malware_id] = Counter(tokens) if tokens else None
-    return PairwiseIndicator(vectors, threshold)
+        if not isinstance(text, str):
+            typed(text, f"description of {malware_id!r}", str)
+    word_lists = map(_WORD.findall, map(str.lower, descriptions.values()))
+    vectors = (Counter(words) if words else None for words in word_lists)
+    return PairwiseIndicator(dict(zip(descriptions, vectors)), threshold)
 
 
 def grouping_to_labels(grouping: Grouping) -> dict[str, str]:

@@ -247,6 +247,17 @@ def split_normalize_family(detection_string):
     return max(kept, key=len) if kept else None
 
 
+def split_description_words(text):
+    """Description words by the original rule: lowercase, split on runs of
+    characters outside [a-z0-9_], drop empty words and the stop words
+    win32, variant and troj_gen."""
+    return [
+        word
+        for word in re.split(r"[^a-z0-9_]+", text.lower())
+        if word and word not in ("win32", "variant", "troj_gen")
+    ]
+
+
 def label_verdict(a, b):
     """One label engine's verdict on a pair from its two cells: 0 when it
     missed (None) either sample, +1 for the same family, -1 otherwise."""

@@ -742,6 +742,40 @@ class TestUntrustedInput:
         assert out == ""
         assert "'m1'" in _single_error_line(err)
 
+    # The first error of a malformed table or description file, by the
+    # file it names: table rows are checked in order, a row's length before
+    # its cells; every table id needs a description, checked in table order,
+    # before any description is checked to be text, in file order.
+    @pytest.mark.parametrize(
+        "labels, descriptions, bad, message",
+        [
+            ([["f", 5], ["g"], ["g", "g"]], None, "t", "label cells must be text or None, got 5"),
+            ([["f", "f"], [5], ["g", 7]], None, "t", "label row has 1 cells for 2 engines"),
+            (
+                [["f", "f"], ["f", "g"], ["g", "g"]],
+                {"a": "trojan downloader", "b": "Win32 worm", "c": 5, "zz": 7},
+                "d",
+                "description of 'c' must be a string, got 5",
+            ),
+            (
+                [["f", "f"], ["f", "g"], ["g", "g"]],
+                {"zz": 7, "a": "trojan downloader"},
+                "d",
+                "no description for malware id 'b' of the label table",
+            ),
+        ],
+        ids=["cell-before-later-row-length", "row-length-before-cells", "description-not-text", "description-missing"],
+    )
+    def test_first_error_named(self, capsys, tmp_path, labels, descriptions, bad, message):
+        paths = {"t": tmp_path / "t.json", "d": tmp_path / "d.json"}
+        paths["t"].write_text(json.dumps({"malwares": ["a", "b", "c"], "engines": ["x", "y"], "labels": labels}))
+        argv = ["pcs", str(paths["t"]), "--normalize"]
+        if descriptions is not None:
+            paths["d"].write_text(json.dumps(descriptions))
+            argv += ["--text-mining", str(paths["d"])]
+        code, out, err = _run(capsys, argv)
+        assert (code, out, _single_error_line(err)) == (1, "", f"error: {paths[bad]}: {message}")
+
     def test_description_missing_for_table_id(self, capsys, tmp_path):
         table = tmp_path / "t.json"
         table.write_text(

@@ -16,7 +16,7 @@ from malbehave import (
 )
 from malbehave import pcs
 from malbehave.pcs import PairwiseIndicator, _approval_from_masks, _label_masks
-from _oracles import brute_force_pcs, cosine_verdict, label_verdict, split_normalize_family
+from _oracles import brute_force_pcs, cosine_verdict, label_verdict, split_description_words, split_normalize_family
 from _pipeline import CSV_AWKWARD_LABELS
 
 
@@ -35,6 +35,17 @@ IDENTICAL_PAIR = _table(
     ["x", "y"],
     [["f", "f"], ["f", "f"], ["g", "g"]],
 )
+
+# Text pieces for the word-rule fuzzes: both cases of hex and other
+# letters, digits (so all-digit words), '_', separators, stop words and
+# non-ASCII characters, the Kelvin sign and dotted capital I (whose
+# lowercase forms are ASCII k and i plus a combining dot) among them.
+WORD_PIECES = list("abcdefgxyzABFGXZ0123456789_._/-: ")
+WORD_PIECES += ["win32", "Variant", "TROJ_GEN", "é", "ß", "İ", "\u212a", "١", "Ⅻ", "ǅ", "\u00a0"]
+# Stop words glued to other word characters, which stay words, and one in
+# another case, which does not.
+STOP_WORD_EDGES = ["win32_", "_win32", "xwin32", "win32x", "troj_gen2", "Troj_Gen"]
+WORD_PIECES += STOP_WORD_EDGES
 
 
 class TestNormalizeFamily:
@@ -59,15 +70,12 @@ class TestNormalizeFamily:
         assert normalize_family(raw) == expected
 
     def test_equals_split_and_filter_rule(self):
-        # Random text over both cases of hex and other letters, digits (so
-        # all-digit tokens), '_', separators, stop words and non-ASCII
-        # characters, the Kelvin sign and dotted capital I (whose lowercase
-        # forms are ASCII k and i plus a combining dot) among them.
+        for edge in STOP_WORD_EDGES:
+            for raw in (edge, f"{edge}.{edge}", f"Win32.{edge}/ab"):
+                assert normalize_family(raw) == split_normalize_family(raw), raw
         rng = random.Random(2027)
-        pieces = list("abcdefgxyzABFGXZ0123456789_._/-: ")
-        pieces += ["win32", "Variant", "TROJ_GEN", "é", "ß", "İ", "\u212a", "١", "Ⅻ", "ǅ", "\u00a0"]
         for _ in range(3000):
-            raw = "".join(rng.choices(pieces, k=rng.randint(0, 16)))
+            raw = "".join(rng.choices(WORD_PIECES, k=rng.randint(0, 16)))
             assert normalize_family(raw) == split_normalize_family(raw)
 
     def test_idempotent(self):
@@ -275,6 +283,26 @@ class TestTextMining:
     def test_stop_words_removed(self):
         grouping = text_mining_grouping({"a": "Win32 adware", "b": "variant adware"})
         assert _pair_verdict(grouping, "a", "b") == 1
+
+    def test_words_equal_split_and_filter_rule(self):
+        # Each id's vector holds the counts of the oracle's words, or is
+        # None when none is left; the verdicts are the cosine rule's on
+        # those counts.
+        rng = random.Random(3141)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            descriptions = {f"m{i}": "".join(rng.choices(WORD_PIECES, k=rng.randint(0, 24))) for i in range(n)}
+            descriptions.update(rng.sample([(f"e{k}", edge) for k, edge in enumerate(STOP_WORD_EDGES)], 2))
+            threshold = rng.choice([0.0, 0.5, 1.0])
+            indicator = text_mining_grouping(descriptions, threshold=threshold)
+            expected = {key: Counter(split_description_words(text)) for key, text in descriptions.items()}
+            assert indicator._vectors == {key: counts or None for key, counts in expected.items()}
+
+            def verdict(a, b):
+                return cosine_verdict(expected[a], expected[b], threshold)
+
+            ids = list(descriptions)
+            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="threshold"):
