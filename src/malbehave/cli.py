@@ -123,18 +123,25 @@ def _emit(text: str, out: str | None) -> None:
 _CHUNK_BYTES = 128 << 10
 # A cgroup v2 CPU quota, "QUOTA PERIOD" or "max PERIOD", as a container sees it.
 _CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+# The cgroup v1 CPU controller: a quota in cpu.cfs_quota_us, -1 for none,
+# per period in cpu.cfs_period_us.
+_CPU_CFS = Path("/sys/fs/cgroup/cpu")
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on, lowered to its cgroup's CPU quota."""
+    """The CPUs this process may run on, lowered to its cgroup v2 and v1
+    CPU quotas."""
     if not hasattr(os, "sched_getaffinity"):  # not Linux
         return 1
     cpus = len(os.sched_getaffinity(0))
-    try:
-        quota, period = _CPU_MAX.read_text().split()
-        cpus = min(cpus, max(1, int(quota) // int(period)))
-    except (OSError, ValueError):  # no cgroup v2 file, or no quota ("max")
-        pass
+    for files in ((_CPU_MAX,), (_CPU_CFS / "cpu.cfs_quota_us", _CPU_CFS / "cpu.cfs_period_us")):
+        try:
+            # v2 holds both numbers in one file, v1 one number per file.
+            quota, period = map(int, " ".join(path.read_text() for path in files).split())
+        except (OSError, ValueError):  # no such file, or no quota ("max")
+            continue
+        if quota > 0 and period > 0:  # v1 writes -1 for no quota
+            cpus = min(cpus, max(1, quota // period))
     return cpus
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import ApiEvent, Profile, _checked_event, _checked_profile, serialize_profile, typed, typed_float
+from .profile import ApiEvent, CallKey, Profile, _checked_event, _checked_profile, serialize_profile, typed, typed_float
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,40 +54,45 @@ MUTATION_OPS = ("drop_event", "duplicate_event", "perturb_param", "insert_noise_
 # whole corpus in memory before anything is written, so an unbounded spec
 # would run until the host runs out of memory.
 MAX_CORPUS_VARIANTS = 100_000
+# Upper bound on the events of a corpus, spawned children's included: the
+# variant bound alone does not bound memory, as one variant may spawn a
+# child per base event. Generation counts events as it goes and stops with
+# a ValueError before the profile that would pass the bound is built.
+MAX_CORPUS_EVENTS = 1_000_000
+
+
+def _seed_state(seed: int) -> int:
+    """The xorshift64* state a seed starts from: its low 64 bits, or a fixed
+    odd constant for 0, from which the step would never move."""
+    return seed & _MASK64 or 0x9E3779B97F4A7C15
+
+
+def _draw(state: int) -> tuple[int, int]:
+    """One xorshift64* step from state: (the next state, its 64-bit output)."""
+    state ^= state >> 12
+    state ^= (state << 25) & _MASK64
+    state ^= state >> 27
+    return state, (state * 0x2545F4914F6CDD1D) & _MASK64
 
 
 class Xorshift64Star:
     """64-bit xorshift* generator; fixed algorithm, stable across platforms."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
-        if self._state == 0:
-            self._state = 0x9E3779B97F4A7C15
+        self._state = _seed_state(seed)
 
-    # random and randrange each take the xorshift step inline rather than
-    # through a shared call: synth draws once or more per event, and the
-    # extra call cost as much as the step itself.
     def next_u64(self) -> int:
-        return self.randrange(1 << 64)
+        self._state, output = _draw(self._state)
+        return output
 
     def random(self) -> float:
         """Float in [0, 1) with 53 bits of the next output."""
-        s = self._state
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK64
-        s ^= s >> 27
-        self._state = s
-        return (((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (2.0 ** -53)
+        return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        s = self._state
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK64
-        s ^= s >> 27
-        self._state = s
-        return ((s * 0x2545F4914F6CDD1D) & _MASK64) % n
+        return self.next_u64() % n
 
     def choice(self, seq: Sequence):
         return seq[self.randrange(len(seq))]
@@ -199,77 +205,105 @@ def _name_seed(name: str) -> int:
     return int.from_bytes(hashlib.md5(name.encode("utf-8")).digest()[:8], "big")
 
 
-# Every event below is built unchecked (_checked_event): its fields come
-# from a checked base event or pool (FamilyTemplate), a hooked API name or
-# "SUCCESS", and its timestamp is a base event's, 0, or a positive tick.
-# So is every profile (_checked_profile): an md5 hex hash, a positive
-# process id, and events that _assign_timestamps stamps in strictly
-# increasing order.
+# Every event below is built unchecked (_checked_event): its call key comes
+# from a checked base event or pool (FamilyTemplate), or is a hooked API
+# name with "SUCCESS", and its timestamp is a positive tick. So is every
+# profile (_checked_profile): an md5 hex hash, a positive process id, and
+# events that _stamped stamps in strictly increasing order.
+#
+# Generation keeps the xorshift64* state in a local and takes the step
+# inline in the two loops that draw for every event (the coins and the
+# timestamps), where a call per step cost about as much as the step itself;
+# the rare perturb and noise draws go through _draw. Every draw is the one
+# Xorshift64Star would make, in the same order.
 
 
-def _assign_timestamps(events: Sequence[ApiEvent], rng: Xorshift64Star) -> tuple[ApiEvent, ...]:
-    ticks = 300_000_000
-    stamped = []
-    for event in events:
-        ticks += 10_000 + rng.randrange(90_000)
-        stamped.append(_checked_event((event.api_name, event.attributes, event.return_value), ticks))
-    return tuple(stamped)
+def _coin_limit(rate: float) -> int:
+    """The bound under which a 64-bit output is a coin that lands at rate.
 
-
-def _perturb(event: ApiEvent, template: FamilyTemplate, rng: Xorshift64Star) -> ApiEvent:
-    # Swap one attribute value for another from the template's own pool,
-    # so mutated variants stay inside the family vocabulary.
-    candidates = [
-        index
-        for index, (key, value) in enumerate(event.attributes)
-        if key in template.param_pools and any(v != value for v in template.param_pools[key])
-    ]
-    if not candidates:
-        return event
-    index = rng.choice(candidates)
-    key, current = event.attributes[index]
-    replacement = rng.choice([v for v in template.param_pools[key] if v != current])
-    attributes = list(event.attributes)
-    attributes[index] = (key, replacement)
-    return _checked_event((event.api_name, tuple(attributes), event.return_value), event.timestamp)
-
-
-def _noise_event(template: FamilyTemplate, rng: Xorshift64Star) -> ApiEvent:
-    api = rng.choice(_APIS_SORTED)
-    attributes = ()
-    pool_keys = sorted(template.param_pools)
-    if pool_keys:
-        key = rng.choice(pool_keys)
-        attributes = ((key, rng.choice(template.param_pools[key])),)
-    return _checked_event((api, attributes, "SUCCESS"), 0)
-
-
-def _mutate_events(
-    template: FamilyTemplate, rate: float, rng: Xorshift64Star
-) -> tuple[list[ApiEvent], int]:
-    """One mutated copy of the base sequence; returns (events, spawn_count).
-
-    Every enabled op flips its own coin for every base event, in the fixed
-    MUTATION_OPS order, so the random stream consumed per variant is
-    reproducible.
+    Xorshift64Star.random() < rate is (output >> 11) * 2**-53 < rate.
+    Scaling both sides by 2**53, a power of two, is exact, and an integer
+    is below a float exactly when it is below the float's ceiling: so the
+    coin is output >> 11 < ceil(rate * 2**53), or output < the limit.
     """
-    enabled = [op in template.mutation_ops for op in MUTATION_OPS]
-    random = rng.random
-    events: list[ApiEvent] = []
-    spawns = 0
+    return math.ceil(rate * 2.0**53) << 11
+
+
+def _family_plan(template: FamilyTemplate) -> tuple[list[CallKey], list[tuple], Mapping, tuple[str, ...]]:
+    """What a family's variants are drawn from, worked out once: the base
+    events' call keys; for each, the perturbs it allows, as (attribute
+    index, key, the key's pool values other than the event's own, in pool
+    order) for each attribute whose pool holds another value; the param
+    pools; and their keys in sorted order, from which a noise event draws."""
+    pools = template.param_pools
+    base, perturbs = [], []
     for event in template.base_events:
-        # A disabled op draws nothing: `and` stops before its coin.
-        drop, duplicate, perturb, noise, spawn = [on and random() < rate for on in enabled]
-        current = _perturb(event, template, rng) if perturb else event
+        options = []
+        for index, (key, value) in enumerate(event.attributes):
+            others = tuple([v for v in pools.get(key, ()) if v != value])
+            if others:
+                options.append((index, key, others))
+        base.append((event.api_name, event.attributes, event.return_value))
+        perturbs.append(tuple(options))
+    return base, perturbs, pools, tuple(sorted(pools))
+
+
+def _mutate_events(plan: tuple, ops: tuple[int, ...], limit: int, state: int) -> tuple[list[CallKey], int, int]:
+    """One mutated copy of the base sequence: (call keys, spawn count, state).
+
+    Every enabled op (ops holds their MUTATION_OPS indices, in order) flips
+    its own coin for every base event, so the random stream consumed per
+    variant is reproducible. A perturb swaps one attribute value for
+    another from the template's own pool, and a noise event carries one
+    pool pair, so mutated variants stay inside the family vocabulary.
+    """
+    base, perturbs, pools, pool_keys = plan
+    calls: list[CallKey] = []
+    spawns = 0
+    for call, options in zip(base, perturbs):
+        coins = [False] * len(MUTATION_OPS)
+        for op in ops:
+            state ^= state >> 12
+            state ^= (state << 25) & _MASK64
+            state ^= state >> 27
+            coins[op] = (state * 0x2545F4914F6CDD1D) & _MASK64 < limit
+        drop, duplicate, perturb, noise, spawn = coins
+        if perturb and options:
+            state, out = _draw(state)
+            index, key, others = options[out % len(options)]
+            state, out = _draw(state)
+            attributes = list(call[1])
+            attributes[index] = (key, others[out % len(others)])
+            call = (call[0], tuple(attributes), call[2])
         if not drop:
-            events.append(current)
+            calls.append(call)
             if duplicate:
-                events.append(current)
+                calls.append(call)
         if noise:
-            events.append(_noise_event(template, rng))
+            state, out = _draw(state)
+            attributes = ()
+            if pool_keys:
+                state, pick = _draw(state)
+                key = pool_keys[pick % len(pool_keys)]
+                state, pick = _draw(state)
+                attributes = ((key, pools[key][pick % len(pools[key])]),)
+            calls.append((_APIS_SORTED[out % len(_APIS_SORTED)], attributes, "SUCCESS"))
         if spawn:
             spawns += 1
-    return events, spawns
+    return calls, spawns, state
+
+
+def _stamped(calls: Sequence[CallKey], state: int) -> tuple[tuple[ApiEvent, ...], int]:
+    """One event per call key, 10,000 to 99,999 ticks after the one before: (events, state)."""
+    ticks = 300_000_000
+    events = []
+    for call in calls:
+        state ^= state >> 12
+        state ^= (state << 25) & _MASK64
+        state ^= state >> 27
+        ticks += 10_000 + ((state * 0x2545F4914F6CDD1D) & _MASK64) % 90_000
+        events.append(_checked_event(call, ticks))
+    return tuple(events), state
 
 
 def generate_family(
@@ -280,30 +314,48 @@ def generate_family(
     Each spawned child becomes its own profile right after its parent: it
     replays the family's base sequence (the spawned copy runs the same
     binary) and carries parent_hash. Timestamps are strictly increasing
-    within every profile.
+    within every profile. A family of more than MAX_CORPUS_EVENTS events
+    raises ValueError before the profile that would pass it is built.
     """
+    return _generate_family(template, count, rate, seed, MAX_CORPUS_EVENTS)[0]
+
+
+def _generate_family(
+    template: FamilyTemplate, count: int, rate: float, seed: int, events_left: int
+) -> tuple[list[Profile], int]:
+    """generate_family's profiles, built from at most events_left events,
+    and the number of events left after them."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0, 1], got {rate!r}")
-    rng = Xorshift64Star(seed)
+    state = _seed_state(seed)
+    plan = _family_plan(template)
+    base = plan[0]
+    ops = tuple(k for k, op in enumerate(MUTATION_OPS) if op in template.mutation_ops)
+    limit = _coin_limit(rate)
     profiles: list[Profile] = []
     for variant in range(count):
         if variant == 0:
-            events, spawns = list(template.base_events), 0
+            calls, spawns = base, 0
         else:
-            events, spawns = _mutate_events(template, rate, rng)
-        if not events:
-            events = [template.base_events[0]]
+            calls, spawns, state = _mutate_events(plan, ops, limit, state)
         sample_hash = hashlib.md5(
             f"{template.name}:{variant}:{seed & _MASK64}".encode("utf-8")
         ).hexdigest()
         pid = 1000 + variant
-        profiles.append(_checked_profile(sample_hash, pid, 300, _assign_timestamps(events, rng), None))
-        for child in range(spawns):
-            child_events = _assign_timestamps(template.base_events, rng)
-            profiles.append(_checked_profile(sample_hash, pid * 100 + child + 1, 300, child_events, sample_hash))
-    return profiles
+        processes = [(pid, None, calls or base[:1])]
+        processes += [(pid * 100 + child, sample_hash, base) for child in range(1, spawns + 1)]
+        for process_id, parent_hash, process_calls in processes:
+            events_left -= len(process_calls)
+            if events_left < 0:
+                raise ValueError(
+                    f"family {template.name!r}, variant {variant}: the corpus would hold more than "
+                    f"MAX_CORPUS_EVENTS = {MAX_CORPUS_EVENTS} events"
+                )
+            events, state = _stamped(process_calls, state)
+            profiles.append(_checked_profile(sample_hash, process_id, 300, events, parent_hash))
+    return profiles, events_left
 
 
 def generate_corpus(spec: CorpusSpec) -> tuple[list[tuple[str, Profile]], Grouping]:
@@ -320,11 +372,13 @@ def generate_corpus(spec: CorpusSpec) -> tuple[list[tuple[str, Profile]], Groupi
         raise ValueError(f"duplicate family names: {sorted(duplicates)}")
     labeled: list[tuple[str, Profile]] = []
     truth: list[tuple[str, ...]] = []
+    events_left = MAX_CORPUS_EVENTS
     for template, count in spec.families:
         family_seed = (spec.seed ^ _name_seed(template.name)) & _MASK64
         ordinals: Counter = Counter()
         group: list[str] = []
-        for profile in generate_family(template, count, spec.mutation_rate, family_seed):
+        profiles, events_left = _generate_family(template, count, spec.mutation_rate, family_seed, events_left)
+        for profile in profiles:
             ordinal = ordinals[profile.hash]
             ordinals[profile.hash] += 1
             label = f"{profile.hash}-{ordinal}"

@@ -45,14 +45,20 @@ def build_corpus(spec: CorpusSpec, directory: str, count: int, digest: str) -> N
     assert h.hexdigest() == digest, h.hexdigest()
 
 
-def bounded_run(args: list[str], *, seconds: float, mb: float) -> None:
-    """Run `python -m malbehave ARGS` in a child that must succeed within
-    seconds; print and assert the peak RSS of every child reaped so far."""
-    subprocess.run([sys.executable, "-m", "malbehave", *args], check=True, timeout=seconds)
+def bounded_run(args: list[str], *, seconds: float, mb: float, status: int = 0) -> str:
+    """Run `python -m malbehave ARGS` in a child that must exit with status
+    within seconds; print and assert the peak RSS of every child reaped so
+    far. Returns the child's stderr, which is also printed."""
+    done = subprocess.run(
+        [sys.executable, "-m", "malbehave", *args], stderr=subprocess.PIPE, text=True, timeout=seconds
+    )
+    sys.stderr.write(done.stderr)
+    assert done.returncode == status, f"{' '.join(args)}: exit {done.returncode}, not {status}"
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
     report = f"{' '.join(args)}: peak RSS {peak_mb:.0f} MB"
     print(report)
     assert peak_mb <= mb, f"{report} > {mb} MB"
+    return done.stderr
 
 
 def corpus_labels(directory: str, count: int) -> list[str]:

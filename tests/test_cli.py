@@ -28,6 +28,7 @@ from malbehave import (
     jaccard_matrix,
     parse_profile,
     serialize_profile,
+    synth,
     to_newick,
     write_corpus,
 )
@@ -963,6 +964,23 @@ class TestUntrustedInput:
         assert "MAX_CORPUS_VARIANTS" in _single_error_line(err)
         assert not (tmp_path / "out").exists()
 
+    def test_corpus_spec_over_the_events_cap(self, capsys, monkeypatch, tmp_path):
+        # TestSynth.SPEC makes 8 profiles of 21 events in all, the last a
+        # spawned child of variant 3. One event fewer allowed ends the run
+        # before anything is written.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(TestSynth.SPEC))
+        monkeypatch.setattr(synth, "MAX_CORPUS_EVENTS", 21)
+        code, out, _ = _run(capsys, ["synth", str(spec_path), "--out", str(tmp_path / "at")])
+        assert (code, out) == (0, f"wrote 8 profiles to {tmp_path / 'at'}\n")
+        monkeypatch.setattr(synth, "MAX_CORPUS_EVENTS", 20)
+        code, out, err = _run(capsys, ["synth", str(spec_path), "--out", str(tmp_path / "over")])
+        assert (code, out) == (1, "")
+        assert _single_error_line(err) == (
+            "error: family 'fam', variant 3: the corpus would hold more than MAX_CORPUS_EVENTS = 20 events"
+        )
+        assert not (tmp_path / "over").exists()
+
     def test_entity_expansion_rejected(self, tmp_path):
         # "Billion laughs": nine levels of tenfold entity references expand
         # to 3 GB. The parser must refuse it; the address-space cap keeps a
@@ -1479,11 +1497,19 @@ class TestForks:
 
     @pytest.fixture
     def cpus(self, monkeypatch, tmp_path):
-        def set_cpus(count, cpu_max=None):
+        def set_cpus(count, cpu_max=None, cfs=None):
+            # cpu_max is the cgroup v2 file's line; cfs the cgroup v1
+            # (quota, period) lines. None leaves the file out.
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
             monkeypatch.setattr(cli, "_CPU_MAX", tmp_path / "cpu.max")
+            monkeypatch.setattr(cli, "_CPU_CFS", tmp_path / "cpu")
             if cpu_max is not None:
                 (tmp_path / "cpu.max").write_text(cpu_max + "\n")
+            if cfs is not None:
+                (tmp_path / "cpu").mkdir()
+                for name, line in zip(("cpu.cfs_quota_us", "cpu.cfs_period_us"), cfs):
+                    if line is not None:
+                        (tmp_path / "cpu" / name).write_text(line + "\n")
 
         return set_cpus
 
@@ -1502,6 +1528,35 @@ class TestForks:
     def test_cpu_count(self, cpus, affinity, cpu_max, count):
         cpus(affinity, cpu_max)
         assert cli._cpu_count() == count
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_max, cfs, count",
+        [
+            (2, None, ("100000", "100000"), 1),
+            (2, None, ("-1", "100000"), 2),
+            (8, None, ("300000", "100000"), 3),
+            (8, None, ("50000", "100000"), 1),
+            (2, None, ("400000", "100000"), 2),
+            (8, None, ("100000", None), 8),
+            (8, None, (None, "100000"), 8),
+            (8, None, ("", "100000"), 8),
+            (8, "200000 100000", ("300000", "100000"), 2),
+            (8, "300000 100000", ("200000", "100000"), 2),
+            (8, "max 100000", ("200000", "100000"), 2),
+            (8, "300000 100000", ("-1", "100000"), 3),
+        ],
+    )
+    def test_cpu_count_cgroup_v1(self, cpus, affinity, cpu_max, cfs, count):
+        # The v1 quota lowers the count as the v2 one does; with both, the lower wins.
+        cpus(affinity, cpu_max, cfs)
+        assert cli._cpu_count() == count
+
+    def test_v1_quota_of_one_cpu_does_not_fork(self, cpus, tmp_path):
+        cpus(2, None, ("100000", "100000"))
+        paths = [tmp_path / "p0.xml", tmp_path / "p1.xml"]
+        for path in paths:
+            path.write_bytes(b"x" * cli._CHUNK_BYTES)
+        assert cli._forks(paths) is False
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

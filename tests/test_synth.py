@@ -9,6 +9,7 @@ import pytest
 
 from malbehave import (
     ApiEvent,
+    MAX_CORPUS_EVENTS,
     MAX_CORPUS_VARIANTS,
     MUTATION_OPS,
     CorpusSpec,
@@ -23,6 +24,7 @@ from malbehave import (
     serialize_profile,
     write_corpus,
 )
+from malbehave import synth
 from malbehave.profile import ProfileSchemaError
 from _pipeline import family_template, four_family_spec, mean_distance
 
@@ -56,6 +58,38 @@ def quoting_spec() -> CorpusSpec:
     ops = frozenset(MUTATION_OPS) - {"drop_event"}
     template = FamilyTemplate("quoting", tuple(events), ops, {"hName": AWKWARD_VALUES, "data": AWKWARD_VALUES[3:]})
     return CorpusSpec(((template, 12),), 0.3, 31)
+
+
+BASE_EVENTS = (
+    ApiEvent("CreateFile", (("hName", "c:\\a.exe"), ("desiredAccess", "GENERIC_WRITE")), "SUCCESS"),
+    ApiEvent("RegSetValue", (("hKey", "hkcu\\run"), ("data", "x")), "SUCCESS"),
+    ApiEvent("WinExec", (("lpCmdLine", "c:\\a.exe"),), None),
+)
+
+
+def poolless_noise_spec() -> CorpusSpec:
+    """Every op on and no param pools: noise events carry no attribute and
+    perturbs draw nothing."""
+    return CorpusSpec(((FamilyTemplate("poolless", BASE_EVENTS, frozenset(MUTATION_OPS)), 12),), 0.4, 7)
+
+
+def single_value_pool_spec() -> CorpusSpec:
+    """A pool whose only value is the base value (a perturb of that event
+    draws nothing) beside one that offers another value."""
+    pools = {"hName": ("c:\\a.exe",), "hKey": ("hkcu\\run", "hkcu\\other")}
+    template = FamilyTemplate("single", BASE_EVENTS, frozenset({"perturb_param", "duplicate_event"}), pools)
+    return CorpusSpec(((template, 12),), 0.5, 8)
+
+
+def zero_seed_spec() -> CorpusSpec:
+    """A family whose seed is 0, so its stream starts from the remapped state."""
+    seed = int.from_bytes(hashlib.md5(b"zero").digest()[:8], "big")
+    return CorpusSpec(((family_template("zero", motif_count=3), 8),), 0.3, seed)
+
+
+def spawn_all_ops_spec() -> CorpusSpec:
+    """Every op on, spawn_child included, at a rate where each fires often."""
+    return CorpusSpec(((family_template("spawner", motif_count=3), 10),), 0.5, 9)
 
 
 def corpus_digest(directory: Path) -> str:
@@ -125,6 +159,71 @@ class TestRng:
             assert rng.random() == (steps.next_u64() >> 11) * 2.0**-53
             assert rng.randrange(n) == steps.next_u64() % n
             assert rng.next_u64() == steps.next_u64()
+
+
+def state_before(output: int) -> int:
+    """The Xorshift64Star state whose next step outputs output."""
+    mask = (1 << 64) - 1
+    state = output * pow(0x2545F4914F6CDD1D, -1, 1 << 64) & mask
+    # Undo state ^= state >> 27, then state ^= state << 25, then
+    # state ^= state >> 12. Repeating x = y ^ (x >> k) from x = y fixes k
+    # more bits of the y ^= y >> k input each time.
+    for shift in (27, -25, 12):
+        x = state
+        for _ in range(64 // abs(shift) + 1):
+            x = state ^ (x >> shift if shift > 0 else (x << -shift) & mask)
+        state = x
+    return state
+
+
+COIN_RATES = (0.0, 5e-324, 2.0**-53, 0.15, 0.5, 1 - 2.0**-53, 1.0)
+
+
+class TestCoin:
+    """Generation flips a coin as output < _coin_limit(rate) on the integer
+    output of a step; it must land as Xorshift64Star.random() < rate does."""
+
+    @pytest.mark.parametrize("rate", COIN_RATES)
+    def test_equals_random_below_rate(self, rate):
+        limit = synth._coin_limit(rate)
+        floats = Xorshift64Star(11)
+        outputs = Xorshift64Star(11)
+        coins = [outputs.next_u64() < limit for _ in range(100_000)]
+        assert coins == [floats.random() < rate for _ in range(100_000)]
+
+    @pytest.mark.parametrize("rate", COIN_RATES)
+    def test_equals_random_at_the_boundary(self, rate):
+        # Outputs just below, at and just above the first 53-bit value that
+        # is not below rate * 2**53, each as a real draw of the generator.
+        limit = synth._coin_limit(rate)
+        edge = limit >> 11
+        outputs = {(edge << 11) - 1, edge << 11, (edge << 11) | 2047, (edge - 1) << 11, ((edge + 1) << 11) - 1}
+        coins = set()
+        for output in sorted(output for output in outputs if 0 <= output < 1 << 64):
+            rng = Xorshift64Star(1)
+            rng._state = state_before(output)
+            assert rng.next_u64() == output
+            rng._state = state_before(output)
+            coins.add(output < limit)
+            assert (output < limit) == (rng.random() < rate), (rate, output)
+        # Heads and tails both, unless rate leaves only one.
+        assert (True in coins, False in coins) == (rate > 0.0, rate < 1.0)
+
+    @pytest.mark.parametrize("rate", [rate for rate in COIN_RATES if 0.0 < rate < 1.0])
+    def test_generation_lands_at_the_boundary(self, rate):
+        # One base event, duplicate_event alone: variant 0 draws its one
+        # timestamp, then variant 1 flips one coin, a duplicate on heads.
+        # The seed is chosen so that coin's output is the last heads or
+        # the first tails.
+        template = FamilyTemplate("edge", (ApiEvent("ReadFile"),), frozenset({"duplicate_event"}))
+        limit = synth._coin_limit(rate)
+        for output, events in ((limit - 1, 2), (limit, 1)):
+            coin_state = state_before(output)
+            seed = state_before(coin_state * 0x2545F4914F6CDD1D & ((1 << 64) - 1))
+            rng = Xorshift64Star(seed)
+            rng.next_u64()
+            assert rng.next_u64() == output
+            assert len(generate_family(template, 2, rate, seed)[1].events) == events
 
 
 class TestTemplateValidation:
@@ -268,6 +367,60 @@ class TestCorpusSpecBound:
             CorpusSpec(((template, MAX_CORPUS_VARIANTS), (other, 1)), 0.1, 1)
 
 
+class TestEventsCap:
+    """Generation counts events, spawned children's included, against
+    MAX_CORPUS_EVENTS over the whole corpus, and stops before the profile
+    that would pass it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The event count of every profile generation builds, in order."""
+        counts = []
+        checked_profile = synth._checked_profile
+
+        def counting(sample_hash, process_id, duration, events, parent_hash):
+            counts.append(len(events))
+            return checked_profile(sample_hash, process_id, duration, events, parent_hash)
+
+        monkeypatch.setattr(synth, "_checked_profile", counting)
+        return counts
+
+    def test_spec_at_the_cap(self, monkeypatch, built):
+        spec = four_family_spec(variants=3)
+        labeled, truth = generate_corpus(spec)
+        monkeypatch.setattr(synth, "MAX_CORPUS_EVENTS", sum(built))
+        assert generate_corpus(spec) == (labeled, truth)
+
+    def test_spec_over_the_cap(self, monkeypatch, built):
+        # Over by one event at each profile in turn, spawned children and
+        # later families included: the profiles before it are built, it
+        # is not, and the error names the constant and where it was passed.
+        spec = four_family_spec(variants=3)
+        labeled, truth = generate_corpus(spec)
+        sizes = list(built)
+        family_of = {
+            label: template.name for (template, _), group in zip(spec.families, truth.groups) for label in group
+        }
+        assert any(profile.parent_hash for _, profile in labeled)
+        for k, (label, _) in enumerate(labeled):
+            cap = sum(sizes[: k + 1]) - 1
+            monkeypatch.setattr(synth, "MAX_CORPUS_EVENTS", cap)
+            built.clear()
+            with pytest.raises(ValueError) as err:
+                generate_corpus(spec)
+            assert built == sizes[:k]
+            assert str(err.value).startswith(f"family {family_of[label]!r}, variant ")
+            assert str(err.value).endswith(f": the corpus would hold more than MAX_CORPUS_EVENTS = {cap} events")
+
+    def test_message(self, monkeypatch):
+        monkeypatch.setattr(synth, "MAX_CORPUS_EVENTS", 10)
+        with pytest.raises(ValueError) as err:
+            generate_family(family_template("fam", motif_count=1), 3, 0.0, 1)
+        assert str(err.value) == (
+            "family 'fam', variant 1: the corpus would hold more than MAX_CORPUS_EVENTS = 10 events"
+        )
+
+
 class TestCorpusSpecTypes:
     # Fields are type-checked, not coerced, with the spec file's messages.
     @pytest.mark.parametrize(
@@ -325,14 +478,32 @@ class TestGenerateCorpus:
         [
             (four_family_spec, "f044ca19a4d638f82d69f663d7a407d7236fad949ffed89654520ab561f44935"),
             (quoting_spec, "4cec4276a856eeba3a79856cb0e2d984d76f8f396ce78d039d71518d0fb82135"),
+            (poolless_noise_spec, "f2643d339ae9681f630d769168f122ab99c1c7a1e54c9fc79269c6d07452949f"),
+            (single_value_pool_spec, "94e50feeb1708be79900fb8868f83d3cb9d0be2220d82c86054587c34ffc10a4"),
+            (zero_seed_spec, "4ba5889f68f0129b988015bb9c1ed56e7217e1a53c7d214531ec778320fb5387"),
+            (spawn_all_ops_spec, "5f0200be9c31a0d8b5da2b8a6634d0542b0c0d81a84c98a3c7e7e9273a569d01"),
         ],
-        ids=["four-family", "quoting"],
+        ids=["four-family", "quoting", "poolless-noise", "single-value-pool", "zero-seed", "spawn-all-ops"],
     )
     def test_golden_bytes(self, tmp_path, spec, digest):
         # Pins the draw stream, the events built from it and their quoting.
         labeled, truth = generate_corpus(spec())
         write_corpus(tmp_path, labeled, truth)
         assert corpus_digest(tmp_path) == digest
+
+    def test_golden_specs_take_their_paths(self):
+        # Each golden spec added for a generation path reaches that path.
+        def events(spec):
+            return [event for _, profile in generate_corpus(spec)[0] for event in profile.events]
+
+        base_apis = {event.api_name for event in BASE_EVENTS}
+        noise = [event for event in events(poolless_noise_spec()) if event.api_name not in base_apis]
+        assert noise and all(event.attributes == () for event in noise)
+        single = events(single_value_pool_spec())
+        assert {event.attributes for event in single if event.api_name == "CreateFile"} == {BASE_EVENTS[0].attributes}
+        assert ("hKey", "hkcu\\other") in {pair for event in single for pair in event.attributes}
+        assert zero_seed_spec().seed == synth._name_seed("zero")  # the family seed is their xor
+        assert any(profile.parent_hash for _, profile in generate_corpus(spawn_all_ops_spec())[0])
 
     @pytest.mark.parametrize("spec", [four_family_spec, quoting_spec], ids=["four-family", "quoting"])
     def test_events_pass_the_constructor(self, spec):
