@@ -522,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     except (*INPUT_ERRORS, OSError) as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -193,9 +193,7 @@ def _row_picks(n: int) -> tuple[list[int], list[slice]]:
     return shifts, slices
 
 
-def _label_masks(
-    column: Sequence[str | None], picks: tuple[list[int], list[slice]] | None = None
-) -> tuple[int, int]:
+def _label_masks(column: Sequence[str | None], picks: tuple[list[int], list[slice]]) -> tuple[int, int]:
     """One label engine's pair verdicts as (same, diff) bitmasks in the
     padded pair layout; picks is _row_picks(len(column)).
 
@@ -206,7 +204,7 @@ def _label_masks(
     (i + 1) % 8 that its samples need, so row i is a byte slice.
     """
     n = len(column)
-    shifts, slices = picks or _row_picks(n)
+    shifts, slices = picks
     size = (n + 7) // 8
     full = (1 << 8 * size) - 1
     samples_of = defaultdict(list)
@@ -243,11 +241,6 @@ def _approval(shared: tuple[int, int], x_counts: tuple[int, int]) -> float:
         if den:
             value += num / den
     return value
-
-
-def _approval_from_masks(x: tuple[int, int], y: tuple[int, int], x_counts: tuple[int, int]) -> float:
-    """_approval of engine x by engine y, from their (same, diff) masks."""
-    return _approval(tuple((mask_x & mask_y).bit_count() for mask_x, mask_y in zip(x, y)), x_counts)
 
 
 def pcs_score(table: EngineLabelTable, engine: str) -> float:

@@ -75,29 +75,6 @@ def _draw(state: int) -> tuple[int, int]:
     return state, (state * 0x2545F4914F6CDD1D) & _MASK64
 
 
-class Xorshift64Star:
-    """64-bit xorshift* generator; fixed algorithm, stable across platforms."""
-
-    def __init__(self, seed: int):
-        self._state = _seed_state(seed)
-
-    def next_u64(self) -> int:
-        self._state, output = _draw(self._state)
-        return output
-
-    def random(self) -> float:
-        """Float in [0, 1) with 53 bits of the next output."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def randrange(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("randrange needs a positive bound")
-        return self.next_u64() % n
-
-    def choice(self, seq: Sequence):
-        return seq[self.randrange(len(seq))]
-
-
 @dataclass(frozen=True)
 class FamilyTemplate:
     """Base behavior of one family and the mutations its variants may carry.
@@ -214,17 +191,17 @@ def _name_seed(name: str) -> int:
 # Generation keeps the xorshift64* state in a local and takes the step
 # inline in the two loops that draw for every event (the coins and the
 # timestamps), where a call per step cost about as much as the step itself;
-# the rare perturb and noise draws go through _draw. Every draw is the one
-# Xorshift64Star would make, in the same order.
+# the rare perturb and noise draws go through _draw.
 
 
 def _coin_limit(rate: float) -> int:
     """The bound under which a 64-bit output is a coin that lands at rate.
 
-    Xorshift64Star.random() < rate is (output >> 11) * 2**-53 < rate.
-    Scaling both sides by 2**53, a power of two, is exact, and an integer
-    is below a float exactly when it is below the float's ceiling: so the
-    coin is output >> 11 < ceil(rate * 2**53), or output < the limit.
+    The coin lands when the float of the output's top 53 bits is below
+    rate: (output >> 11) * 2**-53 < rate. Scaling both sides by 2**53, a
+    power of two, is exact, and an integer is below a float exactly when it
+    is below the float's ceiling: so the coin is output >> 11 <
+    ceil(rate * 2**53), or output < the limit.
     """
     return math.ceil(rate * 2.0**53) << 11
 

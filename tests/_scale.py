@@ -1,22 +1,20 @@
 """Bounded runs of the malbehave CLI, for the CI scale jobs.
 
-A step builds a seeded corpus with build_corpus, runs one command with
-bounded_run, then checks its output with check_labels:
+A gate is one process, run with PYTHONPATH=src:tests as
 
-    PYTHONPATH=src:tests python - <<'EOF'
-    from _scale import bounded_run, check_labels, corpus_labels
+    python tests/_scale.py --seconds S --mb M [--labels SOURCE COUNT] [--sha256 HEX] -- ARGS...
 
-    bounded_run(["groups", "corpus", "--out", "g.json"], seconds=10, mb=95)
-    check_labels("g.json", corpus_labels("corpus", 4548))
-    EOF
-
-Check each bound in a Python process of its own: RUSAGE_CHILDREN's peak is
-the largest over every child the process has reaped, so a later run in the
-same process is held to an earlier run's peak too.
+It runs `python -m malbehave ARGS` with bounded_run, checks the labels of
+the run's --out file against the COUNT labels of SOURCE (a corpus directory
+or a matrix CSV), then its sha256 against HEX; a failed check exits non-zero.
+Each gate is a process of its own, as RUSAGE_CHILDREN's peak is the largest
+over every child a process has reaped: a later run would be held to it too.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
 import json
 import re
@@ -61,10 +59,14 @@ def bounded_run(args: list[str], *, seconds: float, mb: float, status: int = 0) 
     return done.stderr
 
 
-def corpus_labels(directory: str, count: int) -> list[str]:
-    """The labels of the count profiles in directory."""
-    labels = [path.stem for path in Path(directory).glob("*.xml")]
-    assert len(labels) == count, len(labels)
+def source_labels(source: str, count: int) -> list[str]:
+    """The count labels of a corpus directory's profiles or of a matrix CSV's header."""
+    if Path(source).is_dir():
+        labels = [path.stem for path in Path(source).glob("*.xml")]
+    else:
+        with open(source, encoding="utf-8", newline="") as matrix:
+            labels = next(csv.reader(matrix))
+    assert len(labels) == count, (source, len(labels), count)
     return labels
 
 
@@ -78,3 +80,41 @@ def check_labels(path: str, expected: list[str]) -> None:
         found = re.findall(r"[(,]([^(),:;]+):", text)
     assert len(found) == len(expected), (path, len(found), len(expected))
     assert sorted(found) == sorted(expected), f"{path}: a label is missing or there twice"
+
+
+GATE = argparse.ArgumentParser(prog="tests/_scale.py", epilog="The malbehave ARGS follow --.")
+GATE.add_argument("--seconds", type=float, required=True)
+GATE.add_argument("--mb", type=float, required=True)
+GATE.add_argument("--labels", nargs=2, metavar=("SOURCE", "COUNT"))
+GATE.add_argument("--sha256", metavar="HEX")
+
+
+def parse_gate(argv: list[str]) -> tuple[argparse.Namespace, list[str]]:
+    """A gate's options, from before "--", and its malbehave ARGS, from after."""
+    split = argv.index("--") if "--" in argv else len(argv)
+    gate, args = GATE.parse_args(argv[:split]), argv[split + 1 :]
+    if not args:
+        GATE.error("the malbehave ARGS follow --")
+    if gate.labels and not gate.labels[1].isdecimal():
+        GATE.error(f"--labels COUNT must be a whole number, not {gate.labels[1]!r}")
+    if (gate.labels or gate.sha256) and "--out" not in args[:-1]:
+        GATE.error("--labels and --sha256 check the file that ARGS name with --out")
+    return gate, args
+
+
+def main(argv: list[str]) -> None:
+    if not __debug__:
+        GATE.error("every check is an assert: run without -O")
+    gate, args = parse_gate(argv)
+    bounded_run(args, seconds=gate.seconds, mb=gate.mb)
+    out = args[args.index("--out") + 1] if "--out" in args[:-1] else None
+    if gate.labels:
+        check_labels(out, source_labels(gate.labels[0], int(gate.labels[1])))
+    if gate.sha256:
+        digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        assert digest == gate.sha256, f"{out}: sha256 {digest}, not {gate.sha256}"
+        print(f"{out}: OK")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

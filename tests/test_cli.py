@@ -486,6 +486,30 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert _single_error_line(err) == line
 
+    @pytest.mark.parametrize(
+        "stage, argv",
+        [
+            ("upgma", ["groups", "{corpus}"]),
+            ("_profile_calls", ["classify", "{chars}", "{corpus}/a1-0.xml"]),
+            ("pcs_report", ["pcs", "{table}"]),
+        ],
+        ids=["groups-tree", "classify-read", "pcs"],
+    )
+    def test_out_of_memory(self, capsys, monkeypatch, two_family_corpus, tmp_path, stage, argv):
+        chars, table, out_path = tmp_path / "chars.json", tmp_path / "t.json", tmp_path / "out"
+        assert main(["characterize", str(two_family_corpus), "--out", str(chars)]) == 0
+        table.write_text(json.dumps({"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}))
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        argv = [arg.format(corpus=two_family_corpus, chars=chars, table=table) for arg in argv]
+        code, out, err = _run(capsys, [*argv, "--out", str(out_path)])
+        assert (code, out) == (1, "")
+        assert _single_error_line(err) == "error: out of memory"
+        assert not out_path.exists()
+
     def test_unknown_flag_exits_two(self, small_corpus):
         with pytest.raises(SystemExit) as err:
             main(["groups", str(small_corpus), "--bogus"])

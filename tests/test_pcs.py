@@ -15,7 +15,7 @@ from malbehave import (
     text_mining_grouping,
 )
 from malbehave import pcs
-from malbehave.pcs import PairwiseIndicator, _approval_from_masks, _label_masks
+from malbehave.pcs import PairwiseIndicator, _label_masks, _row_picks
 from _oracles import brute_force_pcs, cosine_verdict, label_verdict, split_description_words, split_normalize_family
 from _pipeline import CSV_AWKWARD_LABELS
 
@@ -88,14 +88,14 @@ class TestNormalizeFamily:
 
 
 def _mask_verdict(column, i, j):
-    """The verdict that _label_masks(column) holds for samples i < j: +1
+    """The verdict that column's label masks hold for samples i < j: +1
     from its same bit, -1 from its diff bit, 0 when neither is set. Each
     sample's row of pairs is padded to whole bytes, the first pair in the
     highest bit."""
     n = len(column)
     row_bytes = [(n - 1 - r + 7) // 8 for r in range(n)]
     bit = 8 * sum(row_bytes) - 1 - (8 * sum(row_bytes[:i]) + j - i - 1)
-    same, diff = _label_masks(column)
+    same, diff = _label_masks(column, _row_picks(n))
     return (same >> bit & 1) - (diff >> bit & 1)
 
 
@@ -107,7 +107,7 @@ class TestLabelMaskBits:
         assert _mask_verdict(THREE_BY_TWO.column("x"), 0, 2) == -1
 
     def test_null_cell(self):
-        assert _label_masks([None, "f"]) == (0, 0)
+        assert _label_masks([None, "f"], _row_picks(2)) == (0, 0)
         assert _mask_verdict([None, "f"], 0, 1) == 0
 
     def test_symmetry(self):
@@ -145,9 +145,11 @@ class TestWeight:
 def _approval(table, engine_x, engine_y):
     """Approval rate of engine_x by engine_y, from the masks and the
     approval term that pcs_report sums."""
-    x = _label_masks(table.column(engine_x))
-    y = _label_masks(table.column(engine_y))
-    return _approval_from_masks(x, y, (x[0].bit_count(), x[1].bit_count()))
+    picks = _row_picks(table.sample_count)
+    x = _label_masks(table.column(engine_x), picks)
+    y = _label_masks(table.column(engine_y), picks)
+    shared = ((x[0] & y[0]).bit_count(), (x[1] & y[1]).bit_count())
+    return pcs._approval(shared, (x[0].bit_count(), x[1].bit_count()))
 
 
 class TestApproval:
@@ -364,7 +366,7 @@ class TestPairMasks:
                 column[0] = column[-1] = None
             columns.append(column)
         for column in columns:
-            assert _label_masks(column) == _literal_masks(label_verdict, column)
+            assert _label_masks(column, _row_picks(len(column))) == _literal_masks(label_verdict, column)
 
     @pytest.mark.parametrize("n", [2, 8, 9, 10, 16, 17, 24, 25])
     def test_rows_at_byte_boundaries(self, n):
@@ -378,7 +380,7 @@ class TestPairMasks:
             if ends_missed:
                 column[0] = column[-1] = None
                 descriptions["m0"] = descriptions[f"m{n - 1}"] = "win32"
-            assert _label_masks(column) == _literal_masks(label_verdict, column)
+            assert _label_masks(column, _row_picks(len(column))) == _literal_masks(label_verdict, column)
             indicator = text_mining_grouping(descriptions, threshold=0.5)
             vectors = {key: Counter(vector or {}) for key, vector in indicator._vectors.items()}
 

@@ -15,7 +15,6 @@ from malbehave import (
     CorpusSpec,
     FamilyTemplate,
     FeatureConfig,
-    Xorshift64Star,
     extract_elements,
     generate_corpus,
     generate_family,
@@ -101,10 +100,18 @@ def corpus_digest(directory: Path) -> str:
     return h.hexdigest()
 
 
+def stream(seed: int, count: int) -> list[int]:
+    """The first count outputs of the xorshift64* stream from seed."""
+    state, outputs = synth._seed_state(seed), []
+    for _ in range(count):
+        state, output = synth._draw(state)
+        outputs.append(output)
+    return outputs
+
+
 class TestRng:
     def test_golden_values(self):
-        rng = Xorshift64Star(42)
-        assert [rng.next_u64() for _ in range(4)] == [
+        assert stream(42, 4) == [
             6255019084209693600,
             14430073426741505498,
             14575455857230217846,
@@ -112,57 +119,14 @@ class TestRng:
         ]
 
     def test_zero_seed_is_remapped(self):
-        assert Xorshift64Star(0).next_u64() == 973819730272012410
-
-    def test_random_in_unit_interval(self):
-        rng = Xorshift64Star(7)
-        for _ in range(1000):
-            assert 0.0 <= rng.random() < 1.0
+        assert stream(0, 1) == [973819730272012410]
 
     def test_streams_repeat(self):
-        a = Xorshift64Star(123)
-        b = Xorshift64Star(123)
-        assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
-
-    def test_golden_random(self):
-        rng = Xorshift64Star(42)
-        assert [rng.random() for _ in range(4)] == [
-            0.33908526400192196,
-            0.7822558479199243,
-            0.7901370452687786,
-            0.9440426349851643,
-        ]
-
-    def test_golden_randrange(self):
-        rng = Xorshift64Star(42)
-        bounds = (1, 2, 7, 90_000, 2**53, 2**64 - 1, 2**64)
-        assert [rng.randrange(n) for n in bounds] == [
-            0,
-            0,
-            1,
-            58735,
-            4307714684488198,
-            15416679289703091875,
-            3767188687873256562,
-        ]
-
-    @pytest.mark.parametrize("bound", [0, -1])
-    def test_randrange_needs_positive_bound(self, bound):
-        with pytest.raises(ValueError, match="^randrange needs a positive bound$"):
-            Xorshift64Star(1).randrange(bound)
-
-    def test_every_draw_is_one_step(self):
-        # Interleaved draws each take one next_u64 of the same stream.
-        rng = Xorshift64Star(5)
-        steps = Xorshift64Star(5)
-        for n in range(1, 200):
-            assert rng.random() == (steps.next_u64() >> 11) * 2.0**-53
-            assert rng.randrange(n) == steps.next_u64() % n
-            assert rng.next_u64() == steps.next_u64()
+        assert stream(123, 50) == stream(123, 50)
 
 
 def state_before(output: int) -> int:
-    """The Xorshift64Star state whose next step outputs output."""
+    """The xorshift64* state whose next step (_draw) outputs output."""
     mask = (1 << 64) - 1
     state = output * pow(0x2545F4914F6CDD1D, -1, 1 << 64) & mask
     # Undo state ^= state >> 27, then state ^= state << 25, then
@@ -179,17 +143,20 @@ def state_before(output: int) -> int:
 COIN_RATES = (0.0, 5e-324, 2.0**-53, 0.15, 0.5, 1 - 2.0**-53, 1.0)
 
 
+def float_coin(output: int, rate: float) -> bool:
+    """The reference coin: the float of output's top 53 bits is below rate."""
+    return (output >> 11) * 2.0**-53 < rate
+
+
 class TestCoin:
     """Generation flips a coin as output < _coin_limit(rate) on the integer
-    output of a step; it must land as Xorshift64Star.random() < rate does."""
+    output of a step; it must land as float_coin does."""
 
     @pytest.mark.parametrize("rate", COIN_RATES)
     def test_equals_random_below_rate(self, rate):
         limit = synth._coin_limit(rate)
-        floats = Xorshift64Star(11)
-        outputs = Xorshift64Star(11)
-        coins = [outputs.next_u64() < limit for _ in range(100_000)]
-        assert coins == [floats.random() < rate for _ in range(100_000)]
+        outputs = stream(11, 100_000)
+        assert [output < limit for output in outputs] == [float_coin(output, rate) for output in outputs]
 
     @pytest.mark.parametrize("rate", COIN_RATES)
     def test_equals_random_at_the_boundary(self, rate):
@@ -200,12 +167,9 @@ class TestCoin:
         outputs = {(edge << 11) - 1, edge << 11, (edge << 11) | 2047, (edge - 1) << 11, ((edge + 1) << 11) - 1}
         coins = set()
         for output in sorted(output for output in outputs if 0 <= output < 1 << 64):
-            rng = Xorshift64Star(1)
-            rng._state = state_before(output)
-            assert rng.next_u64() == output
-            rng._state = state_before(output)
+            assert synth._draw(state_before(output))[1] == output
             coins.add(output < limit)
-            assert (output < limit) == (rng.random() < rate), (rate, output)
+            assert (output < limit) == float_coin(output, rate), (rate, output)
         # Heads and tails both, unless rate leaves only one.
         assert (True in coins, False in coins) == (rate > 0.0, rate < 1.0)
 
@@ -220,9 +184,7 @@ class TestCoin:
         for output, events in ((limit - 1, 2), (limit, 1)):
             coin_state = state_before(output)
             seed = state_before(coin_state * 0x2545F4914F6CDD1D & ((1 << 64) - 1))
-            rng = Xorshift64Star(seed)
-            rng.next_u64()
-            assert rng.next_u64() == output
+            assert stream(seed, 2)[1] == output
             assert len(generate_family(template, 2, rate, seed)[1].events) == events
 
 
