@@ -486,6 +486,8 @@ def pcs_report(
     if table.sample_count < 2:
         raise ValueError("pair scoring needs at least 2 malware samples")
     names = list(table.engines) + [name for name, _ in extra_indicators]
+    if not names:
+        raise ValueError("pair scoring needs at least 1 engine")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate engine name {_first_repeat(names)!r} in report")
     n = table.sample_count
