@@ -331,7 +331,10 @@ def _read_characteristics(text: str) -> tuple[RunConfig, Mapping]:
         raise ValueError(f"feature block must have the keys {sorted(_FEATURE_KEYS)}, got {sorted(feature)}")
     config = RunConfig(**feature)  # checks the feature values before alpha and min_score
     config = dataclasses.replace(config, alpha=document.get("alpha"), min_score=document.get("min_score"))
-    return config, MappingProxyType(characteristics_from_report(document.get("groups")))
+    groups = characteristics_from_report(document.get("groups"))
+    if not groups:
+        raise ValueError("no group characteristics to classify against")
+    return config, MappingProxyType(groups)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -147,6 +147,9 @@ class CorpusSpec:
             raise ValueError(
                 f"corpus spec asks for {total} variants, more than MAX_CORPUS_VARIANTS = {MAX_CORPUS_VARIANTS}"
             )
+        duplicates = [name for name, n in Counter(template.name for template, _ in self.families).items() if n > 1]
+        if duplicates:
+            raise ValueError(f"duplicate family names: {sorted(duplicates)}")
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
@@ -343,10 +346,6 @@ def generate_corpus(spec: CorpusSpec) -> tuple[list[tuple[str, Profile]], Groupi
     groups (one per family, children included) are returned as a Grouping
     with threshold 0.
     """
-    names = [template.name for template, _ in spec.families]
-    duplicates = [name for name, n in Counter(names).items() if n > 1]
-    if duplicates:
-        raise ValueError(f"duplicate family names: {sorted(duplicates)}")
     labeled: list[tuple[str, Profile]] = []
     truth: list[tuple[str, ...]] = []
     events_left = MAX_CORPUS_EVENTS

@@ -182,36 +182,6 @@ def profile_document(execution: str, meta: str = "<Process_id>1</Process_id><Dur
     return f"<Profile><Meta><Hash>ab</Hash>{meta}</Meta><Execution>{execution}</Execution></Profile>"
 
 
-# Execution content the parser rejects -> (message, field_name). The
-# parser checks each distinct name once per document; each error must be
-# the one the checked constructors raise, in the same order.
-PARSER_REJECTIONS = {
-    "non-ascii-tag": ('<Créer Time="1"/>', "api_name must be a non-empty XML name, got 'Créer'", "api_name"),
-    "namespaced-tag": ('<a:b xmlns:a="u" Time="1"/>', "api_name must be a non-empty XML name, got '{u}b'", "api_name"),
-    "namespaced-key": ('<A xmlns:a="u" a:k="v" Time="1"/>', "attribute key '{u}k' is not an XML name", "{u}k"),
-    "non-ascii-key": ('<A é="1" Time="1"/>', "attribute key 'é' is not an XML name", "é"),
-    "negative-time": ('<A Time="-5"/>', "Time must be a non-negative integer, got -5", "Time"),
-    "negative-time-second-event": (
-        '<A Time="2"/><B Time="-1"/>',
-        "Time must be a non-negative integer, got -1",
-        "Time",
-    ),
-    "out-of-order": ('<A k="1" Time="5"/><B Time="4"/>', "events out of order: Time 4 follows Time 5", "Time"),
-    "bad-tag-second-event": ('<A Time="1"/><Bé Time="2"/>', "api_name must be a non-empty XML name, got 'Bé'", "api_name"),
-    "bad-tag-after-out-of-order": (
-        '<A Time="2"/><B Time="1"/><Cé Time="3"/>',
-        "api_name must be a non-empty XML name, got 'Cé'",
-        "api_name",
-    ),
-    "bad-key-beside-checked-key": (
-        '<A k="1" Time="1"/><A k="2" é="3" Time="2"/>',
-        "attribute key 'é' is not an XML name",
-        "é",
-    ),
-    "missing-time-before-bad-tag": ("<Bé/>", "event 0 <Bé>: missing Time attribute", "Time"),
-}
-
-
 def mean_distance(labels_a, labels_b, sets_by_label) -> float:
     """Mean pairwise distance between two label sets (within one set when
     both arguments are the same sequence)."""

@@ -30,7 +30,11 @@ from malbehave import CorpusSpec, generate_corpus, write_corpus
 def build_corpus(spec: CorpusSpec, directory: str, count: int, digest: str) -> None:
     """Write spec's corpus to directory; assert that it holds count profiles
     and that the sha256 over every file's name and bytes, in name order, is
-    digest. Prints synth's wall time."""
+    digest. Prints synth's wall time. A directory that already holds files
+    (a corpus left by an earlier run) is refused before anything is made:
+    its digest would count them too."""
+    path = Path(directory)
+    assert not (path.is_dir() and any(path.iterdir())), f"{directory}: already holds files; build into a new directory"
     started = time.perf_counter()
     labeled, truth = generate_corpus(spec)
     write_corpus(directory, labeled, truth)

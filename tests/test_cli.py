@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -16,6 +18,7 @@ import time
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import pytest
@@ -24,25 +27,44 @@ from malbehave import (
     MAX_INPUT_BYTES,
     ApiEvent,
     CorpusSpec,
+    DistanceMatrix,
+    EnduranceConfig,
+    EngineLabelTable,
+    FamilyTemplate,
     FeatureConfig,
+    Grouping,
+    PairwiseIndicator,
     Profile,
     ProfileError,
+    ProfileParseError,
+    ProfileSchemaError,
+    classify,
     cli,
+    common_set,
+    cut_tree,
     distance_matrix,
+    distinct_characteristics,
     generate_corpus,
+    generate_family,
+    jaccard_matrix,
     parse_profile,
+    pcs_report,
+    pcs_score,
+    rand_index,
+    read_corpus,
     serialize_profile,
     synth,
+    text_mining_grouping,
     to_newick,
+    upgma,
     write_corpus,
 )
 from malbehave.cli import main
-from malbehave.profile import _profile_calls, _walk_profile, corpus_paths, read_input
+from malbehave.profile import _profile_calls, _walk_profile, corpus_paths, read_input, typed
 from _oracles import dense_upgma
 from _pipeline import (
     MALFORMED_MATRIX_CSV,
     MUTATIONS_NO_SPAWN,
-    PARSER_REJECTIONS,
     family_template,
     four_family_spec,
     profile_document,
@@ -155,29 +177,6 @@ class TestSynth:
         ],
     }
 
-
-    def test_refuses_directory_with_profiles(self, capsys, tmp_path):
-        # A second corpus written into the first's directory would be
-        # grouped with it, while ground_truth.json named only its own.
-        first, second = copy.deepcopy(self.SPEC), copy.deepcopy(self.SPEC)
-        first["families"] = [dict(self.SPEC["families"][0], name=name, variants=4) for name in ("ant", "bee")]
-        second["families"] = [dict(self.SPEC["families"][0], name=name, variants=2) for name in ("cow", "dog")]
-        out_dir = tmp_path / "s"
-        for name, spec in (("first.json", first), ("second.json", second)):
-            (tmp_path / name).write_text(json.dumps(spec))
-        assert main(["synth", str(tmp_path / "first.json"), "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
-        code, out, err = _run(capsys, ["synth", str(tmp_path / "second.json"), "--out", str(out_dir)])
-        assert (code, out) == (1, "")
-        assert _single_error_line(err).startswith(f"error: {out_dir}: already holds *.xml profiles")
-        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
-        # A directory without profiles is written into as before.
-        (out_dir / "notes.txt").write_text("")
-        for path in out_dir.glob("*.xml"):
-            path.unlink()
-        assert main(["synth", str(tmp_path / "second.json"), "--out", str(out_dir)]) == 0
-
     @pytest.mark.parametrize(
         "pools, message",
         [
@@ -269,6 +268,16 @@ def _first_group(**fields) -> Callable:
     return lambda document: document["groups"][0].update(fields)
 
 
+def _first_family(**fields) -> Callable:
+    """A spec edit: fields set in the first family."""
+    return lambda spec: spec["families"][0].update(fields)
+
+
+def _first_event(**fields) -> Callable:
+    """A spec edit: fields set in the first family's first base event."""
+    return lambda spec: spec["families"][0]["base_events"][0].update(fields)
+
+
 # Inputs: files, as bytes, and the argv that names some of them.
 _CORPUS = {f"corpus/{label}.xml": serialize_profile(profile).encode() for label, profile in TWO_FAMILIES.items()}
 _TWO_SAMPLES = {"malwares": ["m1", "m2"], "engines": ["x"], "labels": [["f"], ["g"]]}
@@ -286,6 +295,92 @@ _TREE_CSV = "--ngram, --no-params and --no-return apply to a corpus directory, n
 _NO_ELEMENT = "malformed XML: no element found: line 1, column 15"
 _BAD_BYTE = "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 _FEATURE_BLOCK = "feature block must have the keys ['include_return', 'ngram_n', 'normalize_paths', 'with_params'], got"
+
+_META = "<Process_id>1</Process_id><Duration>10</Duration>"
+_PID_ZERO = "<Process_id>0</Process_id><Duration>10</Duration>"
+_DURATION_ZERO = "<Process_id>1</Process_id><Duration>0</Duration>"
+_BLANK_PARENT = _META + "<Parent_hash> </Parent_hash>"
+_OUT_OF_ORDER = '<A Time="2"/><B Time="1"/>'
+
+
+def _schema(execution: str, message: str, field_name: str, meta: str = _META) -> tuple:
+    """A WALK_REJECTIONS case: the document of profile_document(execution,
+    meta), rejected with a ProfileSchemaError that names field_name."""
+    return profile_document(execution, meta), ProfileSchemaError, message, {"field_name": field_name}
+
+
+# Documents that the call-key walk and parse_profile must reject alike, as
+# (text, error class, message, fields). First the names the parser checks
+# once per document, which must fail as the checked constructors do, in
+# their order; then faults in the XML, the structure and the meta fields,
+# alone and together with event faults, in the order the checked
+# constructors raise them (events, then Process_id, Duration and
+# Parent_hash, then the first out-of-order Time).
+WALK_REJECTIONS = {
+    "non-ascii-tag": _schema('<Créer Time="1"/>', "api_name must be a non-empty XML name, got 'Créer'", "api_name"),
+    "namespaced-tag": _schema(
+        '<a:b xmlns:a="u" Time="1"/>', "api_name must be a non-empty XML name, got '{u}b'", "api_name"
+    ),
+    "namespaced-key": _schema('<A xmlns:a="u" a:k="v" Time="1"/>', "attribute key '{u}k' is not an XML name", "{u}k"),
+    "non-ascii-key": _schema('<A é="1" Time="1"/>', "attribute key 'é' is not an XML name", "é"),
+    "negative-time": _schema('<A Time="-5"/>', "Time must be a non-negative integer, got -5", "Time"),
+    "negative-time-second-event": _schema(
+        '<A Time="2"/><B Time="-1"/>', "Time must be a non-negative integer, got -1", "Time"
+    ),
+    "out-of-order": _schema('<A k="1" Time="5"/><B Time="4"/>', "events out of order: Time 4 follows Time 5", "Time"),
+    "bad-tag-second-event": _schema(
+        '<A Time="1"/><Bé Time="2"/>', "api_name must be a non-empty XML name, got 'Bé'", "api_name"
+    ),
+    "bad-tag-after-out-of-order": _schema(
+        '<A Time="2"/><B Time="1"/><Cé Time="3"/>', "api_name must be a non-empty XML name, got 'Cé'", "api_name"
+    ),
+    "bad-key-beside-checked-key": _schema(
+        '<A k="1" Time="1"/><A k="2" é="3" Time="2"/>', "attribute key 'é' is not an XML name", "é"
+    ),
+    "missing-time-before-bad-tag": _schema("<Bé/>", "event 0 <Bé>: missing Time attribute", "Time"),
+    "process-id-zero": _schema(
+        '<A Time="1"/>', "Process_id must be a positive integer, got 0", "Process_id", _PID_ZERO
+    ),
+    "duration-zero": _schema('<A Time="1"/>', "Duration must be a positive integer, got 0", "Duration", _DURATION_ZERO),
+    "blank-parent-hash": _schema(
+        '<A Time="1"/>', "Parent_hash must be non-empty text when present", "Parent_hash", _BLANK_PARENT
+    ),
+    "bad-tag-before-process-id-zero": _schema(
+        '<Bé Time="1"/>', "api_name must be a non-empty XML name, got 'Bé'", "api_name", _PID_ZERO
+    ),
+    "process-id-zero-before-out-of-order": _schema(
+        _OUT_OF_ORDER, "Process_id must be a positive integer, got 0", "Process_id", _PID_ZERO
+    ),
+    "duration-zero-before-out-of-order": _schema(
+        _OUT_OF_ORDER, "Duration must be a positive integer, got 0", "Duration", _DURATION_ZERO
+    ),
+    "blank-parent-hash-before-out-of-order": _schema(
+        _OUT_OF_ORDER, "Parent_hash must be non-empty text when present", "Parent_hash", _BLANK_PARENT
+    ),
+    "non-integer-process-id-before-bad-tag": _schema(
+        '<Bé Time="1"/>', "<Process_id> must be an integer, got 'x'", "Process_id",
+        "<Process_id>x</Process_id><Duration>10</Duration>",
+    ),
+    "non-integer-time": _schema('<A Time="x"/>', "event 0 <A>: Time must be an integer, got 'x'", "Time"),
+    "missing-hash": (
+        "<Profile><Meta><Process_id>1</Process_id></Meta><Execution/></Profile>",
+        ProfileSchemaError, "missing or empty <Hash> in <Meta>", {"field_name": "Hash"},
+    ),
+    "missing-meta": (
+        "<Profile><Execution/></Profile>", ProfileSchemaError, "missing <Meta> element", {"field_name": "Meta"}
+    ),
+    "missing-execution": (
+        f"<Profile><Meta><Hash>ab</Hash>{_META}</Meta></Profile>",
+        ProfileSchemaError, "missing <Execution> element", {"field_name": "Execution"},
+    ),
+    "wrong-root": (
+        "<Report/>", ProfileSchemaError, "root element must be <Profile>, got <Report>", {"field_name": "Profile"}
+    ),
+    "malformed-xml": (
+        '<Profile>\n<Meta><Hash>ab</Hash></Meta>\n<Execution><A Time="1"></Execution>',
+        ProfileParseError, "malformed XML: mismatched tag: line 3, column 25", {"line": 3, "column": 25},
+    ),
+}
 
 REFUSALS = [
     # Every path argument given as "" with the others named (none exists).
@@ -345,6 +440,8 @@ REFUSALS = [
             "threshold must be in [0, 1], got 3.0"),
     Refusal("range tm-threshold", {}, ["pcs", "t.json", "--text-mining", "d.json", "--tm-threshold", "1.5"], 1,
             "tm_threshold must be in [0, 1], got 1.5"),
+    Refusal("range ngram", _CORPUS, ["distmat", "corpus", "--ngram", "0"], 1,
+            "ngram_n must be a positive integer, got 0"),
     Refusal("min-score flag", _CLASSIFY_FILES, [*_CLASSIFY, "--min-score", "1.5"], 1,
             "min_score must be in [0, 1], got 1.5"),
     Refusal("min-score model", {**_CLASSIFY_FILES, **_model(lambda doc: doc.update(alpha=1))},
@@ -371,6 +468,13 @@ REFUSALS = [
             ["characterize", "corpus"], ["distmat", "corpus"], ["parse", "corpus/zz-0.xml"],
             ["classify", "chars.json", "corpus/zz-0.xml"],
         ]
+    ),
+    # A profile that the walk rejects, read by each command that walks one.
+    *(
+        Refusal(f"walk {case} {argv[0]}", {**_model(), "corpus/x-0.xml": text.encode()}, argv, 1,
+                f"corpus/x-0.xml: {message}")
+        for case, (text, _, message, _) in WALK_REJECTIONS.items()
+        for argv in (["classify", "chars.json", "corpus/x-0.xml"], ["groups", "corpus"], ["parse", "corpus/x-0.xml"])
     ),
     # A missing path named as a file is read as one; an existing file that
     # tree cannot read is named as such.
@@ -451,6 +555,18 @@ REFUSALS = [
                 f"{_FEATURE_BLOCK} ['include_return', 'ngram_n', 'normalize_paths', 'window', 'with_params']",
             ),
             ("feature-empty", lambda doc: doc["feature"].clear(), f"{_FEATURE_BLOCK} []"),
+            ("size-zero", _first_group(size=0), "group size must be at least 1"),
+            (
+                "common-missing",
+                lambda doc: doc["groups"][0].pop("common"),
+                "common must be a list of strings, got None",
+            ),
+            (
+                "distinct-not-common",
+                _first_group(distinct=["zz"]),
+                "distinct characteristics must be a subset of the common set",
+            ),
+            ("groups-empty", lambda doc: doc.update(groups=[]), "no group characteristics to classify against"),
         ]
     ),
     # A label table: its shape, its names, its cells, its engines. Only the
@@ -464,6 +580,7 @@ REFUSALS = [
             ("engines-str", dict(_TWO_SAMPLES, engines="x"), "engines must be a list of strings, got 'x'"),
             ("rows-str", dict(_TWO_SAMPLES, labels=["f", "g"]), "labels must be a list of lists, got ['f', 'g']"),
             ("labels-str", dict(_TWO_SAMPLES, labels="fg"), "labels must be a list of lists, got 'fg'"),
+            ("row-count", dict(_TWO_SAMPLES, labels=[["f"]]), "expected 2 label rows, got 1"),
             (
                 "cell-before-later-row-length",
                 dict(_ABC, labels=[["f", 5], ["g"], ["g", "g"]]),
@@ -490,7 +607,14 @@ REFUSALS = [
             "t.csv: duplicate malware id 'm1': malware ids must be unique"),
     Refusal("table csv-engine", {"t.csv": b"malware_id,w,x,x\nm1,f,f,f\nm2,g,g,g\n"}, ["pcs", "t.csv"], 1,
             "t.csv: duplicate engine name 'x': engine names must be unique"),
-    # No engine to score: a semicolon-separated header reads as one column.
+    Refusal("table csv-header-only", {"t.csv": b"malware_id,x\n"}, ["pcs", "t.csv"], 1,
+            "t.csv: label table CSV needs a header row and at least one sample row"),
+    Refusal("table csv-row-length", {"t.csv": b"malware_id,x\nm1,f,extra\n"}, ["pcs", "t.csv"], 1,
+            "t.csv: row for 'm1' has 2 cells for 1 engines"),
+    # Too little to score: one sample, or (a semicolon-separated header reads
+    # as one column) no engine.
+    Refusal("table one-sample", {"t.json": _json({"malwares": ["m1"], "engines": ["x"], "labels": [["f"]]})},
+            ["pcs", "t.json"], 1, "pair scoring needs at least 2 malware samples"),
     Refusal("table no-engine-csv", {"t.csv": b"malware_id;x;y\nm1;f;f\nm2;g;g\n"}, ["pcs", "t.csv"], 1,
             "pair scoring needs at least 1 engine"),
     Refusal("table no-engine-json", {"t.json": _json({"malwares": ["m1", "m2"], "engines": [], "labels": [[], []]})},
@@ -569,9 +693,14 @@ REFUSALS = [
             ("threshold-nan", b"NaN", [["m1", "m2"]], "threshold must be in [0, 1], got nan"),
             ("threshold-negative", b"-5", [["m1", "m2"]], "threshold must be in [0, 1], got -5.0"),
             ("threshold-huge", b"1e999", [["m1", "m2"]], "threshold must be in [0, 1], got inf"),
+            ("group-empty", b"0.5", [["m1"], []], "groups must be non-empty"),
+            ("label-twice", b"0.5", [["m1", "m2"], ["m2"]], "label 'm2' appears in more than one group"),
         ]
     ),
-    # A corpus spec: every field's type.
+    Refusal("grouping name-taken", {"table.json": _TABLE3, "grouping.json": b'{"threshold": 0.5, "groups": [["m1"]]}'},
+            ["pcs", "table.json", "--inject-grouping", "grouping.json", "--inject-name", "x"], 1,
+            "engine 'x' already present"),
+    # A corpus spec: every field's type and value, and where synth writes it.
     Refusal("spec top-level-list", {"spec.json": b"[5]"}, _SYNTH, 1,
             "spec.json: corpus spec must be an object, got [5]"),
     *(
@@ -579,6 +708,12 @@ REFUSALS = [
         for case, edit, message in [
             ("families-int", lambda spec: spec.update(families=5), "families must be a list, got 5"),
             ("family-int", lambda spec: spec.update(families=[5]), "family must be an object, got 5"),
+            ("families-empty", lambda spec: spec.update(families=[]), "corpus spec needs at least one family"),
+            (
+                "names-repeated",
+                lambda spec: spec.update(families=spec["families"] * 2),
+                "duplicate family names: ['fam']",
+            ),
             ("seed-bool", lambda spec: spec.update(seed=True), "seed must be an integer, got True"),
             (
                 "rate-null",
@@ -590,37 +725,177 @@ REFUSALS = [
                 lambda spec: spec.update(mutation_rate=10**400),
                 "mutation_rate is too large for a float: 100000000000000000...0000000000000000000",
             ),
+            ("rate-over-one", lambda spec: spec.update(mutation_rate=1.5), "mutation_rate must be in [0, 1], got 1.5"),
+            ("variants-str", _first_family(variants="4"), "variants must be an integer, got '4'"),
+            ("variants-zero", _first_family(variants=0), "family 'fam': variant count must be >= 1"),
             (
-                "variants-str",
-                lambda spec: spec["families"][0].update(variants="4"),
-                "variants must be an integer, got '4'",
+                "variants-over-cap",
+                _first_family(variants=100_001),
+                "corpus spec asks for 100001 variants, more than MAX_CORPUS_VARIANTS = 100000",
             ),
-            ("name-int", lambda spec: spec["families"][0].update(name=3), "family template needs a name string, got 3"),
+            ("name-int", _first_family(name=3), "family template needs a name string, got 3"),
+            ("ops-mixed", _first_family(mutation_ops=[5, "x"]), "mutation_ops must be a list of strings, got [5, 'x']"),
             (
-                "ops-mixed",
-                lambda spec: spec["families"][0].update(mutation_ops=[5, "x"]),
-                "mutation_ops must be a list of strings, got [5, 'x']",
+                "ops-unknown",
+                _first_family(mutation_ops=["scramble_stack"]),
+                "family 'fam': unknown mutation ops ['scramble_stack']",
             ),
             (
                 "pool-int",
-                lambda spec: spec["families"][0].update(param_pools={"hName": 5}),
+                _first_family(param_pools={"hName": 5}),
                 "param_pools 'hName' must be a list of strings, got 5",
             ),
-            (
-                "event-int",
-                lambda spec: spec["families"][0].update(base_events=[5]),
-                "base event must be an object, got 5",
-            ),
-            (
-                "attributes-int",
-                lambda spec: spec["families"][0]["base_events"][0].update(attributes=7),
-                "attributes must be an object or a list, got 7",
-            ),
-            (
-                "attribute-pair-str",
-                lambda spec: spec["families"][0]["base_events"][0].update(attributes=["hName"]),
-                "attribute pair must be a list, got 'hName'",
-            ),
+            ("pool-empty", _first_family(param_pools={"hName": []}), "family 'fam': empty param pool for 'hName'"),
+            ("event-int", _first_family(base_events=[5]), "base event must be an object, got 5"),
+            ("events-empty", _first_family(base_events=[]), "family 'fam': base_events must be non-empty"),
+            ("api-unhooked", _first_event(api="NtOpenFile"), "family 'fam': 'NtOpenFile' is not a hooked API"),
+            ("return-int", _first_event(**{"return": 5}), "Return must be text"),
+            ("attributes-int", _first_event(attributes=7), "attributes must be an object or a list, got 7"),
+            ("attribute-pair-str", _first_event(attributes=["hName"]), "attribute pair must be a list, got 'hName'"),
+            ("attribute-triple", _first_event(attributes=[["k", 1, 2]]), "attributes must be (key, value) text pairs"),
+            ("attribute-repeated", _first_event(attributes=[["k", "a"], ["k", "b"]]), "duplicate attribute key 'k'"),
+            ("attribute-return", _first_event(attributes={"Return": "x"}), "attribute key 'Return' is reserved"),
+            ("attribute-time", _first_event(attributes={"Time": "1"}), "attribute key 'Time' is reserved"),
+        ]
+    ),
+    # A second corpus written into the first's directory would be grouped
+    # with it, while ground_truth.json named only its own.
+    Refusal("spec out-holds-profiles", {"spec.json": _json(TestSynth.SPEC), "out/x-0.xml": b""}, _SYNTH, 1,
+            "out: already holds *.xml profiles; synth writes to a directory without them"),
+]
+
+
+class Rejection(NamedTuple):
+    """A library call that raises: call() raises exactly the class error,
+    with message as its whole str(), and each attribute named in fields
+    (field_name, line, column) holds its value there."""
+
+    id: str
+    call: Callable[[], object]
+    error: type[Exception]
+    message: str
+    fields: dict[str, object] = {}
+
+
+# Element sets of three samples: x1 and x2 equal, y apart.
+_XY = {"x1": frozenset("ab"), "x2": frozenset("ab"), "y": frozenset("a")}
+
+
+def _characterized(members: dict, groups: list) -> dict:
+    """distinct_characteristics of groups, over the tree of _XY's sets."""
+    tree = upgma(jaccard_matrix(list(_XY.values()), list(_XY)))
+    return distinct_characteristics(tree, Grouping(0.5, groups), members, EnduranceConfig())
+
+
+_FAMILY = FamilyTemplate("f", (ApiEvent("ReadFile"),))
+_DUCK_EVENT = SimpleNamespace(api_name="ReadFile", attributes=(("Return", "x"),), return_value=None, timestamp=0)
+
+REJECTIONS = [
+    # Every document the walk rejects, walked to call keys and parsed alike.
+    *(
+        Rejection(f"{call.__name__} {case}", functools.partial(call, text), error, message, fields)
+        for case, (text, error, message, fields) in WALK_REJECTIONS.items()
+        for call in (parse_profile, _profile_calls)
+    ),
+    Rejection("parse_profile position", lambda: parse_profile("<Profile><Meta>"), ProfileParseError,
+              "malformed XML: no element found: line 1, column 15", {"line": 1, "column": 15}),
+    *(
+        Rejection(f"parse_profile missing {tag}", functools.partial(parse_profile, profile_document("", meta)),
+                  ProfileSchemaError, f"missing or empty <{tag}> in <Meta>", {"field_name": tag})
+        for tag, meta in [("Process_id", "<Duration>10</Duration>"), ("Duration", "<Process_id>1</Process_id>")]
+    ),
+    # The checked constructors of events and profiles.
+    Rejection("ApiEvent empty name", lambda: ApiEvent(""), ProfileSchemaError,
+              "api_name must be a non-empty XML name, got ''", {"field_name": "api_name"}),
+    Rejection("ApiEvent negative time", lambda: ApiEvent("ReadFile", (), None, -1), ProfileSchemaError,
+              "Time must be a non-negative integer, got -1", {"field_name": "Time"}),
+    Rejection("Profile process id", lambda: Profile("ab", 0, 10), ProfileSchemaError,
+              "Process_id must be a positive integer, got 0", {"field_name": "Process_id"}),
+    Rejection("Profile duration", lambda: Profile("ab", 1, -3), ProfileSchemaError,
+              "Duration must be a positive integer, got -3", {"field_name": "Duration"}),
+    Rejection("Profile hash", lambda: Profile("", 1, 1), ProfileSchemaError, "Hash must be non-empty text",
+              {"field_name": "Hash"}),
+    Rejection("Profile events", lambda: Profile("h", 1, 1, (object(),)), ProfileSchemaError,
+              "events must be ApiEvent instances", {"field_name": None}),
+    Rejection("read_corpus missing", lambda: read_corpus("missing"), ProfileError,
+              "corpus directory not found: missing"),
+    # The type check of every untrusted field.
+    *(
+        Rejection(f"typed {message}", functools.partial(typed, value, "field", *kinds), ValueError, message)
+        for value, kinds, message in [
+            (True, (int,), "field must be an integer, got True"),
+            (False, (int, float), "field must be an integer or a float, got False"),
+            (1.0, (int,), "field must be an integer, got 1.0"),
+            ("1", (int, float), "field must be an integer or a float, got '1'"),
+            (None, (str,), "field must be a string, got None"),
+            (1, (bool,), "field must be a boolean, got 1"),
+        ]
+    ),
+    # Matrices: their sizes and labels.
+    Rejection("DistanceMatrix no labels", lambda: DistanceMatrix((), ()), ValueError,
+              "distance matrix needs at least one label"),
+    Rejection("jaccard_matrix no sets", lambda: jaccard_matrix([], []), ValueError, "at least one profile is required"),
+    Rejection("jaccard_matrix label count", lambda: jaccard_matrix([frozenset()], ["a", "b"]), ValueError,
+              "got 2 labels for 1 profiles"),
+    Rejection("jaccard_matrix empty label", lambda: jaccard_matrix([frozenset("x"), frozenset("y")], ["", "a"]),
+              ValueError, "matrix labels must be non-empty"),
+    Rejection("distance_matrix repeated hash",
+              lambda: distance_matrix([Profile("aa", 1, 300), Profile("aa", 1, 300)], FeatureConfig()),
+              ValueError, "duplicate label 'aa': matrix labels must be unique"),
+    # Trees, groupings and characteristics.
+    Rejection("cut_tree threshold", lambda: cut_tree(upgma(DistanceMatrix(("A",), ((0.0,),))), 1.5), ValueError,
+              "threshold must be in [0, 1], got 1.5"),
+    Rejection("Grouping.group_of", lambda: Grouping(0.5, (("A", "B"), ("C",))).group_of("Z"), ValueError,
+              "unknown label 'Z'"),
+    Rejection("rand_index", lambda: rand_index([{"a"}], [{"b"}]), ValueError, "partitions cover different label sets"),
+    Rejection("common_set no members", lambda: common_set([], 0.0), ValueError, "common_set needs at least one member"),
+    Rejection("common_set alpha", lambda: common_set([frozenset("a")], 1.0), ValueError,
+              "alpha must be in [0, 1), got 1.0"),
+    Rejection("EnduranceConfig alpha", lambda: EnduranceConfig(alpha=1.0), ValueError,
+              "alpha must be in [0, 1), got 1.0"),
+    Rejection("distinct_characteristics no set", lambda: _characterized({"x1": _XY["x1"]}, [["x1", "x2"], ["y"]]),
+              ValueError, "no element set for label 'x2'"),
+    Rejection("distinct_characteristics not a leaf",
+              lambda: _characterized({**_XY, "q": frozenset("ab")}, [["x1", "q"], ["x2"], ["y"]]),
+              ValueError, "label 'q' is not a leaf of the tree"),
+    Rejection("classify no groups", lambda: classify(frozenset("ab"), {}, EnduranceConfig()), ValueError,
+              "no group characteristics to classify against"),
+    # Pair scoring.
+    Rejection("pcs_score unknown engine",
+              lambda: pcs_score(EngineLabelTable(("a", "b"), ("x",), (("f",), ("f",))), "zz"),
+              ValueError, "unknown engine 'zz'"),
+    Rejection("text_mining_grouping threshold", lambda: text_mining_grouping({"a": "x"}, threshold=1.5), ValueError,
+              "threshold must be in [0, 1], got 1.5"),
+    *(
+        Rejection(f"PairwiseIndicator count {count}",
+                  functools.partial(PairwiseIndicator, {"a": {"worm": 1}, "b": {"worm": 2, "adware": count}}, 0.5),
+                  ValueError, "token counts of 'b' must be non-negative integers")
+        for count in (-1, 1.5)
+    ),
+    Rejection("pair_masks unknown id", lambda: text_mining_grouping({"a": "worm", "b": "worm"}).pair_masks("abz"),
+              ValueError, "unknown malware id 'z'"),
+    Rejection("pcs_report unknown id",
+              lambda: pcs_report(EngineLabelTable(("a", "z"), ("x",), (("f",), ("f",))),
+                                 [("Text_Mining", text_mining_grouping({"a": "worm", "b": "worm"}))]),
+              ValueError, "unknown malware id 'z'"),
+    # Synthesis.
+    *(
+        Rejection(f"FamilyTemplate {kind}", functools.partial(FamilyTemplate, "f", (ApiEvent("ReadFile"), event)),
+                  ValueError, f"family 'f': base_events must be ApiEvent instances, got {kind}")
+        for kind, event in [("tuple", ("ReadFile", (), None, 0)), ("NoneType", None), ("SimpleNamespace", _DUCK_EVENT)]
+    ),
+    Rejection("generate_family count", lambda: generate_family(_FAMILY, 0, 0.1, 1), ValueError, "count must be >= 1"),
+    Rejection("generate_family rate", lambda: generate_family(_FAMILY, 1, 1.5, 1), ValueError,
+              "mutation rate must be in [0, 1], got 1.5"),
+    *(
+        Rejection(f"CorpusSpec {message}", functools.partial(CorpusSpec, ((_FAMILY, count),), rate, seed), ValueError,
+                  message)
+        for count, rate, seed, message in [
+            (2.7, 0.1, 1, "variants must be an integer, got 2.7"),
+            (True, 0.1, 1, "variants must be an integer, got True"),
+            ("3", 0.1, 1, "variants must be an integer, got '3'"),
+            (1, True, 1, "mutation_rate must be an integer or a float, got True"),
+            (1, 0.1, 1.0, "seed must be an integer, got 1.0"),
         ]
     ),
 ]
@@ -650,19 +925,59 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _refusal_files(row: Refusal, model: str) -> dict[str, bytes]:
+    """row's files, a function of the model applied to the trained model's text."""
+    return {name: data(model) if callable(data) else data for name, data in row.files.items()}
+
+
+def _exit_status(argv: list[str]) -> int:
+    """main(argv), or the status argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+def _lines_run(run: Callable[[], None]) -> set[tuple[str, int]]:
+    """The (path, line) of each line in src/malbehave/ that run() runs in
+    this process, by a line tracer over that package's frames."""
+    prefix = f"{Path(cli.__file__).parent}{os.sep}"
+    ran = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename.startswith(prefix) else None
+
+    tracer = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(tracer)
+    return ran
+
+
+def _raise_statements(path: Path) -> dict[int, str]:
+    """Each raise statement of a module that names an exception: its source
+    text by its first line."""
+    source = path.read_text(encoding="utf-8")
+    nodes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise) and node.exc]
+    return {node.lineno: ast.get_source_segment(source, node) for node in sorted(nodes, key=lambda node: node.lineno)}
+
+
 class TestRefusals:
     @pytest.mark.parametrize("row", REFUSALS, ids=[row.id for row in REFUSALS])
     def test_refused(self, capsys, monkeypatch, tmp_path, two_family_model, row):
         # The exit status, an empty stdout, the whole stderr, and the working
         # directory as it was: nothing written, created or removed.
-        files = {name: data(two_family_model) if callable(data) else data for name, data in row.files.items()}
-        _lay_out(tmp_path, files)
+        _lay_out(tmp_path, _refusal_files(row, two_family_model))
         before = _tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        try:
-            code = main(row.argv)
-        except SystemExit as exit_:
-            code = exit_.code
+        code = _exit_status(row.argv)
         out, err = capsys.readouterr()
         assert (code, out) == (row.status, "")
         if row.status == 1:
@@ -678,6 +993,63 @@ class TestRefusals:
         assert len(commands) == 8
         for status in (1, 2):
             assert {row.argv[0] for row in REFUSALS if row.status == status} == commands, status
+
+
+class TestRejections:
+    @pytest.mark.parametrize("row", REJECTIONS, ids=[row.id for row in REJECTIONS])
+    def test_rejected(self, monkeypatch, tmp_path, row):
+        # The exact class, the whole message and each given field, called in
+        # an empty working directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(Exception) as caught:
+            row.call()
+        assert (type(caught.value), str(caught.value)) == (row.error, row.message)
+        assert {name: getattr(caught.value, name) for name in row.fields} == row.fields
+
+    # Raise statements that no row runs, by their module and a fragment of
+    # their text, each with the kept test that pins its whole line: the exit
+    # of the entry points, and the two caps no row is large enough to reach.
+    UNREACHED = [
+        ("__main__.py", "raise SystemExit(main())", "TestEntryPoint.test_module_invocation"),
+        ("cli.py", "raise SystemExit(main())", "TestEntryPoint.test_module_invocation"),
+        ("profile.py", "larger than MAX_INPUT_BYTES", "TestUntrustedInput.test_input_size_cap"),
+        ("synth.py", "MAX_CORPUS_EVENTS = {MAX_CORPUS_EVENTS} events",
+         "TestUntrustedInput.test_corpus_spec_over_the_events_cap"),
+    ]
+
+    def test_rows_reach_every_raise(self, capsys, monkeypatch, tmp_path, two_family_model):
+        # Every row of REFUSALS and REJECTIONS runs in this process under a
+        # line tracer. Each raise statement in src/malbehave/ must run, but
+        # those of UNREACHED; each of these matches one statement, which no
+        # row runs. A new raise statement needs a row.
+        assert len({row.id for row in REJECTIONS}) == len(REJECTIONS)
+        _fork(monkeypatch, False)
+
+        def rows():
+            for k, row in enumerate(REFUSALS):
+                (tmp_path / str(k)).mkdir()
+                _lay_out(tmp_path / str(k), _refusal_files(row, two_family_model))
+                monkeypatch.chdir(tmp_path / str(k))
+                assert _exit_status(row.argv) == row.status, row.id
+            monkeypatch.chdir(tmp_path)
+            for row in REJECTIONS:
+                with pytest.raises(row.error):
+                    row.call()
+
+        ran = _lines_run(rows)
+        capsys.readouterr()
+        package = Path(cli.__file__).parent
+        exempt = set()
+        for module, fragment, _ in self.UNREACHED:
+            lines = [line for line, text in _raise_statements(package / module).items() if fragment in text]
+            assert len(lines) == 1, (module, fragment)
+            exempt.add((str(package / module), lines[0]))
+        reached = exempt & ran
+        assert not reached, f"a row runs an exempt raise statement: {sorted(reached)}"
+        ran |= exempt
+        unreached = [f"{path.name}:{line}: {text}" for path in sorted(package.glob("*.py"))
+                     for line, text in _raise_statements(path).items() if (str(path), line) not in ran]
+        assert not unreached, "\n".join(unreached)
 
 
 def _digests(root) -> dict[str, str | bool]:
@@ -780,6 +1152,7 @@ def _build_accept_inputs(root) -> dict[str, dict[str, bytes]]:
         },
         "labels": _labels_inputs(),
         "spec": {"spec.json": _json(TestSynth.SPEC)},
+        "spec-notes": {"spec.json": _json(TestSynth.SPEC), "o/notes.txt": b""},
     }
 
 
@@ -820,6 +1193,18 @@ _TWO_PARSE = "3b68f6ce71224a17023299c3b70cbc3d1ef8fa7c058049c1a20602c8a762f9af"
 _TWO_CHARACTERIZE = "b0ec8016ad756a73bbcc7ebd9c90c9e5a703eb9910ef1d0afb76939766c778b1"
 _LABELS_PCS = "7bb0779df1f20ac9e316977132a48bd7ff390d445f0e8b1e8239a5991b3a9ada"
 _VOTE_PCS = "f31ca9e0921d10b031314061f8a234242b62e1c9a1b5c1accf136eb64d78f6c5"
+_WROTE_8 = _sha256(b"wrote 8 profiles to o\n")
+_SPEC_SYNTH = {
+    "o/52dbd68d5552e8f25996acb163272724-0.xml": "bead3890d1110a2992af9a655121650109b3b666f2f1a2bc3575e6db55873b3e",
+    "o/52dbd68d5552e8f25996acb163272724-1.xml": "b92ad5acf7a298e2003da4f30929a1690b1038a133acc36ecb28b61d42baf465",
+    "o/a55495e786eb87324fb08308b71a3b13-0.xml": "4e86c05e2b5dd5c154d6c47ced687cebbca7ff961cb7ef663ff907e89c4494ba",
+    "o/bce14b15d6d3fc599e1e36d2ffbc91ed-0.xml": "9c666bcddafa87477acca17f771ffb7f16c04919f6be7f1b42cfbb94983c1631",
+    "o/bce14b15d6d3fc599e1e36d2ffbc91ed-1.xml": "90e8bcb81426f91d4cc189d841802d819b46256ff822f21e49d12276d46ef018",
+    "o/bce14b15d6d3fc599e1e36d2ffbc91ed-2.xml": "c777a51015835659bc2351c9a24b3445945ffadbe98c5b6e8c0059a5174c6f72",
+    "o/fda3a5e2f70de31461954c2af3e9c28e-0.xml": "ee8b211cf6dfd6034a014774faa9c305c53601acb473631e94c1383b249e76bf",
+    "o/fda3a5e2f70de31461954c2af3e9c28e-1.xml": "6503266b92ce2f928ef8bbd34a9b9a19e696dd2d98542787c1c1370be934e1a1",
+    "o/ground_truth.json": "5f197a49913c124395acfc844bf5e044f2e71cfb3c88fdd58188dcd36fb1e436",
+}
 
 ACCEPTS = [
     Accept("families parse", "families", ["parse", "corpus"], _FAMILIES_PARSE),
@@ -932,17 +1317,9 @@ ACCEPTS = [
     Accept("labels pcs --inject-name", "labels",
            ["pcs", "t.json", "--inject-grouping", "g.json", "--inject-name", "vote"], _VOTE_PCS),
     Accept("labels pcs manual column", "labels", ["pcs", "manual.json"], _VOTE_PCS),
-    Accept("spec synth", "spec", ["synth", "spec.json", "--out", "o"], _sha256(b"wrote 8 profiles to o\n"), {
-        "o/52dbd68d5552e8f25996acb163272724-0.xml": "bead3890d1110a2992af9a655121650109b3b666f2f1a2bc3575e6db55873b3e",
-        "o/52dbd68d5552e8f25996acb163272724-1.xml": "b92ad5acf7a298e2003da4f30929a1690b1038a133acc36ecb28b61d42baf465",
-        "o/a55495e786eb87324fb08308b71a3b13-0.xml": "4e86c05e2b5dd5c154d6c47ced687cebbca7ff961cb7ef663ff907e89c4494ba",
-        "o/bce14b15d6d3fc599e1e36d2ffbc91ed-0.xml": "9c666bcddafa87477acca17f771ffb7f16c04919f6be7f1b42cfbb94983c1631",
-        "o/bce14b15d6d3fc599e1e36d2ffbc91ed-1.xml": "90e8bcb81426f91d4cc189d841802d819b46256ff822f21e49d12276d46ef018",
-        "o/bce14b15d6d3fc599e1e36d2ffbc91ed-2.xml": "c777a51015835659bc2351c9a24b3445945ffadbe98c5b6e8c0059a5174c6f72",
-        "o/fda3a5e2f70de31461954c2af3e9c28e-0.xml": "ee8b211cf6dfd6034a014774faa9c305c53601acb473631e94c1383b249e76bf",
-        "o/fda3a5e2f70de31461954c2af3e9c28e-1.xml": "6503266b92ce2f928ef8bbd34a9b9a19e696dd2d98542787c1c1370be934e1a1",
-        "o/ground_truth.json": "5f197a49913c124395acfc844bf5e044f2e71cfb3c88fdd58188dcd36fb1e436",
-    }),
+    Accept("spec synth", "spec", ["synth", "spec.json", "--out", "o"], _WROTE_8, _SPEC_SYNTH),
+    # A directory without profiles is written into as before.
+    Accept("spec-notes synth", "spec-notes", ["synth", "spec.json", "--out", "o"], _WROTE_8, _SPEC_SYNTH),
     Accept("spec synth --seed", "spec", ["synth", "spec.json", "--out", "o", "--seed", "9"],
            _sha256(b"wrote 6 profiles to o\n"), {
         "o/05e386f817680539e7b9c85a1c9d2b3d-0.xml": "0364ce0b73e4d4b9e4364155ea6010130f99efe0e1a2b196af41f2b5fefe0a21",
@@ -1008,32 +1385,20 @@ class TestAccepts:
     ]
 
     def test_rows_reach_paths_the_benchmark_never_runs(self, capsysbinary, monkeypatch, tmp_path, accept_inputs):
-        # A line tracer over src/malbehave/ frames records each line run; a
-        # line is matched by its source text.
-        package = Path(cli.__file__).parent
-        prefix = f"{package}{os.sep}"
-        ran = set()
-
-        def lines(frame, event, arg):
-            if event == "line":
-                ran.add((frame.f_code.co_filename, frame.f_lineno))
-            return lines
-
-        def calls(frame, event, arg):
-            return lines if frame.f_code.co_filename.startswith(prefix) else None
-
+        # A line tracer records each line run in src/malbehave/; a line is
+        # matched by its source text.
         rows = {row.id: row for row in ACCEPTS}
         _fork(monkeypatch, True)
-        for row_id in dict.fromkeys(row_id for *_, row_id in self.REACHES):
-            _lay_out(tmp_path / row_id, accept_inputs[rows[row_id].files])
-            monkeypatch.chdir(tmp_path / row_id)
-            tracer = sys.gettrace()
-            sys.settrace(calls)
-            try:
+
+        def run():
+            for row_id in dict.fromkeys(row_id for *_, row_id in self.REACHES):
+                _lay_out(tmp_path / row_id, accept_inputs[rows[row_id].files])
+                monkeypatch.chdir(tmp_path / row_id)
                 assert main(rows[row_id].argv) == 0
-            finally:
-                sys.settrace(tracer)
+
+        ran = _lines_run(run)
         capsysbinary.readouterr()
+        package = Path(cli.__file__).parent
         reached = {(Path(path).name, linecache.getline(path, line).strip()) for path, line in ran}
         for module, line, row_id in self.REACHES:
             source = [text.strip() for text in (package / module).read_text(encoding="utf-8").splitlines()]
@@ -1043,16 +1408,16 @@ class TestAccepts:
 
 class TestUntrustedInput:
     @pytest.mark.parametrize(
-        "config, key",
+        "config, message",
         [
-            ({"threshold": "0.5"}, "threshold"),
-            ({"alpha": None}, "alpha"),
-            ({"tm_threshold": [1]}, "tm_threshold"),
-            ({"with_params": "no"}, "with_params"),
-            ({"size_weighted": 1}, "size_weighted"),
-            ({"threshold": True}, "threshold"),
-            ({"seed": "7"}, "seed"),
-            ({"seed": False}, "seed"),
+            ({"threshold": "0.5"}, "threshold must be an integer or a float, got '0.5'"),
+            ({"alpha": None}, "alpha must be an integer or a float, got None"),
+            ({"tm_threshold": [1]}, "tm_threshold must be an integer or a float, got [1]"),
+            ({"with_params": "no"}, "with_params must be a boolean, got 'no'"),
+            ({"size_weighted": 1}, "size_weighted must be a boolean, got 1"),
+            ({"threshold": True}, "threshold must be an integer or a float, got True"),
+            ({"seed": "7"}, "seed must be an integer or null, got '7'"),
+            ({"seed": False}, "seed must be an integer or null, got False"),
         ],
         ids=[
             "threshold-str",
@@ -1065,9 +1430,10 @@ class TestUntrustedInput:
             "seed-bool",
         ],
     )
-    def test_malformed_config(self, config, key):
-        with pytest.raises(ValueError, match=f"^{key} must be "):
+    def test_malformed_config(self, config, message):
+        with pytest.raises(ValueError) as caught:
             cli.RunConfig(**config)
+        assert (type(caught.value), str(caught.value)) == (ValueError, message)
 
     @pytest.mark.parametrize("source", ["dev-zero", "oversized-file"])
     def test_input_size_cap(self, capsys, monkeypatch, tmp_path, source):
@@ -1109,9 +1475,11 @@ class TestUntrustedInput:
         started = time.perf_counter()
         code, out, err = _run(capsys, ["synth", str(spec_path), "--out", str(tmp_path / "out")])
         assert time.perf_counter() - started < 1.0
-        assert code == 1
-        assert out == ""
-        assert "MAX_CORPUS_VARIANTS" in _single_error_line(err)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {spec_path}: corpus spec asks for {sum(variants)} variants, "
+            "more than MAX_CORPUS_VARIANTS = 100000\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_corpus_spec_over_the_events_cap(self, capsys, monkeypatch, tmp_path):
@@ -1222,95 +1590,8 @@ class TestStreamedCorpus:
         assert [own["peak"] for own in per_process] == [1] * processes
 
 
-_META = "<Process_id>1</Process_id><Duration>10</Duration>"
-_PID_ZERO = "<Process_id>0</Process_id><Duration>10</Duration>"
-_DURATION_ZERO = "<Process_id>1</Process_id><Duration>0</Duration>"
-_BLANK_PARENT = _META + "<Parent_hash> </Parent_hash>"
-_OUT_OF_ORDER = '<A Time="2"/><B Time="1"/>'
-
-# Documents that the call-key walk and parse_profile must reject alike,
-# with the message each raises: every parser rejection, then faults in the
-# XML, the structure and the meta fields, alone and together with event
-# faults, in the order the checked constructors raise them (events, then
-# Process_id, Duration and Parent_hash, then the first out-of-order Time).
-WALK_REJECTIONS = {
-    **{case: (profile_document(execution), message) for case, (execution, message, _) in PARSER_REJECTIONS.items()},
-    "process-id-zero": (profile_document('<A Time="1"/>', _PID_ZERO), "Process_id must be a positive integer, got 0"),
-    "duration-zero": (profile_document('<A Time="1"/>', _DURATION_ZERO), "Duration must be a positive integer, got 0"),
-    "blank-parent-hash": (
-        profile_document('<A Time="1"/>', _BLANK_PARENT),
-        "Parent_hash must be non-empty text when present",
-    ),
-    "bad-tag-before-process-id-zero": (
-        profile_document('<Bé Time="1"/>', _PID_ZERO),
-        "api_name must be a non-empty XML name, got 'Bé'",
-    ),
-    "process-id-zero-before-out-of-order": (
-        profile_document(_OUT_OF_ORDER, _PID_ZERO),
-        "Process_id must be a positive integer, got 0",
-    ),
-    "duration-zero-before-out-of-order": (
-        profile_document(_OUT_OF_ORDER, _DURATION_ZERO),
-        "Duration must be a positive integer, got 0",
-    ),
-    "blank-parent-hash-before-out-of-order": (
-        profile_document(_OUT_OF_ORDER, _BLANK_PARENT),
-        "Parent_hash must be non-empty text when present",
-    ),
-    "non-integer-process-id-before-bad-tag": (
-        profile_document('<Bé Time="1"/>', "<Process_id>x</Process_id><Duration>10</Duration>"),
-        "<Process_id> must be an integer, got 'x'",
-    ),
-    "non-integer-time": (profile_document('<A Time="x"/>'), "event 0 <A>: Time must be an integer, got 'x'"),
-    "missing-hash": (
-        "<Profile><Meta><Process_id>1</Process_id></Meta><Execution/></Profile>",
-        "missing or empty <Hash> in <Meta>",
-    ),
-    "missing-meta": ("<Profile><Execution/></Profile>", "missing <Meta> element"),
-    "missing-execution": (f"<Profile><Meta><Hash>ab</Hash>{_META}</Meta></Profile>", "missing <Execution> element"),
-    "wrong-root": ("<Report/>", "root element must be <Profile>, got <Report>"),
-    "malformed-xml": (
-        '<Profile>\n<Meta><Hash>ab</Hash></Meta>\n<Execution><A Time="1"></Execution>',
-        "malformed XML: mismatched tag: line 3, column 25",
-    ),
-}
-
-
 def _error_fields(exc: Exception) -> tuple:
     return (type(exc), str(exc), *(getattr(exc, name, None) for name in ("field_name", "line", "column")))
-
-
-class TestWalkErrors:
-    @pytest.mark.parametrize("case", list(WALK_REJECTIONS))
-    def test_walk_raises_as_parse_profile(self, case):
-        text, message = WALK_REJECTIONS[case]
-        with pytest.raises(ProfileError) as parsed:
-            parse_profile(text)
-        with pytest.raises(ProfileError) as walked:
-            _profile_calls(text)
-        assert str(parsed.value) == message
-        assert _error_fields(walked.value) == _error_fields(parsed.value)
-
-    @pytest.fixture(scope="class")
-    def characteristics(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("trained")
-        corpus = root / "corpus"
-        _write_corpus(corpus, {"a1-0": _profile("a1", ["Apple", "Berry"]), "b1-0": _profile("b1", ["Quince"])})
-        chars = root / "chars.json"
-        assert main(["characterize", str(corpus), "--out", str(chars)]) == 0
-        return chars
-
-    @pytest.mark.parametrize("case", list(WALK_REJECTIONS))
-    def test_commands_print_the_same_error(self, capsys, tmp_path, characteristics, case):
-        text, _ = WALK_REJECTIONS[case]
-        path = tmp_path / "x-0.xml"
-        path.write_text(text)
-        with pytest.raises(ProfileError) as parsed:
-            parse_profile(text)
-        expected = f"error: {path}: {parsed.value}"
-        for argv in (["classify", str(characteristics), str(path)], ["groups", str(tmp_path)], ["parse", str(path)]):
-            code, out, err = _run(capsys, argv)
-            assert (code, out, _single_error_line(err)) == (1, "", expected), argv
 
 
 class _Unpicklable(ProfileError):
@@ -1358,7 +1639,7 @@ class TestCorpusWorkers:
 
     @pytest.mark.parametrize("case", ["malformed-xml", "process-id-zero", "non-integer-time", "wrong-root"])
     def test_worker_half_error_fields_as_one_process(self, monkeypatch, ordered_corpus, case):
-        text, _ = WALK_REJECTIONS[case]
+        text, error, message, expected = WALK_REJECTIONS[case]
         (ordered_corpus / "p4-0.xml").write_text(text)
         fields = []
         for fork in (False, True):
@@ -1369,11 +1650,8 @@ class TestCorpusWorkers:
                 cli._map_corpus(cli._summaries, corpus_paths(ordered_corpus))
             fields += [_error_fields(tokens.value), _error_fields(summaries.value)]
         assert fields == [fields[0]] * 4
-        assert fields[0][1].startswith(f"{ordered_corpus / 'p4-0.xml'}: ")
-        if case == "malformed-xml":
-            assert fields[0][3:] == (3, 25)
-        elif case == "process-id-zero":
-            assert fields[0][2] == "Process_id"
+        assert fields[0][:2] == (error, f"{ordered_corpus / 'p4-0.xml'}: {message}")
+        assert dict(zip(("field_name", "line", "column"), fields[0][2:])).items() >= expected.items()
 
     def test_worker_half_os_error_as_one_process(self, monkeypatch, ordered_corpus):
         # A directory named like a profile: reading it is an OSError, which

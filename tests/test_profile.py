@@ -23,7 +23,7 @@ from malbehave import (
 from malbehave.profile import _quoteattr, read_input, typed
 from conftest import make_random_profile
 from _oracles import per_event_xml
-from _pipeline import PARSER_REJECTIONS, four_family_spec, profile_document
+from _pipeline import four_family_spec, profile_document
 
 
 def _named_events(names, start=100):
@@ -50,71 +50,15 @@ class TestParse:
         )
         assert parse_profile(text).events == ()
 
-    def test_non_integer_time_names_field(self):
-        text = (
-            "<Profile><Meta><Hash>ab</Hash><Process_id>1</Process_id>"
-            '<Duration>10</Duration></Meta><Execution><ReadFile Time="abc"/></Execution></Profile>'
-        )
-        with pytest.raises(ProfileSchemaError, match="Time") as err:
-            parse_profile(text)
-        assert err.value.field_name == "Time"
-
-    def test_missing_time(self):
-        text = (
-            "<Profile><Meta><Hash>ab</Hash><Process_id>1</Process_id>"
-            "<Duration>10</Duration></Meta><Execution><ReadFile/></Execution></Profile>"
-        )
-        with pytest.raises(ProfileSchemaError, match="Time"):
-            parse_profile(text)
-
-    @pytest.mark.parametrize("missing", ["Hash", "Process_id", "Duration"])
-    def test_missing_meta_field(self, missing):
-        parts = {
-            "Hash": "<Hash>ab</Hash>",
-            "Process_id": "<Process_id>1</Process_id>",
-            "Duration": "<Duration>10</Duration>",
-        }
-        del parts[missing]
-        text = f"<Profile><Meta>{''.join(parts.values())}</Meta><Execution/></Profile>"
-        with pytest.raises(ProfileSchemaError, match=missing):
-            parse_profile(text)
-
-    def test_malformed_xml_reports_position(self):
-        with pytest.raises(ProfileParseError) as err:
-            parse_profile("<Profile><Meta>")
-        assert err.value.line == 1
-        assert err.value.column is not None
-
-    def test_wrong_root(self):
-        with pytest.raises(ProfileSchemaError, match="Profile"):
-            parse_profile("<Report/>")
-
     def test_parent_hash_round_trips(self):
         profile = Profile("aa", 5, 30, _named_events(["ReadFile"]), parent_hash="bb")
         assert parse_profile(serialize_profile(profile)) == profile
 
-    def test_out_of_order_events_rejected(self):
-        text = (
-            "<Profile><Meta><Hash>ab</Hash><Process_id>1</Process_id><Duration>10</Duration></Meta>"
-            '<Execution><ReadFile Time="5"/><ReadFile Time="4"/></Execution></Profile>'
-        )
-        with pytest.raises(ProfileSchemaError, match="out of order"):
-            parse_profile(text)
-
 
 class TestParserChecks:
     """The parser makes the ApiEvent checks itself, each name once per
-    document; errors must be the ones the checked constructor raises, in
-    the same order."""
-
-    @pytest.mark.parametrize("case", list(PARSER_REJECTIONS))
-    def test_rejection_pinned(self, case):
-        execution, message, field_name = PARSER_REJECTIONS[case]
-        with pytest.raises(ProfileSchemaError) as err:
-            parse_profile(profile_document(execution))
-        assert type(err.value) is ProfileSchemaError
-        assert str(err.value) == message
-        assert err.value.field_name == field_name
+    document: it takes what the checked constructor takes. Its errors are
+    pinned by the WALK_REJECTIONS rows of test_cli.py."""
 
     @pytest.mark.parametrize("text, value", [("+5", 5), (" 7 ", 7), ("1_0", 10)])
     def test_accepted_time_forms(self, text, value):
@@ -173,48 +117,6 @@ class TestSerialize:
             events = tuple(ApiEvent(e.api_name, e.attributes, e.return_value, tick) for tick, e in enumerate(calls))
             for document in (profile, Profile(profile.hash, 1, 10, events)):
                 assert serialize_profile(document) == per_event_xml(document)
-
-
-class TestValidation:
-    def test_duplicate_attribute_key(self):
-        with pytest.raises(ProfileSchemaError, match="duplicate"):
-            ApiEvent("ReadFile", (("hName", "a"), ("hName", "b")), None, 0)
-
-    @pytest.mark.parametrize("key", ["Return", "Time"])
-    def test_reserved_attribute_key(self, key):
-        with pytest.raises(ProfileSchemaError, match="reserved"):
-            ApiEvent("ReadFile", ((key, "x"),), None, 0)
-
-    def test_negative_timestamp(self):
-        with pytest.raises(ProfileSchemaError, match="Time"):
-            ApiEvent("ReadFile", (), None, -1)
-
-    def test_empty_api_name(self):
-        with pytest.raises(ProfileSchemaError):
-            ApiEvent("", (), None, 0)
-
-    @pytest.mark.parametrize("field,value", [("process_id", 0), ("duration_seconds", -3)])
-    def test_positive_meta_ints(self, field, value):
-        kwargs = {"hash": "ab", "process_id": 1, "duration_seconds": 10, field: value}
-        with pytest.raises(ProfileSchemaError):
-            Profile(**kwargs)
-
-    @pytest.mark.parametrize(
-        "args, message, field_name",
-        [
-            (("", 1, 1), "Hash must be non-empty text", "Hash"),
-            (("h", 1, 1, (object(),)), "events must be ApiEvent instances", None),
-        ],
-    )
-    def test_profile_fields_rejected(self, args, message, field_name):
-        with pytest.raises(ProfileSchemaError) as err:
-            Profile(*args)
-        assert str(err.value) == message
-        assert err.value.field_name == field_name
-
-    def test_ngram_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(ngram_n=0)
 
 
 def _event_token(event, config):
@@ -340,11 +242,6 @@ class TestCorpusIO:
         ]
         assert paths == sorted(tmp_path.glob("*.xml"))
 
-    def test_read_corpus_names_bad_file(self, tmp_path):
-        (tmp_path / "bad-0.xml").write_text("<Profile><Meta>")
-        with pytest.raises(ProfileParseError, match="bad-0.xml"):
-            read_corpus(tmp_path)
-
     def test_read_corpus_keeps_parse_position(self, tmp_path):
         with pytest.raises(ProfileParseError) as alone:
             parse_profile("<Profile><Meta>")
@@ -358,19 +255,20 @@ class TestCorpusIO:
     def test_read_corpus_keeps_field_name(self, tmp_path, sample_xml):
         (tmp_path / "aa-0.xml").write_text(sample_xml)
         (tmp_path / "bad-0.xml").write_text(sample_xml.replace("<Duration>300", "<Duration>soon"))
-        with pytest.raises(ProfileSchemaError, match="bad-0.xml: <Duration> must be an integer") as err:
+        with pytest.raises(ProfileSchemaError) as err:
             read_corpus(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'bad-0.xml'}: <Duration> must be an integer, got 'soon'"
         assert err.value.field_name == "Duration"
 
     def test_read_corpus_non_utf8_is_parse_error(self, tmp_path, sample_xml):
         (tmp_path / "aa-0.xml").write_text(sample_xml)
         (tmp_path / "bad-0.xml").write_bytes(b"\xff\xfe<Profile/>")
-        with pytest.raises(ProfileParseError, match="bad-0.xml: not UTF-8"):
+        with pytest.raises(ProfileParseError) as err:
             read_corpus(tmp_path)
-
-    def test_missing_directory(self, tmp_path):
-        with pytest.raises(Exception, match="corpus"):
-            read_corpus(tmp_path / "nope")
+        assert str(err.value) == (
+            f"{tmp_path / 'bad-0.xml'}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"
+        )
 
 
 class TestInputBoundary:
@@ -416,14 +314,6 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "value, kinds",
-        [(True, (int,)), (False, (int, float)), (1.0, (int,)), ("1", (int, float)), (None, (str,)), (1, (bool,))],
-    )
-    def test_typed_rejects(self, value, kinds):
-        with pytest.raises(ValueError, match="^field must be "):
-            typed(value, "field", *kinds)
-
-    @pytest.mark.parametrize(
-        "value, kinds",
         [(True, (bool,)), (3, (int,)), (2.5, (int, float)), (None, (int, type(None))), ({}, (dict,))],
     )
     def test_typed_accepts(self, value, kinds):
@@ -435,14 +325,14 @@ class TestInputBoundary:
         for value, kinds, message in [
             ("ab", ([str],), "names must be a list of strings, got 'ab'"),
             ([1], ([str],), "names must be a list of strings, got [1]"),
-            ([["a", None]], ([[str]],), "names must be a list of lists of strings"),
+            ([["a", None]], ([[str]],), "names must be a list of lists of strings, got [['a', None]]"),
             (["a"], ([list],), "names must be a list of lists, got ['a']"),
             ("7", (int, type(None)), "names must be an integer or null, got '7'"),
             ([True], ([int],), "names must be a list of integers, got [True]"),
         ]:
             with pytest.raises(ValueError) as err:
                 typed(value, "names", *kinds)
-            assert str(err.value).startswith(message)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "kind, valid, mixed, message",

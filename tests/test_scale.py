@@ -20,7 +20,7 @@ import pytest
 
 from malbehave import CorpusSpec, cli, generate_corpus, write_corpus
 from _pipeline import MUTATIONS_NO_SPAWN, family_template
-from _scale import parse_gate
+from _scale import build_corpus, parse_gate
 
 TESTS = Path(__file__).resolve().parent
 WORKFLOW = TESTS.parent / ".github" / "workflows" / "tests.yml"
@@ -134,6 +134,16 @@ class TestGate:
         done = gate(root, "--seconds", "60", "--mb", "1", "--sha256", wrong, *TREE, flags=("-O",))
         assert done.returncode == 2
         assert "run without -O" in done.stderr
+
+
+def test_build_corpus_refuses_a_used_directory(tmp_path):
+    # It starts no child, so it runs in this process. The directory is
+    # refused before the spec is read: None would fail in generate_corpus.
+    (tmp_path / "left-0.xml").write_text("")
+    with pytest.raises(AssertionError) as refused:
+        build_corpus(None, str(tmp_path), 1, "0" * 64)
+    assert str(refused.value) == f"{tmp_path}: already holds files; build into a new directory"
+    assert [path.name for path in tmp_path.iterdir()] == ["left-0.xml"]
 
 
 def gate_calls(workflow: dict, job: str) -> list[list[str]]:

@@ -24,7 +24,7 @@ from malbehave import (
 )
 from malbehave.profile import _call_elements, _profile_calls, csv_rows
 from _oracles import escaped_token
-from _pipeline import CSV_AWKWARD_LABELS, MALFORMED_MATRIX_CSV, family_template, four_family_spec, mean_distance
+from _pipeline import CSV_AWKWARD_LABELS, family_template, four_family_spec, mean_distance
 from conftest import make_random_event
 
 
@@ -92,11 +92,6 @@ class TestDistanceMatrix:
         assert _cell(matrix, "p1", "p3") == 1.0
         assert _cell(matrix, "p2", "p3") == 1.0
 
-    def test_duplicate_identifiers_rejected(self):
-        profiles = [_profile_with_apis("aa", ["ReadFile"]), _profile_with_apis("aa", ["WriteFile"])]
-        with pytest.raises(ValueError, match="duplicate"):
-            distance_matrix(profiles, NAME_ONLY)
-
     def test_explicit_labels(self):
         profiles = [_profile_with_apis("aa", ["ReadFile"]), _profile_with_apis("aa", ["WriteFile"])]
         matrix = distance_matrix(profiles, NAME_ONLY, labels=["aa-0", "aa-1"])
@@ -113,36 +108,6 @@ class TestDistanceMatrix:
         for a in ("p1", "p2", "p3"):
             for b in ("p1", "p2", "p3"):
                 assert _cell(forward, a, b) == _cell(backward, a, b)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            DistanceMatrix(("a", "b"), ((0.0, 0.3), (0.4, 0.0)))
-        with pytest.raises(ValueError, match="diagonal"):
-            DistanceMatrix(("a", "b"), ((0.1, 0.3), (0.3, 0.0)))
-        with pytest.raises(ValueError, match="range"):
-            DistanceMatrix(("a", "b"), ((0.0, 1.3), (1.3, 0.0)))
-        with pytest.raises(ValueError, match="unique"):
-            DistanceMatrix(("a", "a"), ((0.0, 0.3), (0.3, 0.0)))
-
-    @pytest.mark.parametrize(
-        "build, message",
-        [
-            (lambda: DistanceMatrix((), ()), "distance matrix needs at least one label"),
-            (lambda: jaccard_matrix([], []), "at least one profile is required"),
-            (lambda: jaccard_matrix([frozenset()], ["a", "b"]), "got 2 labels for 1 profiles"),
-        ],
-        ids=["no-labels", "no-profiles", "label-count"],
-    )
-    def test_size_rejected(self, build, message):
-        with pytest.raises(ValueError) as caught:
-            build()
-        assert str(caught.value) == message
-
-    def test_empty_label_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            DistanceMatrix(("", "a"), ((0.0, 0.5), (0.5, 0.0)))
-        with pytest.raises(ValueError, match="non-empty"):
-            jaccard_matrix([frozenset({"x"}), frozenset({"y"})], ["", "a"])
 
 
 def _oracle_elements(profile, config):
@@ -371,13 +336,6 @@ class TestCsv:
         assert first == ["0.000000", "0.500000"]
         assert peak < 1024 * 1024, f"drawing the first row allocated {peak} bytes"
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX_CSV))
-    def test_malformed(self, case):
-        text, message = MALFORMED_MATRIX_CSV[case]
-        with pytest.raises(ValueError) as caught:
-            DistanceMatrix.from_csv(text)
-        assert str(caught.value) == message
-
     def test_none_cell_is_value_error(self):
         with pytest.raises(ValueError, match=r"^non-numeric distance cell in row 0: "):
             DistanceMatrix(("a", "b"), ((0.0, None), (None, 0.0)))
@@ -391,8 +349,9 @@ class TestCsv:
             yield ("0", "0")
             raise AssertionError("read past the first extra row")
 
-        with pytest.raises(ValueError, match="more than 2 rows"):
+        with pytest.raises(ValueError) as caught:
             DistanceMatrix(("a", "b"), rows())
+        assert str(caught.value) == "matrix must be 2x2 to match its labels: more than 2 rows"
 
 
 class TestParameterModes:

@@ -3,13 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from malbehave import (
     ApiEvent,
-    MAX_CORPUS_EVENTS,
     MAX_CORPUS_VARIANTS,
     MUTATION_OPS,
     CorpusSpec,
@@ -189,26 +187,6 @@ class TestCoin:
 
 
 class TestTemplateValidation:
-    def test_unhooked_api_rejected(self):
-        with pytest.raises(ValueError, match="hooked"):
-            FamilyTemplate("f", (ApiEvent("NtOpenFile", (), None, 0),))
-
-    def test_empty_base_events(self):
-        with pytest.raises(ValueError, match="base_events"):
-            FamilyTemplate("f", ())
-
-    def test_unknown_mutation_op(self):
-        with pytest.raises(ValueError, match="mutation ops"):
-            FamilyTemplate(
-                "f", (ApiEvent("ReadFile", (), None, 0),), frozenset({"scramble_stack"})
-            )
-
-    def test_empty_param_pool(self):
-        with pytest.raises(ValueError, match="pool"):
-            FamilyTemplate(
-                "f", (ApiEvent("ReadFile", (), None, 0),), frozenset(), {"hName": ()}
-            )
-
     @pytest.mark.parametrize(
         "key, value",
         [("Return", "x"), ("Time", "1"), ("bad key", "x"), ("", "x"), (5, "x"), ("hName", 5), ("hName", None)],
@@ -227,19 +205,6 @@ class TestTemplateValidation:
         assert template.param_pools == {"hName": ("a", "b")}
         with pytest.raises(TypeError):
             template.param_pools["Return"] = ("x",)
-
-    @pytest.mark.parametrize(
-        "event",
-        [
-            ("ReadFile", (), None, 0),
-            None,
-            SimpleNamespace(api_name="ReadFile", attributes=(("Return", "x"),), return_value=None, timestamp=0),
-        ],
-        ids=["tuple", "none", "duck-typed"],
-    )
-    def test_base_event_must_be_api_event(self, event):
-        with pytest.raises(ValueError, match="'f': base_events must be ApiEvent instances"):
-            FamilyTemplate("f", (ApiEvent("ReadFile"), event))
 
 
 class TestGenerateFamily:
@@ -312,21 +277,15 @@ class TestGenerateFamily:
             )
             assert 300_010_000 <= event.timestamp < 300_100_000
 
-    def test_bad_rate_and_count(self):
-        template = family_template("fam", motif_count=1)
-        with pytest.raises(ValueError):
-            generate_family(template, 0, 0.1, 1)
-        with pytest.raises(ValueError):
-            generate_family(template, 1, 1.5, 1)
-
 
 class TestCorpusSpecBound:
     def test_total_variants_bounded(self):
         template = family_template("fam", motif_count=1)
         other = family_template("other", motif_count=1)
         CorpusSpec(((template, MAX_CORPUS_VARIANTS - 1), (other, 1)), 0.1, 1)
-        with pytest.raises(ValueError, match="MAX_CORPUS_VARIANTS"):
+        with pytest.raises(ValueError) as err:
             CorpusSpec(((template, MAX_CORPUS_VARIANTS), (other, 1)), 0.1, 1)
+        assert str(err.value) == "corpus spec asks for 100001 variants, more than MAX_CORPUS_VARIANTS = 100000"
 
 
 class TestEventsCap:
@@ -385,22 +344,6 @@ class TestEventsCap:
 
 class TestCorpusSpecTypes:
     # Fields are type-checked, not coerced, with the spec file's messages.
-    @pytest.mark.parametrize(
-        "count, rate, seed, message",
-        [
-            (2.7, 0.1, 1, "variants must be an integer, got 2.7"),
-            (True, 0.1, 1, "variants must be an integer, got True"),
-            ("3", 0.1, 1, "variants must be an integer, got '3'"),
-            (1, True, 1, "mutation_rate must be an integer or a float, got True"),
-            (1, 0.1, 1.0, "seed must be an integer, got 1.0"),
-        ],
-    )
-    def test_rejects(self, count, rate, seed, message):
-        template = family_template("fam", motif_count=1)
-        with pytest.raises(ValueError) as err:
-            CorpusSpec(((template, count),), rate, seed)
-        assert str(err.value) == message
-
     def test_integer_rate_is_a_float(self):
         spec = CorpusSpec(((family_template("fam", motif_count=1), 2),), 0, 1)
         assert spec.mutation_rate == 0.0 and type(spec.mutation_rate) is float
@@ -489,14 +432,6 @@ class TestGenerateCorpus:
         for _, profile in labeled:
             assert parse_profile(serialize_profile(profile)) == profile
 
-    def test_duplicate_family_names_rejected(self):
-        spec_families = (
-            (family_template("fam", motif_count=1), 1),
-            (family_template("fam", motif_count=1), 1),
-        )
-        with pytest.raises(ValueError, match="duplicate family names"):
-            generate_corpus(CorpusSpec(spec_families, 0.1, 1))
-
 
 class TestSpecJson:
     SPEC = {
@@ -532,8 +467,3 @@ class TestSpecJson:
         assert template.base_events[1].return_value is None
         labeled, _ = generate_corpus(spec)
         assert labeled
-
-    def test_missing_field_named(self):
-        broken = {"seed": 1, "families": []}
-        with pytest.raises(ValueError, match="mutation_rate"):
-            CorpusSpec.from_json(json.dumps(broken))
