@@ -32,8 +32,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 from xml.etree import ElementTree
-from xml.sax.saxutils import escape as _xml_escape
-from xml.sax.saxutils import quoteattr as _xml_quoteattr
 
 # A behavior element is an opaque canonical token; profiles reduce to
 # frozensets of them.
@@ -332,17 +330,29 @@ def _profile_calls(xml_text: str) -> list[CallKey]:
     return _walk_profile(xml_text).calls
 
 
-# The characters xml.sax.saxutils.quoteattr rewrites in a value, or that
-# make it pick single quotes.
+def _xml_escape(text: str) -> str:
+    """xml.sax.saxutils.escape(text): '&' goes first, so no entity this
+    writes is escaped again."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+# The characters _xml_quoteattr rewrites in a value, or that make it pick
+# single quotes.
 _ATTRIBUTE_SPECIALS = frozenset('&<>"\n\r\t')
 
 
-def _quoteattr(value: str) -> str:
-    """quoteattr(value): a value without _ATTRIBUTE_SPECIALS is only put in
-    double quotes, which is what quoteattr returns for it."""
+def _xml_quoteattr(value: str) -> str:
+    """xml.sax.saxutils.quoteattr(value). That module is not imported: it
+    loads urllib.request, and with it http.client, email, socket and ssl,
+    into every process that imports malbehave."""
     if _ATTRIBUTE_SPECIALS.isdisjoint(value):
         return '"' + value + '"'
-    return _xml_quoteattr(value)
+    value = _xml_escape(value).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return '"' + value + '"'
+    if "'" not in value:
+        return "'" + value + "'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 def _event_head(call: CallKey) -> str:
@@ -350,9 +360,9 @@ def _event_head(call: CallKey) -> str:
     api_name, attributes, return_value = call
     parts = [api_name]
     for key, value in attributes:
-        parts.append(f"{key}={_quoteattr(value)}")
+        parts.append(f"{key}={_xml_quoteattr(value)}")
     if return_value is not None:
-        parts.append(f"Return={_quoteattr(return_value)}")
+        parts.append(f"Return={_xml_quoteattr(return_value)}")
     return "<" + " ".join(parts)
 
 

@@ -1008,10 +1008,10 @@ class TestRejections:
 
     # Raise statements that no row runs, by their module and a fragment of
     # their text, each with the kept test that pins its whole line: the exit
-    # of the entry points, and the two caps no row is large enough to reach.
+    # of `python -m malbehave`, and the two caps no row is large enough to
+    # reach.
     UNREACHED = [
         ("__main__.py", "raise SystemExit(main())", "TestEntryPoint.test_module_invocation"),
-        ("cli.py", "raise SystemExit(main())", "TestEntryPoint.test_module_invocation"),
         ("profile.py", "larger than MAX_INPUT_BYTES", "TestUntrustedInput.test_input_size_cap"),
         ("synth.py", "MAX_CORPUS_EVENTS = {MAX_CORPUS_EVENTS} events",
          "TestUntrustedInput.test_corpus_spec_over_the_events_cap"),
@@ -1938,19 +1938,30 @@ class TestForks:
             os.waitpid(-1, os.WNOHANG)
 
 
+def _src_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports malbehave from this source tree."""
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, accept_inputs):
         # `python -m malbehave` prints the bytes of the ACCEPTS row it runs.
         [row] = [row for row in ACCEPTS if row.id == "two parse"]
         _lay_out(tmp_path, accept_inputs[row.files])
-        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "malbehave", *row.argv],
-            capture_output=True,
-            cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        result = _src_python(["-m", "malbehave", *row.argv], cwd=tmp_path)
         assert (result.returncode, result.stderr, _sha256(result.stdout)) == (0, b"", row.stdout_sha256)
+
+    @pytest.mark.parametrize("module", ["malbehave", "malbehave.cli"])
+    def test_import_loads_no_network_module(self, module):
+        # Every CLI call and every worker imports the package. Nothing in it
+        # needs these modules; xml.sax.saxutils would bring in all of them
+        # through urllib.request. -S keeps site's own imports out of the set.
+        result = _src_python(["-S", "-c", f"import sys, {module}; print(sorted(sys.modules))"], text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        loaded = set(ast.literal_eval(result.stdout))
+        assert module in loaded
+        assert loaded.isdisjoint({"urllib.request", "http.client", "email", "socket", "ssl", "xml.sax"})
 
 
 class TestSharedParser:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from xml.sax.saxutils import quoteattr
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
@@ -20,7 +20,7 @@ from malbehave import (
     read_corpus,
     serialize_profile,
 )
-from malbehave.profile import _quoteattr, read_input, typed
+from malbehave.profile import _xml_escape, _xml_quoteattr, read_input, typed
 from conftest import make_random_profile
 from _oracles import per_event_xml
 from _pipeline import four_family_spec, profile_document
@@ -101,12 +101,14 @@ class TestSerialize:
 
     def test_quoting_matches_saxutils(self):
         # Every string of up to three characters over quoteattr's specials,
-        # both quote kinds, and plain, backslash and non-ASCII characters.
+        # both quote kinds, and plain, backslash and non-ASCII characters,
+        # then seeded longer strings over the same alphabet.
         alphabet = "&<>\"'\n\r\t a;\\é字"
-        for length in range(4):
-            for chars in itertools.product(alphabet, repeat=length):
-                value = "".join(chars)
-                assert _quoteattr(value) == quoteattr(value), value
+        short = ("".join(chars) for length in range(4) for chars in itertools.product(alphabet, repeat=length))
+        rng = random.Random(5)
+        longer = ("".join(rng.choices(alphabet, k=rng.randint(4, 40))) for _ in range(3000))
+        for value in itertools.chain(short, longer):
+            assert (_xml_escape(value), _xml_quoteattr(value)) == (escape(value), quoteattr(value)), value
 
     def test_bytes_match_per_event_formatting(self):
         # Repeated calls share one formatted head; values need quoting or not.
