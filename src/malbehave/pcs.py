@@ -21,6 +21,7 @@ import json
 import math
 import operator
 import re
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -43,6 +44,9 @@ _NORM_CLASSES = 32
 _POSTING_BYTES = 64
 # Field width in bytes -> the array typecode of an unsigned int that wide.
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+# About the bytes of one engine's (same or diff) mask over one block of
+# pair rows: pcs_report holds a few blocks' masks per engine, never whole ones.
+_BLOCK_BYTES = 64 * 1024
 
 
 # Words that name no family: dropped from detection strings and descriptions.
@@ -77,6 +81,23 @@ def _first_repeat(values: Sequence[str]) -> str:
         seen.add(value)
 
 
+def _check_cells(cells) -> None:
+    for cell in cells:
+        if cell is not None and not isinstance(cell, str):
+            raise ValueError(f"label cells must be text or None, got {cell!r}")
+
+
+def _little_endian(values, width: int) -> bytes:
+    """The ints of values as consecutive width-byte little-endian fields."""
+    code = _ARRAY_CODES.get(width)
+    if code is None:
+        return b"".join([value.to_bytes(width, "little") for value in values])
+    fields = array(code, values)
+    if sys.byteorder == "big":  # array packs in native order
+        fields.byteswap()
+    return fields.tobytes()
+
+
 @dataclass(frozen=True)
 class EngineLabelTable:
     """n samples x m engines of optional family names (None = not detected)."""
@@ -99,9 +120,7 @@ class EngineLabelTable:
         for row in self.labels:
             if len(row) != len(self.engines):
                 raise ValueError(f"label row has {len(row)} cells for {len(self.engines)} engines")
-            for cell in row:
-                if cell is not None and not isinstance(cell, str):
-                    raise ValueError(f"label cells must be text or None, got {cell!r}")
+            _check_cells(row)
 
     @property
     def sample_count(self) -> int:
@@ -122,11 +141,10 @@ class EngineLabelTable:
         mapping are marked not-detected."""
         if name in self.engines:
             raise ValueError(f"engine {name!r} already present")
-        rows = tuple(
-            row + (labels_by_id.get(malware_id),)
-            for malware_id, row in zip(self.malware_ids, self.labels)
-        )
-        return EngineLabelTable(self.malware_ids, self.engines + (name,), rows)
+        column = tuple(map(labels_by_id.get, self.malware_ids))
+        _check_cells(column)  # the only cells this table has not checked
+        rows = tuple(row + (cell,) for row, cell in zip(self.labels, column))
+        return _checked_table(self.malware_ids, self.engines + (name,), rows)
 
     def normalized(self) -> "EngineLabelTable":
         """Run every cell through normalize_family."""
@@ -135,7 +153,7 @@ class EngineLabelTable:
         cells.discard(None)
         family = dict(zip(cells, map(_longest, map(_FAMILY_WORD.findall, map(str.lower, cells)))))
         rows = tuple(tuple(map(family.get, row)) for row in self.labels)
-        return EngineLabelTable(self.malware_ids, self.engines, rows)
+        return _checked_table(self.malware_ids, self.engines, rows)
 
     def to_json(self) -> str:
         data = {
@@ -176,6 +194,17 @@ class EngineLabelTable:
         return cls(tuple(ids), engines, tuple(labels))
 
 
+def _checked_table(malware_ids: tuple, engines: tuple, labels: tuple) -> EngineLabelTable:
+    """An EngineLabelTable built without running __post_init__. Only for a
+    table derived from a checked one whose new cells are checked, as
+    with_engine's and normalized()'s are."""
+    table = object.__new__(EngineLabelTable)
+    object.__setattr__(table, "malware_ids", malware_ids)
+    object.__setattr__(table, "engines", engines)
+    object.__setattr__(table, "labels", labels)
+    return table
+
+
 # The padded pair layout of every engine's (same, diff) masks: the (i<j)
 # pairs of n samples in row-major order, the first pair in the highest bit,
 # each sample's row of n - 1 - i pairs followed by the 0 bits that pad it
@@ -193,15 +222,36 @@ def _row_picks(n: int) -> tuple[list[int], list[slice]]:
     return shifts, slices
 
 
-def _label_masks(column: Sequence[str | None], picks: tuple[list[int], list[slice]]) -> tuple[int, int]:
-    """One label engine's pair verdicts as (same, diff) bitmasks in the
-    padded pair layout; picks is _row_picks(len(column)).
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """The rows of the padded pair layout of n samples cut into runs
+    [a, b), last to first: each run's rows hold _BLOCK_BYTES bytes of a
+    mask or more, but the one that starts at row 0. A run of rows is a
+    contiguous byte range of every mask, so any count |x & y| is the sum
+    of its runs' counts."""
+    blocks = []
+    end = n
+    size = 0
+    for i in reversed(range(n)):
+        size += (n - i + 6) // 8
+        if size >= _BLOCK_BYTES or not i:
+            blocks.append((i, end))
+            end, size = i, 0
+    return blocks
 
-    Each family f has two rows of n bits, sample k at the k-th bit from the
-    top: same marks the samples labelled f, diff the samples detected with
-    another family. Row i of a mask is its cell's row from bit i + 1 on,
-    and all 0 for an undetected cell; each row is kept shifted by the bits
-    (i + 1) % 8 that its samples need, so row i is a byte slice.
+
+def _label_blocks(column: Sequence[str | None], picks: tuple[list[int], list[slice]], blocks: list[tuple[int, int]]):
+    """Yield one label engine's pair verdicts over each run of rows [a, b)
+    of blocks as (same, diff) bitmasks, those rows' bytes of the padded pair
+    layout; picks is _row_picks(len(column)).
+
+    Row i of same marks the later samples of its cell's family, and row i
+    of diff the later detected samples less those; both are 0 for an
+    undetected cell. Each is a slice of an n-bit row of samples (sample k
+    at the k-th bit from the top) from bit i + 1 on: the row of the
+    family's samples, or of every detected sample, kept shifted by the
+    bits (i + 1) % 8 that row i needs, so a run of rows is one join of
+    slices. A family's last sample has none of its family after it, so its
+    same row is 0 and a family of one needs no copy.
     """
     n = len(column)
     shifts, slices = picks
@@ -211,29 +261,37 @@ def _label_masks(column: Sequence[str | None], picks: tuple[list[int], list[slic
     for k, cell in enumerate(column):
         samples_of[cell].append(k)
     samples_of.pop(None, None)
-    rows = {}
-    for family, samples in samples_of.items():
+    zero = bytes(size)
+    same_rows = [zero] * n
+    detected_rows = [zero] * n
+
+    def share(samples: list[int], readers: list[int], rows: list[bytes]) -> None:
+        # rows[k] for each reader k: the samples' row shifted as row k needs,
+        # one copy per shift, shared by every reader with that shift.
         bits = bytearray(size)
         for k in samples:
             bits[k // 8] |= 0x80 >> k % 8
-        rows[family] = int.from_bytes(bits, "big")
-    detected = sum(rows.values())  # the families' samples are disjoint
-    zero = [bytes(size)] * 8
-    same_of = {None: zero}
-    diff_of = {None: zero}
-    for family, same in rows.items():
-        # Only the shifts its own samples' rows are read from.
-        wanted = {shifts[k] for k in samples_of[family]}
-        for row, copies in ((same, same_of), (detected ^ same, diff_of)):
-            copies[family] = [((row << c) & full).to_bytes(size, "big") if c in wanted else None for c in range(8)]
-    masks = []
-    for copies in (same_of, diff_of):
-        shifted = map(operator.getitem, map(copies.__getitem__, column), shifts)
-        masks.append(int.from_bytes(b"".join(map(operator.getitem, shifted, slices)), "big"))
-    return masks[0], masks[1]
+        row = int.from_bytes(bits, "big")
+        copies = {}
+        for k in readers:
+            if shifts[k] not in copies:
+                copies[shifts[k]] = ((row << shifts[k]) & full).to_bytes(size, "big")
+            rows[k] = copies[shifts[k]]
+
+    detected = [k for samples in samples_of.values() for k in samples]
+    share(detected, detected, detected_rows)
+    for samples in samples_of.values():
+        share(samples, samples[:-1], same_rows)
+    del samples_of, detected  # not kept through the blocks
+    for a, b in blocks:
+        same, later = (
+            int.from_bytes(b"".join(map(operator.getitem, rows[a:b], slices[a:b])), "big")
+            for rows in (same_rows, detected_rows)
+        )
+        yield same, later ^ same
 
 
-def _approval(shared: tuple[int, int], x_counts: tuple[int, int]) -> float:
+def _approval(shared: Sequence[int], x_counts: Sequence[int]) -> float:
     """Sum over (same, diff) of |x & y| / |x|, where shared holds the
     |x & y| and x_counts the |x|; a term with |x| = 0 is 0."""
     value = 0.0
@@ -279,8 +337,9 @@ class PairwiseIndicator:
     its field j > i reads 2^(w-1) - d + dot(i, j). Its top byte is in
     [0x80, 0xa0) when dot >= d, in [0x60, 0x80) when not, and 0x00 for an
     undetected sample; one strided slice from i + 1 on and one translate
-    turn them into signed verdicts, and one translate and one int(..., 2)
-    per mask turn those into the row's bits in the padded pair layout. The
+    turn them into signed verdicts, and one translate per mask into the
+    row's '0'/'1' text. A block of rows is that text, each row followed by
+    the zeros that pad it, parsed with one int(..., 2) per mask. The
     fields up to i are never read, and no field carries into the next: a
     dot is at most max_norm (Cauchy-Schwarz), and the 3 spare bits keep
     2^(w-1) + max_norm below 2^w.
@@ -322,6 +381,11 @@ class PairwiseIndicator:
         """The verdicts over the (i<j) row-major pairs of ids as two
         bitmasks in the padded pair layout, (same, diff): a bit is set where
         the verdict is +1 / -1."""
+        return next(self._block_masks(ids, [(0, len(ids))]))
+
+    def _block_masks(self, ids: Sequence[str], blocks: list[tuple[int, int]]):
+        """Yield pair_masks(ids)'s bytes over each run of rows [a, b) of
+        blocks, the runs taken last to first, as (same, diff) bitmasks."""
         for key in ids:
             if key not in self._vectors:
                 raise ValueError(f"unknown malware id {key!r}")
@@ -378,76 +442,80 @@ class PairwiseIndicator:
         # at least limit samples, else postings of (j, count) in the index.
         limit = -(-size // _POSTING_BYTES)
         held = Counter(token for vector in vectors if vector for token in vector)
-        columns = {token: bytearray(size) for token, count in held.items() if count >= limit}
+        # n fields of width bytes each; a list where no array type is that wide.
+        columns = {
+            token: array(code, bytes(size)) if code else [0] * n for token, count in held.items() if count >= limit
+        }
         del held  # every distinct token: not kept through the rows
         for j, vector in enumerate(vectors):
             for token, count in (vector or {}).items():
-                if token in columns:
-                    columns[token][width * j : width * (j + 1)] = count.to_bytes(width, "little")
-        for token, column in columns.items():
-            columns[token] = int.from_bytes(column, "little")
-        postings: dict[str, list[tuple[int, int]]] = {}
-
-        # Row i's mask bytes start at the sum of the earlier rows' lengths.
-        at = sum((n - i + 6) // 8 for i in range(n))
-        same_bytes = bytearray(at)
-        diff_bytes = bytearray(at)
-        # Rows last to first: the index holds the later samples.
-        for i in reversed(range(n)):
-            span = n - 1 - i
-            length = (span + 7) // 8
-            at -= length
-            norm = norms[i]
-            if norm is None:
-                continue
-            dots = 0
-            spread = None  # j -> the inverted index's part of dot(i, j)
-            for token, count in vectors[i].items():
                 column = columns.get(token)
                 if column is not None:
-                    dots += column if count == 1 else count * column
+                    column[j] = count
+        for token, column in columns.items():
+            columns[token] = int.from_bytes(_little_endian(column, width), "little")
+        postings: dict[str, list[tuple[int, int]]] = {}
+
+        # Rows last to first: the index holds the later samples. A block's
+        # rows are gathered as '0'/'1' text, the last row first, each row
+        # with the zeros that pad it, and parsed once per mask.
+        for a, b in blocks:
+            same_text = []
+            diff_text = []
+            for i in reversed(range(a, b)):
+                span = n - 1 - i
+                pad = -span % 8
+                norm = norms[i]
+                if norm is None:
+                    zeros = b"0" * (span + pad)
+                    same_text.append(zeros)
+                    diff_text.append(zeros)
                     continue
-                later = postings.get(token)
-                if later is None:
-                    postings[token] = [(i, count)]
+                dots = 0
+                spread = None  # j -> the inverted index's part of dot(i, j)
+                for token, count in vectors[i].items():
+                    column = columns.get(token)
+                    if column is not None:
+                        dots += column if count == 1 else count * column
+                        continue
+                    later = postings.get(token)
+                    if later is None:
+                        postings[token] = [(i, count)]
+                        continue
+                    if spread is None:
+                        spread = [0] * n
+                    for j, other in later:
+                        spread[j] += count * other
+                    later.append((i, count))
+                if not span:  # the last row holds no pairs
                     continue
-                if spread is None:
-                    spread = [0] * n
-                for j, other in later:
-                    spread[j] += count * other
-                later.append((i, count))
-            if not span:  # the last row holds no pairs
-                continue
-            first = i + 1
-            if spread is not None:
-                part = spread[first:]
-                if code:
-                    packed = array(code, part).tobytes()
-                else:
-                    packed = b"".join([dot.to_bytes(width, "little") for dot in part])
-                dots += int.from_bytes(packed, "little") << bits * first
-            low, high = bases[class_of[norm]]
-            # The top byte of each field from the first later sample on.
-            top = width * first + width - 1
-            found = (dots + low).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
-            if high is not None and 1 in found:
-                sure = (dots + high).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
-                # The low base's +1 and the high base's -1 (xor 0xfe) mark the
-                # pairs whose dot lies between the bracket's ends: test each.
-                unsure = int.from_bytes(found, "little") ^ int.from_bytes(sure, "little")
-                fields = dots.to_bytes(size, "little")[width * first :]
-                found = bytearray(found)
-                while unsure:
-                    f = ((unsure & -unsure).bit_length() - 1) >> 3
-                    unsure ^= 0xFE << (8 * f)
-                    dot = int.from_bytes(fields[width * f : width * (f + 1)], "little")
-                    same = dot * dot >= threshold * threshold * norm * norms[first + f]
-                    found[f] = 1 if same else 0xFF
-            # The row's signed verdicts as its own bits, the padding bits 0.
-            pad = 8 * length - span
-            same_bytes[at : at + length] = (int(found.translate(_SAME_BIT), 2) << pad).to_bytes(length, "big")
-            diff_bytes[at : at + length] = (int(found.translate(_DIFF_BIT), 2) << pad).to_bytes(length, "big")
-        return int.from_bytes(same_bytes, "big"), int.from_bytes(diff_bytes, "big")
+                first = i + 1
+                if spread is not None:
+                    dots += int.from_bytes(_little_endian(spread[first:], width), "little") << bits * first
+                low, high = bases[class_of[norm]]
+                # The top byte of each field from the first later sample on.
+                top = width * first + width - 1
+                found = (dots + low).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
+                if high is not None and 1 in found:
+                    sure = (dots + high).to_bytes(size, "little")[top::width].translate(_TOP_VERDICT)
+                    # The low base's +1 and the high base's -1 (xor 0xfe) mark the
+                    # pairs whose dot lies between the bracket's ends: test each.
+                    unsure = int.from_bytes(found, "little") ^ int.from_bytes(sure, "little")
+                    fields = dots.to_bytes(size, "little")[width * first :]
+                    found = bytearray(found)
+                    while unsure:
+                        f = ((unsure & -unsure).bit_length() - 1) >> 3
+                        unsure ^= 0xFE << (8 * f)
+                        dot = int.from_bytes(fields[width * f : width * (f + 1)], "little")
+                        same = dot * dot >= threshold * threshold * norm * norms[first + f]
+                        found[f] = 1 if same else 0xFF
+                # The row's signed verdicts as its own bits, then its padding.
+                zeros = b"0" * pad
+                same_text += (zeros, found.translate(_SAME_BIT))
+                diff_text += (zeros, found.translate(_DIFF_BIT))
+            same_text.reverse()
+            diff_text.reverse()
+            yield int(b"".join(same_text) or b"0", 2), int(b"".join(diff_text) or b"0", 2)
 
 
 def text_mining_grouping(descriptions: Mapping[str, str], threshold: float = 0.7) -> PairwiseIndicator:
@@ -493,30 +561,42 @@ def pcs_report(
     n = table.sample_count
     ids = table.malware_ids
 
-    masks = []
+    # Each engine's (same, diff) masks, one block of pair rows at a time.
+    blocks = _row_blocks(n)
+    sources = []
     detected: list[int] = []
     picks = _row_picks(n)
     for column in zip(*table.labels):
-        masks.append(_label_masks(column, picks))
+        sources.append(_label_blocks(column, picks, blocks))
         detected.append(n - column.count(None))
     for _, indicator_fn in extra_indicators:
-        masks.append(indicator_fn.pair_masks(ids))
+        sources.append(indicator_fn._block_masks(ids, blocks))
         detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))
 
-    m = len(masks)
-    counts = [(same.bit_count(), diff.bit_count()) for same, diff in masks]
-    # |x & y| is symmetric: each unordered pair of engines is intersected once.
+    m = len(sources)
+    # shared[x][y] sums (|same_x & same_y|, |diff_x & diff_y|) over the
+    # blocks. It is symmetric, so each unordered pair of engines is
+    # intersected once into one cell; shared[x][x] holds x's own counts.
     shared = [[None] * m for _ in range(m)]
-    for x, (same_x, diff_x) in enumerate(masks):
+    for x in range(m):
         for y in range(x, m):
-            same_y, diff_y = masks[y]
-            shared[x][y] = shared[y][x] = ((same_x & same_y).bit_count(), (diff_x & diff_y).bit_count())
+            shared[x][y] = shared[y][x] = [0, 0]
+    for masks in zip(*sources):
+        for x, (same_x, diff_x) in enumerate(masks):
+            for y in range(x, m):
+                same_y, diff_y = masks[y]
+                cell = shared[x][y]
+                cell[0] += (same_x & same_y).bit_count()
+                cell[1] += (diff_x & diff_y).bit_count()
+        # zip reuses its tuple when nothing else holds it, dropping each of
+        # this block's masks as it takes the next block's.
+        del masks
     rows = []
     for x in range(m):
         weight = detected[x] / n
         total = 0.0
         for y in range(m):
-            total += _approval(shared[x][y], counts[x])
+            total += _approval(shared[x][y], shared[x][x])
         rows.append(
             {
                 "engine": names[x],

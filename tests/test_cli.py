@@ -864,6 +864,13 @@ REJECTIONS = [
     Rejection("pcs_score unknown engine",
               lambda: pcs_score(EngineLabelTable(("a", "b"), ("x",), (("f",), ("f",))), "zz"),
               ValueError, "unknown engine 'zz'"),
+    # with_engine checks its new column's cells, in row order, after its name.
+    Rejection("with_engine cell",
+              lambda: EngineLabelTable(("a", "b", "c"), ("x",), (("f",),) * 3).with_engine("v", {"b": 5, "c": 7}),
+              ValueError, "label cells must be text or None, got 5"),
+    Rejection("with_engine name before cells",
+              lambda: EngineLabelTable(("a", "b"), ("x",), (("f",), ("f",))).with_engine("x", {"a": 5}),
+              ValueError, "engine 'x' already present"),
     Rejection("text_mining_grouping threshold", lambda: text_mining_grouping({"a": "x"}, threshold=1.5), ValueError,
               "threshold must be in [0, 1], got 1.5"),
     *(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -15,7 +17,7 @@ from malbehave import (
     text_mining_grouping,
 )
 from malbehave import pcs
-from malbehave.pcs import PairwiseIndicator, _label_masks, _row_picks
+from malbehave.pcs import PairwiseIndicator, _row_picks
 from _oracles import brute_force_pcs, cosine_verdict, label_verdict, split_description_words, split_normalize_family
 from _pipeline import CSV_AWKWARD_LABELS
 
@@ -87,6 +89,25 @@ class TestNormalizeFamily:
                 assert normalize_family(first) == first
 
 
+def _label_masks(column):
+    """One label engine's whole (same, diff) masks: its pair rows as one block."""
+    n = len(column)
+    return next(pcs._label_blocks(column, _row_picks(n), [(0, n)]))
+
+
+def _joined(block_masks, blocks, n):
+    """The whole (same, diff) masks that block_masks, one (same, diff) pair
+    per run of rows [a, b) of blocks (last to first), lay end to end."""
+    block_masks = list(block_masks)
+    assert len(block_masks) == len(blocks)
+    same = diff = b""
+    for (same_block, diff_block), (a, b) in zip(block_masks, blocks):
+        length = sum((n - i + 6) // 8 for i in range(a, b))
+        same = same_block.to_bytes(length, "big") + same
+        diff = diff_block.to_bytes(length, "big") + diff
+    return int.from_bytes(same, "big"), int.from_bytes(diff, "big")
+
+
 def _mask_verdict(column, i, j):
     """The verdict that column's label masks hold for samples i < j: +1
     from its same bit, -1 from its diff bit, 0 when neither is set. Each
@@ -95,7 +116,7 @@ def _mask_verdict(column, i, j):
     n = len(column)
     row_bytes = [(n - 1 - r + 7) // 8 for r in range(n)]
     bit = 8 * sum(row_bytes) - 1 - (8 * sum(row_bytes[:i]) + j - i - 1)
-    same, diff = _label_masks(column, _row_picks(n))
+    same, diff = _label_masks(column)
     return (same >> bit & 1) - (diff >> bit & 1)
 
 
@@ -107,7 +128,7 @@ class TestLabelMaskBits:
         assert _mask_verdict(THREE_BY_TWO.column("x"), 0, 2) == -1
 
     def test_null_cell(self):
-        assert _label_masks([None, "f"], _row_picks(2)) == (0, 0)
+        assert _label_masks([None, "f"]) == (0, 0)
         assert _mask_verdict([None, "f"], 0, 1) == 0
 
     def test_symmetry(self):
@@ -145,9 +166,8 @@ class TestWeight:
 def _approval(table, engine_x, engine_y):
     """Approval rate of engine_x by engine_y, from the masks and the
     approval term that pcs_report sums."""
-    picks = _row_picks(table.sample_count)
-    x = _label_masks(table.column(engine_x), picks)
-    y = _label_masks(table.column(engine_y), picks)
+    x = _label_masks(table.column(engine_x))
+    y = _label_masks(table.column(engine_y))
     shared = ((x[0] & y[0]).bit_count(), (x[1] & y[1]).bit_count())
     return pcs._approval(shared, (x[0].bit_count(), x[1].bit_count()))
 
@@ -316,6 +336,19 @@ class TestTextMining:
         assert PairwiseIndicator(indexed, 0.5).pair_masks(ids) == expected
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+def test_little_endian_fields(monkeypatch, width):
+    # Fields packed through array (widths 1-8) or to_bytes (wider) read
+    # the same on any host. array packs in the host's order, so a host of
+    # the other order swaps each field: big-endian fields here.
+    rng = random.Random(width)
+    values = [0, 1, 2 ** (8 * width) - 1] + [rng.getrandbits(8 * width) for _ in range(50)]
+    assert pcs._little_endian(values, width) == b"".join(v.to_bytes(width, "little") for v in values)
+    monkeypatch.setattr(sys, "byteorder", "little" if sys.byteorder == "big" else "big")
+    order = "big" if width in pcs._ARRAY_CODES else "little"
+    assert pcs._little_endian(values, width) == b"".join(v.to_bytes(width, order) for v in values)
+
+
 def _literal_masks(verdict, items):
     """(same, diff) bitmasks by literal enumeration of the (i<j) pairs, the
     first pair in the highest bit, each row of pairs followed by the 0 bits
@@ -348,7 +381,7 @@ class TestPairMasks:
                 column[0] = column[-1] = None
             columns.append(column)
         for column in columns:
-            assert _label_masks(column, _row_picks(len(column))) == _literal_masks(label_verdict, column)
+            assert _label_masks(column) == _literal_masks(label_verdict, column)
 
     @pytest.mark.parametrize("n", [2, 8, 9, 10, 16, 17, 24, 25])
     def test_rows_at_byte_boundaries(self, n):
@@ -362,7 +395,7 @@ class TestPairMasks:
             if ends_missed:
                 column[0] = column[-1] = None
                 descriptions["m0"] = descriptions[f"m{n - 1}"] = "win32"
-            assert _label_masks(column, _row_picks(len(column))) == _literal_masks(label_verdict, column)
+            assert _label_masks(column) == _literal_masks(label_verdict, column)
             indicator = text_mining_grouping(descriptions, threshold=0.5)
             vectors = {key: Counter(vector or {}) for key, vector in indicator._vectors.items()}
 
@@ -371,6 +404,50 @@ class TestPairMasks:
 
             ids = list(descriptions)
             assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 8, 9, 10, 16, 17, 24, 25])
+    def test_blocks_of_rows(self, monkeypatch, n, block_bytes):
+        # Blocks of one or a few rows, the last of them holding the
+        # zero-length last row: each engine's blocks, laid end to end, are
+        # its literal masks, and every report row equals the brute force.
+        # Among the engines, one label engine and one text-mining engine
+        # detect no sample, and a text-mining block ends on an undetected row.
+        monkeypatch.setattr(pcs, "_BLOCK_BYTES", block_bytes)
+        blocks = pcs._row_blocks(n)
+        assert [b for _, b in blocks] == [n] + [a for a, _ in blocks[:-1]] and blocks[-1][0] == 0
+        assert all(sum((n - i + 6) // 8 for i in range(a, b)) >= block_bytes for a, b in blocks[:-1])
+        rng = random.Random(100 * n + block_bytes)
+        words = ["adware", "installer", "worm", "dropper"]
+        ids = [f"m{i}" for i in range(n)]
+        for ends_missed in (True, False):
+            columns = [[rng.choice(self.FAMILIES[:3] + [None]) for _ in ids] for _ in range(2)] + [[None] * n]
+            descriptions = {key: " ".join(rng.choices(words, k=rng.randint(1, 4))) for key in ids}
+            undetected = [blocks[-1][1] - 1] + ([0, n - 1] if ends_missed else [])
+            for i in undetected:
+                descriptions[ids[i]] = "win32"
+            indicators = [
+                text_mining_grouping(descriptions, threshold=0.5),
+                text_mining_grouping(dict.fromkeys(ids, "variant"), threshold=0.5),
+            ]
+            assert not indicators[1].detected
+            picks = _row_picks(n)
+            for column in columns:
+                assert _joined(pcs._label_blocks(column, picks, blocks), blocks, n) == _literal_masks(
+                    label_verdict, column
+                )
+            for indicator in indicators:
+                vectors = {key: Counter(vector or {}) for key, vector in indicator._vectors.items()}
+
+                def verdict(a, b):
+                    return cosine_verdict(vectors[a], vectors[b], 0.5)
+
+                assert _joined(indicator._block_masks(ids, blocks), blocks, n) == _literal_masks(verdict, ids)
+            engines = ["e0", "e1", "e2"]
+            rows = [list(row) for row in zip(*columns)]
+            extras = [("Text_Mining", indicators[0]), ("Silent", indicators[1])]
+            for row in pcs_report(_table(ids, engines, rows), extras):
+                assert row["pcs"] == brute_force_pcs(ids, engines, rows, row["engine"], extras)
 
     def test_indicator_masks_equal_literal_enumeration(self):
         rng = random.Random(1618)
@@ -534,6 +611,28 @@ class TestReport:
             "vote", {"m1": "g0", "m2": "g0", "m3": "g1"}
         )
         assert report == pcs_report(manual)
+
+    def test_memory_held_to_blocks(self):
+        # 3,000 samples x 4 engines plus text mining: whole masks traced
+        # 7.8 MB at their peak, blocks of 64 KiB 3.5 MB.
+        rng = random.Random(5)
+        words = ["adware", "installer", "worm", "dropper", "bundle", "keylogger", "downloader", "backdoor"]
+        ids = [f"s{i}" for i in range(3000)]
+        truth = [rng.randrange(8) for _ in ids]
+        rows = [
+            [None if rng.random() < 0.2 else f"fam{f if rng.random() < 0.8 else rng.randrange(8)}" for _ in range(4)]
+            for f in truth
+        ]
+        table = _table(ids, ["e0", "e1", "e2", "e3"], rows)
+        descriptions = {i: " ".join([words[f]] * 2 + rng.sample(words, 3)) for i, f in zip(ids, truth)}
+        extras = [("Text_Mining", text_mining_grouping(descriptions))]
+        tracemalloc.start()
+        try:
+            pcs_report(table, extras)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2**20, peak
 
     def test_every_row_equals_brute_force(self):
         # Random tables with tied labels, undetected cells and (mostly) a
