@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import csv_rows, typed
+from .profile import _checked_record, csv_rows, typed
 
 # A pair verdict (-1, 0, +1) held as a signed byte -> its '0'/'1' mask bit.
 _SAME_BIT = bytes.maketrans(b"\xff\x00\x01", b"001")
@@ -144,7 +144,7 @@ class EngineLabelTable:
         column = tuple(map(labels_by_id.get, self.malware_ids))
         _check_cells(column)  # the only cells this table has not checked
         rows = tuple(row + (cell,) for row, cell in zip(self.labels, column))
-        return _checked_table(self.malware_ids, self.engines + (name,), rows)
+        return _checked_record(EngineLabelTable, self.malware_ids, self.engines + (name,), rows)
 
     def normalized(self) -> "EngineLabelTable":
         """Run every cell through normalize_family."""
@@ -153,7 +153,7 @@ class EngineLabelTable:
         cells.discard(None)
         family = dict(zip(cells, map(_longest, map(_FAMILY_WORD.findall, map(str.lower, cells)))))
         rows = tuple(tuple(map(family.get, row)) for row in self.labels)
-        return _checked_table(self.malware_ids, self.engines, rows)
+        return _checked_record(EngineLabelTable, self.malware_ids, self.engines, rows)
 
     def to_json(self) -> str:
         data = {
@@ -194,17 +194,6 @@ class EngineLabelTable:
         return cls(tuple(ids), engines, tuple(labels))
 
 
-def _checked_table(malware_ids: tuple, engines: tuple, labels: tuple) -> EngineLabelTable:
-    """An EngineLabelTable built without running __post_init__. Only for a
-    table derived from a checked one whose new cells are checked, as
-    with_engine's and normalized()'s are."""
-    table = object.__new__(EngineLabelTable)
-    object.__setattr__(table, "malware_ids", malware_ids)
-    object.__setattr__(table, "engines", engines)
-    object.__setattr__(table, "labels", labels)
-    return table
-
-
 # The padded pair layout of every engine's (same, diff) masks: the (i<j)
 # pairs of n samples in row-major order, the first pair in the highest bit,
 # each sample's row of n - 1 - i pairs followed by the 0 bits that pad it
@@ -240,8 +229,9 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def _label_blocks(column: Sequence[str | None], picks: tuple[list[int], list[slice]], blocks: list[tuple[int, int]]):
-    """Yield one label engine's pair verdicts over each run of rows [a, b)
-    of blocks as (same, diff) bitmasks, those rows' bytes of the padded pair
+    """Yield the number of samples one label engine detects, once its rows
+    are set up, then its pair verdicts over each run of rows [a, b) of
+    blocks as (same, diff) bitmasks, those rows' bytes of the padded pair
     layout; picks is _row_picks(len(column)).
 
     Row i of same marks the later samples of its cell's family, and row i
@@ -282,7 +272,9 @@ def _label_blocks(column: Sequence[str | None], picks: tuple[list[int], list[sli
     share(detected, detected, detected_rows)
     for samples in samples_of.values():
         share(samples, samples[:-1], same_rows)
+    count = len(detected)
     del samples_of, detected  # not kept through the blocks
+    yield count
     for a, b in blocks:
         same, later = (
             int.from_bytes(b"".join(map(operator.getitem, rows[a:b], slices[a:b])), "big")
@@ -315,13 +307,13 @@ def pcs_score(table: EngineLabelTable, engine: str) -> float:
 class PairwiseIndicator:
     """Same-family indicator backed by description similarity.
 
-    pair_masks gives the +1 / 0 / -1 verdicts over every pair of ids. Ids
-    whose description is empty (or all stop words) behave as not detected:
-    any pair touching them scores 0. A pair (a, b), a before b, scores +1
-    when dot² >= threshold * threshold * norm_a * norm_b, with squared
-    norms (exact integers, since counts are), and -1 otherwise. Token
-    counts must be non-negative integers: ints, or any type with
-    __index__ (a numpy integer, say).
+    pcs_report takes its +1 / 0 / -1 verdicts over every pair of a
+    table's ids as one engine's. Ids whose description is empty (or all
+    stop words) behave as not detected: any pair touching them scores 0.
+    A pair (a, b), a before b, scores +1 when dot² >= threshold *
+    threshold * norm_a * norm_b, with squared norms (exact integers, since
+    counts are), and -1 otherwise. Token counts must be non-negative
+    integers: ints, or any type with __index__ (a numpy integer, say).
 
     The verdicts come from packed columns: many small integers in the
     fields of one Python int, added with one big-int add (SWAR). Each
@@ -377,15 +369,12 @@ class PairwiseIndicator:
                 raise ValueError(f"token counts of {key!r} must be non-negative integers")
             self._norms[key] = norm
 
-    def pair_masks(self, ids: Sequence[str]) -> tuple[int, int]:
-        """The verdicts over the (i<j) row-major pairs of ids as two
-        bitmasks in the padded pair layout, (same, diff): a bit is set where
-        the verdict is +1 / -1."""
-        return next(self._block_masks(ids, [(0, len(ids))]))
-
     def _block_masks(self, ids: Sequence[str], blocks: list[tuple[int, int]]):
-        """Yield pair_masks(ids)'s bytes over each run of rows [a, b) of
-        blocks, the runs taken last to first, as (same, diff) bitmasks."""
+        """Yield the number of ids detected, once ids are checked and the
+        columns set up, then the verdicts over the (i<j) row-major pairs of
+        ids as (same, diff) bitmasks in the padded pair layout, a bit set
+        where the verdict is +1 / -1: one pair of masks for each run of rows
+        [a, b) of blocks, the runs taken last to first."""
         for key in ids:
             if key not in self._vectors:
                 raise ValueError(f"unknown malware id {key!r}")
@@ -455,6 +444,7 @@ class PairwiseIndicator:
         for token, column in columns.items():
             columns[token] = int.from_bytes(_little_endian(column, width), "little")
         postings: dict[str, list[tuple[int, int]]] = {}
+        yield n - norms.count(None)
 
         # Rows last to first: the index holds the later samples. A block's
         # rows are gathered as '0'/'1' text, the last row first, each row
@@ -563,15 +553,15 @@ def pcs_report(
 
     # Each engine's (same, diff) masks, one block of pair rows at a time.
     blocks = _row_blocks(n)
-    sources = []
-    detected: list[int] = []
     picks = _row_picks(n)
-    for column in zip(*table.labels):
-        sources.append(_label_blocks(column, picks, blocks))
-        detected.append(n - column.count(None))
-    for _, indicator_fn in extra_indicators:
-        sources.append(indicator_fn._block_masks(ids, blocks))
-        detected.append(sum(1 for malware_id in ids if malware_id in indicator_fn.detected))
+    sources = [_label_blocks(column, picks, blocks) for column in zip(*table.labels)]
+    text_sources = [indicator._block_masks(ids, blocks) for _, indicator in extra_indicators]
+    # Each engine first yields its detected count, once checked and set up:
+    # text mining first, so an id it does not know is refused before any
+    # label engine has started.
+    detected = list(map(next, text_sources))
+    detected[:0] = map(next, sources)
+    sources += text_sources
 
     m = len(sources)
     # shared[x][y] sums (|same_x & same_y|, |diff_x & diff_y|) over the

@@ -143,13 +143,27 @@ def _check_order(timestamps: Iterable[int]) -> None:
             )
 
 
-def _checked_event(call: CallKey, timestamp: int) -> ApiEvent:
-    """An ApiEvent built without running __post_init__. Only for a caller
-    that has made the same checks itself, as parse_profile and synth do."""
-    api_name, attributes, return_value = call
-    event = object.__new__(ApiEvent)
+_T = TypeVar("_T")
+
+
+def _checked_record(cls: type[_T], *values) -> _T:
+    """An instance of the frozen dataclass cls with values as its fields, in
+    field order, built without running __post_init__: only for values the
+    caller has checked as the class would. A wrong number of values is a
+    ValueError."""
+    record = object.__new__(cls)
     # Set as the dataclass __init__ does, so the instance keeps its compact
     # shared-key attribute storage (a __dict__.update doubles its size).
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _checked_event(call: CallKey, timestamp: int) -> ApiEvent:
+    """_checked_record(ApiEvent, *call, timestamp) written out, as one is
+    built per event: its loop takes twice as long (1.5 µs, not 0.8)."""
+    api_name, attributes, return_value = call
+    event = object.__new__(ApiEvent)
     object.__setattr__(event, "api_name", api_name)
     object.__setattr__(event, "attributes", attributes)
     object.__setattr__(event, "return_value", return_value)
@@ -181,21 +195,6 @@ class Profile:
         _check_positive(self.duration_seconds, "Duration")
         _check_parent_hash(self.parent_hash)
         _check_order(map(_event_timestamp, self.events))
-
-
-def _checked_profile(
-    sample_hash: str, process_id: int, duration_seconds: int, events: tuple[ApiEvent, ...], parent_hash: str | None
-) -> Profile:
-    """A Profile built without running __post_init__. Only for a caller
-    whose fields, and whose events' strictly increasing timestamps, are
-    checked by construction, as synth's are."""
-    profile = object.__new__(Profile)
-    object.__setattr__(profile, "hash", sample_hash)
-    object.__setattr__(profile, "process_id", process_id)
-    object.__setattr__(profile, "duration_seconds", duration_seconds)
-    object.__setattr__(profile, "events", events)
-    object.__setattr__(profile, "parent_hash", parent_hash)
-    return profile
 
 
 @dataclass(frozen=True)
@@ -316,11 +315,12 @@ def parse_profile(xml_text: str) -> Profile:
 
     Raises ProfileParseError for malformed XML (with line/column) and
     ProfileSchemaError, naming the offending field, for documents that do
-    not match the profile schema.
+    not match the profile schema. The walk makes every check that the
+    ApiEvent and Profile constructors make, so neither runs them again.
     """
     walk = _walk_profile(xml_text)
     events = tuple(map(_checked_event, walk.calls, walk.timestamps))
-    return Profile(walk.hash, walk.process_id, walk.duration_seconds, events, walk.parent_hash)
+    return _checked_record(Profile, walk.hash, walk.process_id, walk.duration_seconds, events, walk.parent_hash)
 
 
 def _profile_calls(xml_text: str) -> list[CallKey]:
@@ -475,9 +475,6 @@ def csv_rows(text: str) -> Iterator[list[str]]:
     split at "\n" alone and keeping it (io.StringIO copies the text at 4
     bytes a character; str.splitlines splits at \f, \u2028 and others)."""
     return filter(None, csv.reader(map(re.Match.group, _CSV_LINE.finditer(text))))
-
-
-_T = TypeVar("_T")
 
 
 # The most bytes read_input takes from one file. The largest inputs in

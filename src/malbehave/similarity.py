@@ -9,7 +9,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .profile import ElementSet, FeatureConfig, Profile, corpus_elements, csv_rows
+from .profile import ElementSet, FeatureConfig, Profile, _checked_record, corpus_elements, csv_rows
 
 
 def jaccard_distance(x: ElementSet, y: ElementSet) -> float:
@@ -183,8 +183,4 @@ def jaccard_matrix(element_sets: Sequence[ElementSet], labels: Iterable[str]) ->
     # By construction every cell is in [0, 1] and not -0.0, the rows are
     # symmetric with a 0 diagonal, and unequal sets give unequal rows: the
     # matrix skips the O(n^2) work DistanceMatrix does on values from outside.
-    matrix = object.__new__(DistanceMatrix)
-    object.__setattr__(matrix, "labels", labels)
-    object.__setattr__(matrix, "classes", tuple(class_of))
-    object.__setattr__(matrix, "rows", tuple(rows))
-    return matrix
+    return _checked_record(DistanceMatrix, labels, tuple(class_of), tuple(rows))

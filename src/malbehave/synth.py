@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .phylo import Grouping
-from .profile import ApiEvent, CallKey, Profile, _checked_event, _checked_profile, serialize_profile, typed, typed_float
+from .profile import ApiEvent, CallKey, Profile, _checked_event, _checked_record, serialize_profile, typed, typed_float
 
 _MASK64 = (1 << 64) - 1
 
@@ -188,7 +188,7 @@ def _name_seed(name: str) -> int:
 # Every event below is built unchecked (_checked_event): its call key comes
 # from a checked base event or pool (FamilyTemplate), or is a hooked API
 # name with "SUCCESS", and its timestamp is a positive tick. So is every
-# profile (_checked_profile): an md5 hex hash, a positive process id, and
+# profile (_checked_record): an md5 hex hash, a positive process id, and
 # events that _stamped stamps in strictly increasing order.
 #
 # Generation keeps the xorshift64* state in a local and takes the step
@@ -334,7 +334,7 @@ def _generate_family(
                     f"MAX_CORPUS_EVENTS = {MAX_CORPUS_EVENTS} events"
                 )
             events, state = _stamped(process_calls, state)
-            profiles.append(_checked_profile(sample_hash, process_id, 300, events, parent_hash))
+            profiles.append(_checked_record(Profile, sample_hash, process_id, 300, events, parent_hash))
     return profiles, events_left
 
 

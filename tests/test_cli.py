@@ -879,8 +879,6 @@ REJECTIONS = [
                   ValueError, "token counts of 'b' must be non-negative integers")
         for count in (-1, 1.5)
     ),
-    Rejection("pair_masks unknown id", lambda: text_mining_grouping({"a": "worm", "b": "worm"}).pair_masks("abz"),
-              ValueError, "unknown malware id 'z'"),
     Rejection("pcs_report unknown id",
               lambda: pcs_report(EngineLabelTable(("a", "z"), ("x",), (("f",), ("f",))),
                                  [("Text_Mining", text_mining_grouping({"a": "worm", "b": "worm"}))]),

@@ -89,16 +89,13 @@ class TestNormalizeFamily:
                 assert normalize_family(first) == first
 
 
-def _label_masks(column):
-    """One label engine's whole (same, diff) masks: its pair rows as one block."""
-    n = len(column)
-    return next(pcs._label_blocks(column, _row_picks(n), [(0, n)]))
-
-
-def _joined(block_masks, blocks, n):
-    """The whole (same, diff) masks that block_masks, one (same, diff) pair
-    per run of rows [a, b) of blocks (last to first), lay end to end."""
-    block_masks = list(block_masks)
+def _joined(source, blocks, n):
+    """The whole (same, diff) masks of one engine's source (_label_blocks or
+    PairwiseIndicator._block_masks): its detected count is taken first,
+    then its (same, diff) pairs, one per run of rows [a, b) of blocks (last
+    to first), are laid end to end."""
+    next(source)
+    block_masks = list(source)
     assert len(block_masks) == len(blocks)
     same = diff = b""
     for (same_block, diff_block), (a, b) in zip(block_masks, blocks):
@@ -106,6 +103,18 @@ def _joined(block_masks, blocks, n):
         same = same_block.to_bytes(length, "big") + same
         diff = diff_block.to_bytes(length, "big") + diff
     return int.from_bytes(same, "big"), int.from_bytes(diff, "big")
+
+
+def _label_masks(column):
+    """One label engine's whole (same, diff) masks: its pair rows as one block."""
+    n = len(column)
+    return _joined(pcs._label_blocks(column, _row_picks(n), [(0, n)]), [(0, n)], n)
+
+
+def _indicator_masks(indicator, ids):
+    """An indicator's whole (same, diff) masks over ids: its pair rows as one block."""
+    n = len(ids)
+    return _joined(indicator._block_masks(ids, [(0, n)]), [(0, n)], n)
 
 
 def _mask_verdict(column, i, j):
@@ -266,9 +275,9 @@ class TestGroupingLabels:
 
 
 def _pair_verdict(indicator, a, b):
-    """The verdict that indicator.pair_masks((a, b)) holds for its one
+    """The verdict that indicator's masks over (a, b) hold for its one
     pair: +1 from its same bit, -1 from its diff bit, 0 when neither is set."""
-    same, diff = indicator.pair_masks((a, b))
+    same, diff = _indicator_masks(indicator, (a, b))
     return (same != 0) - (diff != 0)
 
 
@@ -315,7 +324,7 @@ class TestTextMining:
                 return cosine_verdict(expected[a], expected[b], threshold)
 
             ids = list(descriptions)
-            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
+            assert _indicator_masks(indicator, ids) == _literal_masks(verdict, ids)
 
     def test_exact_threshold_one_on_identical(self):
         grouping = text_mining_grouping({"a": "adware installer", "b": "adware installer"}, threshold=1.0)
@@ -332,8 +341,8 @@ class TestTextMining:
         vectors = {"a": {"worm": 3, "adware": 1}, "b": {"worm": 2}, "c": {"adware": 5}}
         indexed = {key: {token: Count(count) for token, count in vector.items()} for key, vector in vectors.items()}
         ids = list(vectors)
-        expected = PairwiseIndicator(vectors, 0.5).pair_masks(ids)
-        assert PairwiseIndicator(indexed, 0.5).pair_masks(ids) == expected
+        expected = _indicator_masks(PairwiseIndicator(vectors, 0.5), ids)
+        assert _indicator_masks(PairwiseIndicator(indexed, 0.5), ids) == expected
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
@@ -403,7 +412,7 @@ class TestPairMasks:
                 return cosine_verdict(vectors[a], vectors[b], 0.5)
 
             ids = list(descriptions)
-            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
+            assert _indicator_masks(indicator, ids) == _literal_masks(verdict, ids)
 
     @pytest.mark.parametrize("block_bytes", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 8, 9, 10, 16, 17, 24, 25])
@@ -446,8 +455,12 @@ class TestPairMasks:
             engines = ["e0", "e1", "e2"]
             rows = [list(row) for row in zip(*columns)]
             extras = [("Text_Mining", indicators[0]), ("Silent", indicators[1])]
-            for row in pcs_report(_table(ids, engines, rows), extras):
+            report = pcs_report(_table(ids, engines, rows), extras)
+            for row in report:
                 assert row["pcs"] == brute_force_pcs(ids, engines, rows, row["engine"], extras)
+            names = engines + [name for name, _ in extras]
+            detected = [n - column.count(None) for column in columns] + [n - len(set(undetected)), 0]
+            assert {row["engine"]: row["detected"] for row in report} == dict(zip(names, detected))
 
     def test_indicator_masks_equal_literal_enumeration(self):
         rng = random.Random(1618)
@@ -517,7 +530,7 @@ class TestPairMasks:
             def verdict(a, b):
                 return cosine_verdict(vectors[a], vectors[b], indicator.threshold)
 
-            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
+            assert _indicator_masks(indicator, ids) == _literal_masks(verdict, ids)
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_tokens_held_at_the_packing_limit(self, width):
@@ -548,7 +561,7 @@ class TestPairMasks:
             def verdict(a, b):
                 return cosine_verdict(vectors[a], vectors[b], threshold)
 
-            assert indicator.pair_masks(ids) == _literal_masks(verdict, ids)
+            assert _indicator_masks(indicator, ids) == _literal_masks(verdict, ids)
 
     def test_exact_cosine_ties_at_threshold_one(self):
         descriptions = {"a": "a a b b", "b": "a b", "c": "b a", "d": "a b b"}
@@ -586,6 +599,22 @@ class TestTableFormats:
         table = _table(["m1", "m2"], ["x"], [["Win32.Morstar.ba"], ["APPL/Firseria.A.15"]])
         assert table.normalized().labels == (("morstar",), ("firseria",))
 
+    def test_derived_tables_equal_checked_constructor(self):
+        # normalized() and with_engine() build their tables unchecked: each
+        # equals the checked constructor's, field for field and in its storage.
+        rng = random.Random(41)
+        strings = ["Win32.Morstar.ba", "APPL/Firseria.A.15", "deadbeef.1234", "Worm.Zbot", None]
+        for _ in range(20):
+            ids = [f"m{i}" for i in range(rng.randint(1, 6))]
+            table = _table(ids, ["x", "y"], [rng.choices(strings, k=2) for _ in ids])
+            column = {key: rng.choice(strings) for key in rng.sample(ids, rng.randint(0, len(ids)))}
+            for derived in (table.normalized(), table.with_engine("vote", column)):
+                checked = EngineLabelTable(derived.malware_ids, derived.engines, derived.labels)
+                assert type(derived) is EngineLabelTable
+                assert derived == checked
+                assert hash(derived) == hash(checked)
+                assert sys.getsizeof(vars(derived)) == sys.getsizeof(vars(checked))
+
 
 class TestReport:
     def test_sorted_by_score(self):
@@ -602,6 +631,25 @@ class TestReport:
         tm = next(row for row in report if row["engine"] == "Text_Mining")
         assert tm["detected"] == 3
         assert 0.0 <= tm["pcs"] <= 2.0
+
+    def test_unknown_id_refused_before_label_engines_start(self, monkeypatch):
+        # Every engine checks its input and sets up before any block is
+        # counted, text mining first: an indicator that lacks a table id is
+        # refused before any label engine has built its rows.
+        started = []
+        label_blocks = pcs._label_blocks
+
+        def recording(column, picks, blocks):
+            started.append(column)
+            yield from label_blocks(column, picks, blocks)
+
+        monkeypatch.setattr(pcs, "_label_blocks", recording)
+        table = _table("abc", ["x", "y"], [["f", "f"], ["f", "g"], ["g", "g"]])
+        with pytest.raises(ValueError, match="^unknown malware id 'c'$"):
+            pcs_report(table, [("Text_Mining", text_mining_grouping({"a": "worm", "b": "worm"}))])
+        assert started == []
+        pcs_report(table, [("Text_Mining", text_mining_grouping(dict.fromkeys("abc", "worm")))])
+        assert started == [("f", "f", "g"), ("f", "g", "g")]
 
     def test_injected_grouping_matches_manual_column(self):
         grouping = Grouping(0.5, (("m1", "m2"), ("m3",)))

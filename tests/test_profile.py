@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 
+import malbehave
 from malbehave import (
     ApiEvent,
     FeatureConfig,
@@ -20,7 +24,7 @@ from malbehave import (
     read_corpus,
     serialize_profile,
 )
-from malbehave.profile import _xml_escape, _xml_quoteattr, read_input, typed
+from malbehave.profile import _checked_record, _xml_escape, _xml_quoteattr, read_input, typed
 from conftest import make_random_profile
 from _oracles import per_event_xml
 from _pipeline import four_family_spec, profile_document
@@ -66,15 +70,46 @@ class TestParserChecks:
         assert profile.events == (ApiEvent("A", (), None, value),)
 
     def test_synth_round_trip_equals_checked_events(self):
+        # Synth's profiles and the parser's are built unchecked: each equals
+        # the checked constructor's, field for field and in its storage.
         labeled, _ = generate_corpus(four_family_spec(variants=3, seed=99, motif_count=2))
         for _, profile in labeled:
             parsed = parse_profile(serialize_profile(profile))
-            assert parsed == profile
+            checked = Profile(
+                profile.hash, profile.process_id, profile.duration_seconds, profile.events, profile.parent_hash
+            )
+            for record in (profile, parsed):
+                assert type(record) is Profile
+                assert record == checked
+                assert hash(record) == hash(checked)
+                assert sys.getsizeof(vars(record)) == sys.getsizeof(vars(checked))
             for event in parsed.events:
                 checked = ApiEvent(event.api_name, event.attributes, event.return_value, event.timestamp)
                 assert type(event) is ApiEvent
                 assert event == checked
                 assert hash(event) == hash(checked)
+
+
+class TestCheckedRecord:
+    def test_wrong_value_count_raises(self):
+        for values in (("A", (), None), ("A", (), None, 0, 1)):
+            with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+                _checked_record(ApiEvent, *values)
+
+    def test_only_record_builders_call_object_new(self):
+        # A record built unchecked goes through _checked_record, or through
+        # _checked_event, its one unrolled form: no other function of the
+        # package names object.__new__.
+        package = Path(malbehave.__file__).parent
+        callers = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr == "__new__" and getattr(node.value, "id", "") == "object":
+                    enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    callers.append((path.name, max(enclosing, key=lambda f: f.lineno).name if enclosing else None))
+        assert sorted(callers) == [("profile.py", "_checked_event"), ("profile.py", "_checked_record")]
 
 
 class TestSerialize:

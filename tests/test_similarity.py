@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -208,6 +209,14 @@ class TestSharedRows:
             labels = [f"s{k}" for k in range(n)]
             rng.shuffle(labels)
             matrix = jaccard_matrix(sets, labels)
+            # Built unchecked, it equals the checked constructor's matrix of
+            # its cells, field for field and in its storage (read before
+            # entries, which caches itself on the instance).
+            checked = DistanceMatrix(labels, jaccard_matrix(sets, labels).entries)
+            assert type(matrix) is DistanceMatrix
+            assert matrix == checked
+            assert hash(matrix) == hash(checked)
+            assert sys.getsizeof(vars(matrix)) == sys.getsizeof(vars(checked))
             row_of = {}
             for elements, row in zip(sets, matrix.entries):
                 assert row_of.setdefault(elements, row) is row

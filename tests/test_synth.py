@@ -22,7 +22,7 @@ from malbehave import (
     write_corpus,
 )
 from malbehave import synth
-from malbehave.profile import ProfileSchemaError
+from malbehave.profile import Profile, ProfileSchemaError
 from _pipeline import family_template, four_family_spec, mean_distance
 
 # Values that quoteattr rewrites or single-quotes, each for one reason
@@ -297,13 +297,15 @@ class TestEventsCap:
     def built(self, monkeypatch):
         """The event count of every profile generation builds, in order."""
         counts = []
-        checked_profile = synth._checked_profile
+        checked_record = synth._checked_record
 
-        def counting(sample_hash, process_id, duration, events, parent_hash):
-            counts.append(len(events))
-            return checked_profile(sample_hash, process_id, duration, events, parent_hash)
+        def counting(cls, *values):
+            record = checked_record(cls, *values)
+            if cls is Profile:
+                counts.append(len(record.events))
+            return record
 
-        monkeypatch.setattr(synth, "_checked_profile", counting)
+        monkeypatch.setattr(synth, "_checked_record", counting)
         return counts
 
     def test_spec_at_the_cap(self, monkeypatch, built):
